@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import families, graphtools, isoperimetry, netgraph, surface
-from .hypmath import ARCSINH_ONE, DomainError, check_margulis, delta1
+from .hypmath import ARCSINH_ONE, DomainError, check_delta, delta1
 from .surface import SpecError
 
 EPS_DEFAULT = ARCSINH_ONE / 2.0
@@ -63,13 +63,7 @@ def _threads() -> int:
 
 def _resolve_scales(args) -> tuple[float, float]:
     eps = EPS_DEFAULT if args.eps is None else args.eps
-    check_margulis(eps)
-    delta = 0.9 * delta1(eps) if args.delta is None else args.delta
-    if not 0.0 < delta < delta1(eps):
-        raise DomainError(
-            f"delta must lie in (0, delta1(eps)) = (0, {delta1(eps)!r}), "
-            f"got {delta!r}"
-        )
+    delta = check_delta(eps, 0.9 * delta1(eps) if args.delta is None else args.delta)
     if args.max_pieces < 1:
         raise DomainError(f"--max-pieces must be >= 1, got {args.max_pieces}")
     return eps, delta

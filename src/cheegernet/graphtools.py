@@ -2,8 +2,8 @@
 
 Vertices are arbitrary hashable labels; insertion order is the canonical
 vertex order and every report breaks ties toward it, so identical inputs
-give byte-identical outputs.  numpy is used for the quartic hyperbolicity
-scan and the subset enumerations; everything else is plain BFS/Dijkstra.
+give byte-identical outputs.  numpy is used for the four-point scans and
+the subset enumerations; everything else is plain BFS/Dijkstra.
 """
 
 from __future__ import annotations
@@ -204,17 +204,29 @@ def _four_point_block(D: np.ndarray, i: int, j: int):
     return (hi - mid) / 2.0
 
 
-def _base_delta(P: np.ndarray) -> float:
-    """max over x,y,z of min((x|z)_o, (z|y)_o) - (x|y)_o, P the product
-    matrix at base o."""
-    n = P.shape[0]
-    best = 0.0
-    for z in range(n):
-        m = np.minimum(P[:, z][:, None], P[z, :][None, :]) - P
-        val = float(m.max())
-        if val > best:
-            best = val
-    return best
+def _base_delta(D: np.ndarray, o: int) -> float:
+    """max over x,y,z of min((x|z)_o, (z|y)_o) - (x|y)_o, in integers on
+    Q = 2*(.|.)_o, the doubled Gromov products at base o."""
+    Q = D[:, o][:, None] + D[o, :][None, :] - D
+    buf = np.empty_like(Q)
+    best = 0
+    for z in range(Q.shape[0]):
+        np.minimum(Q[:, z][:, None], Q[z, :][None, :], out=buf)
+        buf -= Q
+        best = max(best, int(buf.max()))
+    return best / 2.0
+
+
+def _far_apart_pairs(graph: Graph, D: np.ndarray):
+    """Pairs x < y with no neighbour of x farther from y and no neighbour of
+    y farther from x, ordered by decreasing distance, then lexicographically."""
+    near = np.empty(D.shape, dtype=bool)
+    for x, v in enumerate(graph.vertices()):
+        nbrs = [graph.index_of(u) for u in graph.neighbors(v)]
+        near[x] = D[nbrs].max(axis=0) <= D[x]
+    xs, ys = np.nonzero(np.triu(near & near.T, k=1))
+    keep = np.argsort(-D[xs, ys], kind="stable")
+    return xs[keep], ys[keep]
 
 
 def hyperbolicity_delta(
@@ -226,35 +238,40 @@ def hyperbolicity_delta(
 ) -> HyperbolicityReport:
     """Four-point hyperbolicity constant of a connected graph.
 
-    Exhaustive over all quadruples up to exact_limit vertices, else a
-    seeded random sample giving a lower bound.  base_dependence is the
-    largest base-point delta over the witness quadruple plus sampled
-    bases; for exact runs it equals delta because some witness vertex
-    realizes the four-point value as a base.
+    Up to exact_limit vertices delta is exact, by the far-apart-pair scan of
+    Cohen, Coudert and Lancin ("On computing the Gromov hyperbolicity", ACM
+    JEA 2015): pairs by decreasing distance, each against all earlier ones,
+    until that distance is at most 2*delta; quadruples counts the quadruples
+    it evaluated.  The witness is the lexicographically first quadruple
+    attaining delta.  Above exact_limit a seeded random sample of
+    sample_count quadruples gives a lower bound.  base_dependence is the
+    largest base-point delta over the witness quadruple plus sampled bases;
+    for exact runs it equals delta because some witness vertex realizes the
+    four-point value as a base.
     """
     n = graph.n
+    order = graph.vertices()
     if n < 4:
-        order = graph.vertices()
         wit = tuple(order[: min(4, n)])
         return HyperbolicityReport(0.0, wit, True, 0.0, 0)
     D = graph.distance_matrix()
     Df = D.astype(np.float64)
-    order = graph.vertices()
     rng = random.Random(seed)
 
     if n <= exact_limit:
-        best = 0.0
+        xs, ys = _far_apart_pairs(graph, D)
+        best2 = 0
         quadruples = 0
-        for i in range(n - 3):
-            for j in range(i + 1, n - 2):
-                blk = _four_point_block(Df, i, j)
-                m = blk.shape[0]
-                quadruples += m * (m - 1) // 2
-                iu = np.triu_indices(m, k=1)
-                if iu[0].size:
-                    v = float(blk[iu].max())
-                    if v > best:
-                        best = v
+        for p in range(1, len(xs)):
+            x, y = xs[p], ys[p]
+            d = int(D[x, y])
+            if d <= best2:
+                break
+            v, w = xs[:p], ys[:p]
+            mid = np.maximum(D[x, v] + D[y, w], D[x, w] + D[y, v])
+            best2 = max(best2, int((d + D[v, w] - mid).max()))
+            quadruples += p
+        best = best2 / 2.0
         witness = None
         for i in range(n - 3):
             if witness is not None:
@@ -301,12 +318,7 @@ def hyperbolicity_delta(
     bases = list(witness)
     pool = [i for i in range(n) if i not in set(witness)]
     bases += rng.sample(pool, min(base_samples, len(pool)))
-    base_dep = 0.0
-    for o in bases:
-        P = (Df[:, o][:, None] + Df[o, :][None, :] - Df) / 2.0
-        v = _base_delta(P)
-        if v > base_dep:
-            base_dep = v
+    base_dep = max(_base_delta(D, o) for o in bases)
     return HyperbolicityReport(
         delta=best,
         witness=tuple(order[i] for i in witness),

@@ -19,6 +19,7 @@ __all__ = [
     "CollarGeometry",
     "CuspCollar",
     "check_margulis",
+    "check_delta",
     "collar_width",
     "collar_geometry",
     "thin_half_width",
@@ -79,6 +80,14 @@ def check_margulis(eps: float) -> float:
             f"eps must lie in (0, arcsinh(1)) = (0, {ARCSINH_ONE!r}), got {eps!r}"
         )
     return eps
+
+
+def check_delta(eps: float, delta: float) -> float:
+    """Validate eps and 0 < delta < delta1(eps); return delta."""
+    bound = delta1(eps)
+    if not 0.0 < delta < bound:
+        raise DomainError(f"delta must lie in (0, delta1(eps)) = (0, {bound!r}), got {delta!r}")
+    return delta
 
 
 def collar_width(l: float) -> float:

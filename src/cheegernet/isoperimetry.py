@@ -18,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .hypmath import DomainError, check_margulis, delta1
+from .hypmath import DomainError, check_delta
 from .surface import (
     Family,
     GeodesicDomain,
@@ -26,7 +26,6 @@ from .surface import (
     boundary_length,
     connected_piece_subsets,
     domain_from_pieces,
-    piece_adjacency,
     require_valid,
 )
 
@@ -380,11 +379,7 @@ def lii_verdict(
     otherwise the ratios stay bounded below and the report attaches the
     surface Cheeger bound h >= h_g/(1 + h_g) for the largest instance.
     """
-    check_margulis(eps)
-    if not 0.0 < delta < delta1(eps):
-        raise DomainError(
-            f"delta must lie in (0, delta1(eps)) = (0, {delta1(eps)!r}), got {delta!r}"
-        )
+    check_delta(eps, delta)
     vals = sorted(values) if values is not None else list(family.values())
     if not vals:
         raise DomainError("family sweep needs at least one parameter value")

@@ -23,10 +23,9 @@ import numpy as np
 from .graphtools import CheegerReport, Graph, cheeger
 from .hypmath import (
     DomainError,
-    check_margulis,
+    check_delta,
     collar_width,
     cusp_collar,
-    delta1,
     thin_boundary_length,
 )
 from .surface import Slot, SurfaceSpec, require_valid
@@ -59,12 +58,7 @@ class NetBuildParams:
     samples_per_unit_length: float = 1.0
 
     def __post_init__(self):
-        check_margulis(self.eps)
-        if not 0.0 < self.delta < delta1(self.eps):
-            raise DomainError(
-                f"delta must lie in (0, delta1(eps)) = "
-                f"(0, {delta1(self.eps)!r}), got {self.delta!r}"
-            )
+        check_delta(self.eps, self.delta)
         if not (math.isfinite(self.samples_per_unit_length) and self.samples_per_unit_length > 0):
             raise DomainError("samples_per_unit_length must be positive")
 
@@ -207,11 +201,7 @@ def degree_bound(
     Ring samples see at most mu + 3 neighbors (two ring edges, two hubs, or
     one hub and one special).
     """
-    check_margulis(eps)
-    if not 0.0 < delta < delta1(eps):
-        raise DomainError(
-            f"delta must lie in (0, delta1(eps)), got {delta!r}"
-        )
+    check_delta(eps, delta)
     if max_curve_length <= 0.0:
         raise DomainError("max_curve_length must be positive")
     dens = max(1.0 / delta, samples_per_unit_length)

@@ -33,7 +33,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .hypmath import DomainError, check_margulis, collar_width, cusp_collar, delta1, thin_boundary_length, thin_collar_area, thin_half_width
+from .hypmath import check_delta, check_margulis, collar_width, cusp_collar, thin_boundary_length, thin_collar_area, thin_half_width
 
 __all__ = [
     "SpecError",
@@ -416,11 +416,7 @@ def lambda_x(spec: SurfaceSpec, eps: float, delta: float) -> float:
     """Infimum of lengths of non-separating geodesics shorter than 2*delta;
     +inf when there are none.  Requires 0 < delta < delta1(eps)."""
     require_valid(spec)
-    eps = check_margulis(eps)
-    if not 0.0 < delta < delta1(eps):
-        raise DomainError(
-            f"delta must lie in (0, delta1(eps)) = (0, {delta1(eps)!r}), got {delta!r}"
-        )
+    check_delta(eps, delta)
     seps = separating_gluings(spec)
     lengths = [
         g.length

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import cycle_graph, random_connected_graph, random_tree
+from cheegernet import families
 from cheegernet.graphtools import (
     Graph,
     boundary_proxy,
@@ -19,7 +20,9 @@ from cheegernet.graphtools import (
     ultrametric_defect,
     uniform_perfectness,
 )
-from cheegernet.hypmath import DomainError
+from cheegernet.hypmath import ARCSINH_ONE, DomainError, delta1
+from cheegernet.netgraph import NetBuildParams, build_net
+from cheegernet.surface import load_spec
 
 
 def path_graph(n: int) -> Graph:
@@ -248,6 +251,50 @@ class TestHyperbolicity:
         g = path_graph(3)
         rep = hyperbolicity_delta(g)
         assert rep.delta == 0.0 and rep.exact
+
+
+def all_quadruples_delta(D: np.ndarray) -> float:
+    """Vectorised four-point constant over every quadruple of D."""
+    n = D.shape[0]
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), 4))
+    x, y, z, w = np.fromiter(flat, dtype=np.intp).reshape(-1, 4).T
+    s = np.sort([D[x, y] + D[z, w], D[x, z] + D[y, w], D[x, w] + D[y, z]], axis=0)
+    return float((s[2] - s[1]).max()) / 2.0
+
+
+def net_graph(spec) -> Graph:
+    eps = ARCSINH_ONE / 2.0
+    return build_net(spec, NetBuildParams(eps=eps, delta=0.9 * delta1(eps))).graph
+
+
+class TestFarApartScan:
+    """The pruned exact scan against scans of every quadruple."""
+
+    def test_random_graphs_match_oracle(self):
+        rng = random.Random(2015)
+        for _ in range(200):
+            n = rng.randint(4, 16)
+            g = random_connected_graph(rng, n, rng.randint(0, 2 * n))
+            assert hyperbolicity_delta(g).delta == brute_delta(g)
+
+    def test_cycles_match_oracle(self):
+        for n in range(4, 31):
+            g = cycle_graph(n)
+            assert hyperbolicity_delta(g).delta == brute_delta(g)
+
+    @pytest.mark.parametrize("spec", [families.flute(3), families.pants_tree(2)],
+                             ids=["flute3", "pants_tree2"])
+    def test_nets_match_vectorised_oracle(self, spec):
+        g = net_graph(spec)
+        rep = hyperbolicity_delta(g)
+        assert rep.delta == all_quadruples_delta(g.distance_matrix())
+
+    def test_flute8_counts_evaluated_quadruples(self):
+        g = net_graph(load_spec(families.bundled_path("flute8.json")))
+        rep = hyperbolicity_delta(g)
+        assert 0 < rep.quadruples < math.comb(g.n, 4)
+        assert rep.delta == 1.0 and rep.base_dependence == 1.0
+        assert rep.witness == (("hub", 0), ("hub", 1), ("net", 0, 1, 0), ("net", 0, 1, 2))
 
 
 class TestGromovProduct:

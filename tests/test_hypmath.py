@@ -11,6 +11,7 @@ from cheegernet.hypmath import (
     DomainError,
     ball_area,
     ball_circumference,
+    check_delta,
     check_margulis,
     collar_geometry,
     collar_width,
@@ -221,6 +222,15 @@ class TestDomainErrors:
             with pytest.raises(DomainError):
                 check_margulis(bad)
         check_margulis(0.5)
+
+    def test_delta_range(self):
+        bound = delta1(0.5)
+        for bad in (0.0, -0.1, bound, 1.0, math.nan):
+            with pytest.raises(DomainError, match=r"delta must lie in \(0, delta1\(eps\)\) = \(0, "):
+                check_delta(0.5, bad)
+        with pytest.raises(DomainError, match="eps must lie"):
+            check_delta(ARCSINH_ONE, 0.1)
+        assert check_delta(0.5, 0.5 * bound) == 0.5 * bound
 
     def test_collar_width_domain(self):
         for bad in (0.0, -1.0, math.inf, math.nan):
