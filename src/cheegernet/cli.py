@@ -2,17 +2,21 @@
 
 Exit codes: 0 success, 2 input or spec validation failure, 3 parameter
 failure (tolerance/scale arguments outside their admissible ranges).
-CHEEGERNET_THREADS > 1 runs family sweeps in a process pool.
+`isoperimetry` and `sweep` take h_g and the regularity constant of each spec
+from one enumeration pass (`isoperimetry.domain_reports`).
+CHEEGERNET_THREADS > 1 maps that pass over a family's specs, built in this
+process, in a pool of that many worker processes.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import itertools
 import json
-import math
 import os
 import sys
+from pathlib import Path
 
 from . import families, graphtools, isoperimetry, netgraph, surface
 from .hypmath import ARCSINH_ONE, DomainError, check_delta, delta1
@@ -105,7 +109,7 @@ def _net_params(eps, delta) -> netgraph.NetBuildParams:
 def _cmd_validate(args, eps, delta) -> int:
     doc = _load_json(args.input)
     if _is_family(doc):
-        fam = families.load_family(args.input)
+        fam = families.load_family(doc, Path(args.input).stem)
         checked = []
         for v in fam.values():
             problems = surface.validate(fam.instance(v))
@@ -164,16 +168,14 @@ def _cmd_thickthin(args, eps, delta) -> int:
 def _cmd_isoperimetry(args, eps, delta) -> int:
     spec = _load_spec(args.input)
     mode = "exact" if args.mode == "auto" else args.mode
-    if mode == "exact":
-        iso = isoperimetry.h_g_exact(spec, max_pieces=args.max_pieces)
-    elif mode == "parametric":
+    if mode not in ("exact", "parametric"):
+        raise DomainError(f"unknown isoperimetry mode {mode!r}")
+    iso, reg = isoperimetry.domain_reports(spec, delta,
+                                           max_pieces=args.max_pieces)
+    if mode == "parametric":
         iso = isoperimetry.h_g_parametric(
             spec, seed=args.seed, max_pieces=args.max_pieces
         )
-    else:
-        raise DomainError(f"unknown isoperimetry mode {mode!r}")
-    reg = isoperimetry.regularity_constant(spec, delta,
-                                           max_pieces=args.max_pieces)
     out = iso.to_dict()
     out["regularity"] = reg.to_dict()
     out["h_lower_bound"] = isoperimetry.cheeger_lower_bound(iso.h_g)
@@ -302,29 +304,22 @@ def _cmd_qi(args, eps, delta) -> int:
     return EXIT_OK
 
 
-def _sweep_worker(path: str, value: int, delta: float, max_pieces: int):
-    fam = families.load_family(path)
-    spec = fam.instance(value)
-    iso = isoperimetry.h_g_exact(spec, max_pieces=max_pieces)
-    reg = isoperimetry.regularity_constant(spec, delta, max_pieces=max_pieces)
-    return value, iso, reg
-
-
 def _cmd_sweep(args, eps, delta) -> int:
     doc = _load_json(args.input)
     if not _is_family(doc):
         raise SpecError(f"{args.input} is not a family file")
-    fam = families.load_family(args.input)
+    fam = families.load_family(doc, Path(args.input).stem)
     threads = _threads()
-    values = list(fam.values())
     if threads > 1:
+        values = list(fam.values())
+        specs = [fam.instance(v) for v in values]
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(
-                _sweep_worker, [args.input] * len(values), values,
-                [delta] * len(values), [args.max_pieces] * len(values),
-            ))
-        results.sort(key=lambda t: t[0])
-        report = isoperimetry.family_report(fam.name, results)
+            reports = list(ex.map(isoperimetry.domain_reports, specs,
+                                  itertools.repeat(delta),
+                                  itertools.repeat(args.max_pieces)))
+        report = isoperimetry.family_report(
+            fam.name, [(v, *r) for v, r in zip(values, reports)]
+        )
     else:
         report = isoperimetry.lii_verdict(fam, eps, delta,
                                           max_pieces=args.max_pieces)

@@ -155,12 +155,6 @@ class Graph:
                 mat[i] = [dist[u] for u in order]
         return mat
 
-    def eccentricity(self, v) -> int:
-        dist = self.bfs_distances(v)
-        if len(dist) != self.n:
-            raise DomainError("eccentricity in a disconnected graph")
-        return max(dist.values())
-
 
 def gromov_product(dmat: np.ndarray, i: int, j: int, o: int) -> float:
     return (float(dmat[i, o]) + float(dmat[j, o]) - float(dmat[i, j])) / 2.0
@@ -245,9 +239,12 @@ def hyperbolicity_delta(
     it evaluated.  The witness is the lexicographically first quadruple
     attaining delta.  Above exact_limit a seeded random sample of
     sample_count quadruples gives a lower bound.  base_dependence is the
-    largest base-point delta over the witness quadruple plus sampled bases;
-    for exact runs it equals delta because some witness vertex realizes the
-    four-point value as a base.
+    largest base-point delta, max over x, y, z of
+    min((x|z)_w, (z|y)_w) - (x|y)_w at base w.  Twice that difference is
+    d(x,y) + d(z,w) - max(d(x,z) + d(y,w), d(x,w) + d(y,z)), so no base
+    exceeds delta and each witness vertex attains it: exact runs report
+    delta itself, sampled runs the largest over the witness quadruple plus
+    base_samples sampled bases.
     """
     n = graph.n
     order = graph.vertices()
@@ -291,6 +288,7 @@ def hyperbolicity_delta(
                     break
         assert witness is not None
         exact = True
+        base_dep = best
     else:
         batch = 100_000
         remaining = sample_count
@@ -314,11 +312,10 @@ def hyperbolicity_delta(
                 witness = tuple(sorted(int(x) for x in q[k]))
         quadruples = sample_count
         exact = False
-
-    bases = list(witness)
-    pool = [i for i in range(n) if i not in set(witness)]
-    bases += rng.sample(pool, min(base_samples, len(pool)))
-    base_dep = max(_base_delta(D, o) for o in bases)
+        bases = list(witness)
+        pool = [i for i in range(n) if i not in set(witness)]
+        bases += rng.sample(pool, min(base_samples, len(pool)))
+        base_dep = max(_base_delta(D, o) for o in bases)
     return HyperbolicityReport(
         delta=best,
         witness=tuple(order[i] for i in witness),
@@ -561,48 +558,35 @@ def boundary_proxy(
 
     Defaults: base is the first vertex of minimum eccentricity; radius is
     max(2, ecc(base) - 2), two steps inside the horizon so the sphere is
-    populated all around.
+    populated all around.  Every distance comes from one distance matrix.
     """
     if graph.n == 0:
         raise DomainError("boundary proxy of an empty graph")
     if a <= 1.0:
         raise DomainError(f"visual parameter a must exceed 1, got {a!r}")
     order = graph.vertices()
-    if base is None:
-        eccs = {}
-        for v in order:
-            eccs[v] = graph.eccentricity(v)
-        m = min(eccs.values())
-        base = next(v for v in order if eccs[v] == m)
-    dist = graph.bfs_distances(base)
-    if len(dist) != graph.n:
-        raise DomainError("boundary proxy of a disconnected graph")
-    ecc = max(dist.values())
+    D = graph.distance_matrix()
+    b = int(D.max(axis=1).argmin()) if base is None else graph.index_of(base)
+    base = order[b]
+    dist = D[b].tolist()
+
+    def sphere(r: int) -> list[int]:
+        return [i for i, v in enumerate(order) if dist[i] == r and (keep is None or keep(v))]
+
     if radius is None:
         # Two steps inside the horizon; kept vertices may occupy alternate
         # layers, so walk inward to the first sphere with enough of them.
-        radius = max(2, ecc - 2)
-        while radius > 1:
-            hits = sum(
-                1
-                for v in order
-                if dist[v] == radius and (keep is None or keep(v))
-            )
-            if hits >= 3:
-                break
+        radius = max(2, max(dist) - 2)
+        while radius > 1 and len(sphere(radius)) < 3:
             radius -= 1
     if radius < 1:
         raise DomainError(f"radius must be >= 1, got {radius}")
-    points = [v for v in order if dist[v] == radius and (keep is None or keep(v))]
-    if not points:
+    idx = sphere(radius)
+    if not idx:
         raise DomainError(f"no proxy points at radius {radius} from {base!r}")
-    m = len(points)
+    points = [order[i] for i in idx]
     # Both endpoints sit at distance `radius`, so (x|y) = radius - d(x,y)/2.
-    sub = np.empty((m, m), dtype=np.float64)
-    for i, p in enumerate(points):
-        dp = graph.bfs_distances(p)
-        sub[i] = [dp[q] for q in points]
-    products = radius - sub / 2.0
+    products = radius - D[np.ix_(idx, idx)] / 2.0
     dists = np.power(a, -products)
     np.fill_diagonal(dists, 0.0)
     return ProxyReport(

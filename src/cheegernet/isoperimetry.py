@@ -9,6 +9,13 @@ length to the number of short boundary components; families with collapsing
 regularity are the standard obstruction to a linear isoperimetric
 inequality even when every single ratio stays positive.
 
+Both are minima over the same piece sets, so :func:`domain_reports` takes
+them from one enumeration pass.  Each set's boundary lengths are summed in
+the order of :func:`cheegernet.surface.domain_from_pieces` (cut gluings by
+index, then open curves by index), so the values are the bits that summing
+over the built domains gives; only the best domain and the witness are
+built.
+
 Division by zero counts follows the x/0 = +inf convention.
 """
 
@@ -22,10 +29,12 @@ from .hypmath import DomainError, check_delta
 from .surface import (
     Family,
     GeodesicDomain,
+    PiecesIndex,
     SurfaceSpec,
     boundary_length,
     connected_piece_subsets,
     domain_from_pieces,
+    pieces_index,
     require_valid,
 )
 
@@ -34,6 +43,7 @@ __all__ = [
     "RegularityReport",
     "FamilyRow",
     "FamilyReport",
+    "domain_reports",
     "h_g_exact",
     "h_g_parametric",
     "regularity_constant",
@@ -84,32 +94,88 @@ class RegularityReport:
         }
 
 
-def _boundary_terms(spec: SurfaceSpec):
-    """Per-piece incidence tables used by the subset enumeration fast path."""
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(spec.pieces)]
-    for i, g in enumerate(spec.gluings):
-        pa, pb = g.a[0], g.b[0]
-        if pa != pb:
-            incident[pa].append((i, pb))
-            incident[pb].append((i, pa))
-    opens = [(o.at[0], o.length) for o in spec.opens]
-    return incident, opens
-
-
-def _subset_boundary_length(spec, incident, opens, members: tuple[int, ...]) -> float:
+def _boundary_sums(index: PiecesIndex, members: tuple[int, ...], delta: float):
+    """(boundary length, length of the curves of length >= delta, count of
+    the shorter curves) of a connected piece set."""
     inset = set(members)
-    cut: set[int] = set()
-    for p in members:
-        for gi, q in incident[p]:
-            if q not in inset:
-                cut.add(gi)
-    total = 0.0
-    for gi in sorted(cut):
-        total += spec.gluings[gi].length
-    for p, length in opens:
-        if p in inset:
-            total += length
-    return total
+    curves = sorted([(gi, length) for p in members for q, gi, length in index.cross[p]
+                     if q not in inset])
+    curves += sorted([o for p in members for o in index.opens[p]])
+    total = long_total = 0.0
+    short_count = 0
+    for _, length in curves:
+        total += length
+        if length >= delta:
+            long_total += length
+        else:
+            short_count += 1
+    return total, long_total, short_count
+
+
+def _scan(spec: SurfaceSpec, delta: float, max_pieces: int):
+    """One pass over the connected piece sets of size <= max_pieces:
+    (least h_g ratio, its piece set, worst regularity ratio, its piece set,
+    sets examined).  Ties break to the lexicographically smallest set."""
+    index = pieces_index(spec)
+    best_ratio = worst = math.inf
+    best = witness = None
+    examined = 0
+    for members in connected_piece_subsets(spec, max_pieces):
+        examined += 1
+        total, long_total, short_count = _boundary_sums(index, members, delta)
+        ratio = total / (2.0 * math.pi * len(members))
+        if ratio < best_ratio or (ratio == best_ratio and members < best):
+            best_ratio = ratio
+            best = members
+        c = long_total / short_count if short_count else math.inf
+        if c < worst or (c == worst and witness is not None and members < witness):
+            worst = c
+            witness = members
+    return best_ratio, best, worst, witness, examined
+
+
+def _check_cap(max_pieces: int) -> None:
+    if max_pieces < 1:
+        raise DomainError(f"max_pieces must be >= 1, got {max_pieces}")
+
+
+def _check_scale(delta: float) -> None:
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise DomainError(f"delta must be positive, got {delta!r}")
+
+
+def _exact_report(spec, max_pieces, h_g, best, examined) -> IsoperimetricReport:
+    return IsoperimetricReport(
+        h_g=h_g,
+        best_domain=domain_from_pieces(spec, best),
+        lower_bound_certified=max_pieces >= spec.pieces,
+        method="exact",
+        examined=examined,
+    )
+
+
+def _regularity_report(spec, delta, worst, witness, examined) -> RegularityReport:
+    return RegularityReport(
+        delta=delta,
+        worst_c=worst,
+        witness=domain_from_pieces(spec, witness) if witness is not None else None,
+        examined=examined,
+    )
+
+
+def domain_reports(
+    spec: SurfaceSpec, delta: float, max_pieces: int = 12
+) -> tuple[IsoperimetricReport, RegularityReport]:
+    """h_g_exact and regularity_constant of a spec from one pass over its
+    connected piece sets of size up to max_pieces."""
+    require_valid(spec)
+    _check_cap(max_pieces)
+    _check_scale(delta)
+    h_g, best, worst, witness, examined = _scan(spec, delta, max_pieces)
+    return (
+        _exact_report(spec, max_pieces, h_g, best, examined),
+        _regularity_report(spec, delta, worst, witness, examined),
+    )
 
 
 def h_g_exact(spec: SurfaceSpec, max_pieces: int = 12) -> IsoperimetricReport:
@@ -117,31 +183,12 @@ def h_g_exact(spec: SurfaceSpec, max_pieces: int = 12) -> IsoperimetricReport:
     to max_pieces.  The bound is certified exact when the enumeration covers
     every size.  Ties break to the lexicographically smallest piece set."""
     require_valid(spec)
-    if max_pieces < 1:
-        raise DomainError(f"max_pieces must be >= 1, got {max_pieces}")
-    incident, opens = _boundary_terms(spec)
-    best_ratio = math.inf
-    best_members: tuple[int, ...] | None = None
-    examined = 0
-    for members in connected_piece_subsets(spec, max_pieces):
-        examined += 1
-        ratio = _subset_boundary_length(spec, incident, opens, members) / (
-            2.0 * math.pi * len(members)
-        )
-        if ratio < best_ratio or (ratio == best_ratio and members < best_members):
-            best_ratio = ratio
-            best_members = members
-    assert best_members is not None
-    return IsoperimetricReport(
-        h_g=best_ratio,
-        best_domain=domain_from_pieces(spec, best_members),
-        lower_bound_certified=max_pieces >= spec.pieces,
-        method="exact",
-        examined=examined,
-    )
+    _check_cap(max_pieces)
+    h_g, best, _, _, examined = _scan(spec, math.inf, max_pieces)
+    return _exact_report(spec, max_pieces, h_g, best, examined)
 
 
-def _is_connected_subset(members: frozenset[int], nbrs: list[set[int]]) -> bool:
+def _is_connected_subset(members: frozenset[int], nbrs) -> bool:
     it = iter(members)
     start = next(it)
     seen = {start}
@@ -174,18 +221,17 @@ def h_g_parametric(
     if cap < 1:
         raise DomainError(f"max_pieces must be >= 1, got {max_pieces}")
     rng = random.Random(seed)
-    incident, opens = _boundary_terms(spec)
-    nbrs: list[set[int]] = [set(q for _, q in incident[p]) for p in range(spec.pieces)]
+    index = pieces_index(spec)
+    nbrs = index.neighbours
+
+    def length_of(members: tuple[int, ...]) -> float:
+        return _boundary_sums(index, members, math.inf)[0]
 
     def ratio_of(members: tuple[int, ...]) -> float:
-        return _subset_boundary_length(spec, incident, opens, members) / (
-            2.0 * math.pi * len(members)
-        )
+        return length_of(members) / (2.0 * math.pi * len(members))
 
     def objective(members: tuple[int, ...], lam: float) -> float:
-        return _subset_boundary_length(spec, incident, opens, members) - lam * (
-            2.0 * math.pi * len(members)
-        )
+        return length_of(members) - lam * (2.0 * math.pi * len(members))
 
     def neighbors_of(state: frozenset[int]):
         adds = sorted(
@@ -265,25 +311,9 @@ def regularity_constant(
     """Worst ratio L(long boundary)/#(short boundary components) over the
     enumerated domains; +inf when no domain has short components."""
     require_valid(spec)
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise DomainError(f"delta must be positive, got {delta!r}")
-    worst = math.inf
-    witness: tuple[int, ...] | None = None
-    examined = 0
-    for members in connected_piece_subsets(spec, max_pieces):
-        examined += 1
-        domain = domain_from_pieces(spec, members)
-        long_total, short_count = boundary_split(domain, delta)
-        ratio = long_total / short_count if short_count else math.inf
-        if ratio < worst or (ratio == worst and witness is not None and members < witness):
-            worst = ratio
-            witness = members
-    return RegularityReport(
-        delta=delta,
-        worst_c=worst,
-        witness=domain_from_pieces(spec, witness) if witness is not None else None,
-        examined=examined,
-    )
+    _check_scale(delta)
+    _, _, worst, witness, examined = _scan(spec, delta, max_pieces)
+    return _regularity_report(spec, delta, worst, witness, examined)
 
 
 def cheeger_lower_bound(h_g: float) -> float:
@@ -383,12 +413,7 @@ def lii_verdict(
     vals = sorted(values) if values is not None else list(family.values())
     if not vals:
         raise DomainError("family sweep needs at least one parameter value")
-    results = []
-    for v in vals:
-        spec = family.instance(v)
-        iso = h_g_exact(spec, max_pieces=max_pieces)
-        reg = regularity_constant(spec, delta, max_pieces=max_pieces)
-        results.append((v, iso, reg))
+    results = [(v, *domain_reports(family.instance(v), delta, max_pieces)) for v in vals]
     return family_report(family.name, results)
 
 

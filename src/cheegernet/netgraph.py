@@ -28,7 +28,7 @@ from .hypmath import (
     cusp_collar,
     thin_boundary_length,
 )
-from .surface import Slot, SurfaceSpec, require_valid
+from .surface import Slot, SurfaceSpec, pieces_index, require_valid
 
 __all__ = [
     "NetBuildParams",
@@ -311,16 +311,9 @@ def net_cheeger_estimate(
 # Quotient mesh
 
 
-def _piece_spoke_weight(spec: SurfaceSpec, params: NetBuildParams, p: int) -> float:
+def _piece_spoke_weight(shortest: float, params: NetBuildParams) -> float:
     """Hub-to-ring weight in the mesh: the collar width of the shortest
     geodesic around the piece, clamped into [delta, 1]."""
-    shortest = math.inf
-    for gl in spec.gluings:
-        if gl.a[0] == p or gl.b[0] == p:
-            shortest = min(shortest, gl.length)
-    for o in spec.opens:
-        if o.at[0] == p:
-            shortest = min(shortest, o.length)
     if math.isinf(shortest):
         return 1.0
     return min(1.0, max(params.delta, collar_width(shortest)))
@@ -395,9 +388,9 @@ def build_quotient_mesh(
         for j, lab in enumerate(ring.labels):
             vmap[lab] = target[j * refinement]
 
-    for p in range(spec.pieces):
+    for p, shortest in enumerate(pieces_index(spec).shortest):
         hub = ("hub", p)
-        w = _piece_spoke_weight(spec, params, p)
+        w = _piece_spoke_weight(shortest, params)
         for s in range(3):
             for lab in mesh_ring_of_slot[(p, s)]:
                 if not mesh.has_edge(hub, lab):

@@ -9,7 +9,10 @@ for infinite surfaces.  A spec with no open slots is a closed finite-area
 surface.
 
 Pieces are indexed 0..pieces-1, slots 0..2.  The pieces multigraph has one
-node per piece and one edge per gluing (self-gluings are loops).
+node per piece and one edge per gluing (self-gluings are loops).  Its
+per-piece tables (neighbours, cut candidates, cusps, open curves, shortest
+incident curve) are built once per spec by :func:`pieces_index`, which
+validation, domain enumeration and the quotient mesh all read.
 
 File format (JSON): {"pieces": int,
                      "gluings": [{"a": [piece, slot], "b": [piece, slot],
@@ -27,9 +30,8 @@ from __future__ import annotations
 import ast
 import json
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -49,7 +51,8 @@ __all__ = [
     "Family",
     "validate",
     "require_valid",
-    "piece_adjacency",
+    "PiecesIndex",
+    "pieces_index",
     "separating_gluings",
     "thick_thin",
     "domain_from_pieces",
@@ -61,7 +64,6 @@ __all__ = [
     "load_spec",
     "save_spec",
     "family_from_dict",
-    "load_family",
     "eval_length_expr",
 ]
 
@@ -95,6 +97,15 @@ class SurfaceSpec:
     gluings: tuple[Gluing, ...]
     cusps: tuple[Slot, ...]
     opens: tuple[OpenBoundary, ...] = ()
+
+    # validate and pieces_index are cached per spec and looked up on every
+    # call, so the field hash is computed once.
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.pieces, self.gluings, self.cusps, self.opens))
 
     def slots(self) -> Iterator[Slot]:
         for p in range(self.pieces):
@@ -175,15 +186,7 @@ def validate(spec: SurfaceSpec) -> tuple[str, ...]:
             out.append(f"slot {slot} used more than once: {', '.join(owners)}")
 
     if spec.pieces > 1 and ranges_ok:
-        adj = piece_adjacency(spec)
-        seen = {0}
-        stack = [0]
-        while stack:
-            p = stack.pop()
-            for q, _ in adj[p]:
-                if q not in seen:
-                    seen.add(q)
-                    stack.append(q)
+        seen = _reachable(pieces_index(spec), skip_gluing=None)
         if len(seen) != spec.pieces:
             missing = sorted(set(range(spec.pieces)) - seen)
             out.append(f"pieces multigraph is disconnected; unreachable pieces {missing}")
@@ -197,83 +200,71 @@ def require_valid(spec: SurfaceSpec) -> SurfaceSpec:
     return spec
 
 
-def piece_adjacency(spec: SurfaceSpec) -> list[list[tuple[int, int]]]:
-    """Adjacency of the pieces multigraph: adj[p] lists (q, gluing_index)."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(spec.pieces)]
-    for i, g in enumerate(spec.gluings):
-        pa, pb = g.a[0], g.b[0]
-        adj[pa].append((pb, i))
-        if pb != pa:
-            adj[pb].append((pa, i))
-    return adj
+@dataclass(frozen=True)
+class PiecesIndex:
+    """Per-piece tables of the pieces multigraph of one spec."""
+
+    neighbours: tuple[tuple[int, ...], ...]  # distinct pieces across a gluing, ascending
+    # (other piece, gluing index, length) per gluing to another piece, in
+    # gluing order.  Self-gluings are left out: both of their ends are inside
+    # any piece set that holds the piece, so they never bound a domain.
+    cross: tuple[tuple[tuple[int, int, float], ...], ...]
+    cusps: tuple[int, ...]  # cusp count
+    opens: tuple[tuple[tuple[int, float], ...], ...]  # (open index, length), in open order
+    shortest: tuple[float, ...]  # shortest glued or open curve at the piece; inf if none
 
 
-# Domain enumeration calls domain_from_pieces once per subset, which would
-# revalidate the full spec and rescan every gluing each time.  Memoize the
-# validated per-piece tables per spec object; the stored spec reference keeps
-# its id stable while cached.
-_DOMAIN_TABLES: OrderedDict = OrderedDict()
-_DOMAIN_TABLES_MAX = 64
-
-
-def _domain_tables(spec: SurfaceSpec):
-    """(nbrs, cross_gluings, cusp_counts, open_lists) per piece, validated."""
-    key = id(spec)
-    hit = _DOMAIN_TABLES.get(key)
-    if hit is not None and hit[0] is spec:
-        _DOMAIN_TABLES.move_to_end(key)
-        return hit[1]
-    require_valid(spec)
-    nbrs = tuple(tuple(row) for row in piece_adjacency(spec))
-    # Cross gluings only: a self-gluing has both endpoints inside whenever its
-    # piece is, so it can never contribute a boundary curve.
+@lru_cache(maxsize=256)
+def pieces_index(spec: SurfaceSpec) -> PiecesIndex:
+    """The pieces-graph index of a spec whose slots are all in range."""
     cross: list[list[tuple[int, int, float]]] = [[] for _ in range(spec.pieces)]
+    shortest = [math.inf] * spec.pieces
     for i, g in enumerate(spec.gluings):
         pa, pb = g.a[0], g.b[0]
         if pa != pb:
             cross[pa].append((pb, i, g.length))
             cross[pb].append((pa, i, g.length))
-    cusp_counts = [0] * spec.pieces
+        for p in (pa, pb):
+            shortest[p] = min(shortest[p], g.length)
+    cusps = [0] * spec.pieces
     for c in spec.cusps:
-        cusp_counts[c[0]] += 1
-    open_lists: list[list[tuple[int, float]]] = [[] for _ in range(spec.pieces)]
+        cusps[c[0]] += 1
+    opens: list[list[tuple[int, float]]] = [[] for _ in range(spec.pieces)]
     for i, o in enumerate(spec.opens):
-        open_lists[o.at[0]].append((i, o.length))
-    tables = (
-        nbrs,
-        tuple(tuple(row) for row in cross),
-        tuple(cusp_counts),
-        tuple(tuple(row) for row in open_lists),
+        p = o.at[0]
+        opens[p].append((i, o.length))
+        shortest[p] = min(shortest[p], o.length)
+    return PiecesIndex(
+        neighbours=tuple(tuple(sorted({q for q, _, _ in row})) for row in cross),
+        cross=tuple(tuple(row) for row in cross),
+        cusps=tuple(cusps),
+        opens=tuple(tuple(row) for row in opens),
+        shortest=tuple(shortest),
     )
-    _DOMAIN_TABLES[key] = (spec, tables)
-    if len(_DOMAIN_TABLES) > _DOMAIN_TABLES_MAX:
-        _DOMAIN_TABLES.popitem(last=False)
-    return tables
 
 
-def _connected_without(spec: SurfaceSpec, skip_gluing: int) -> bool:
-    if spec.pieces <= 1:
-        return True
-    adj = piece_adjacency(spec)
+def _reachable(index: PiecesIndex, skip_gluing: int | None) -> set[int]:
+    """Pieces reachable from piece 0 without crossing the skipped gluing."""
     seen = {0}
     stack = [0]
     while stack:
         p = stack.pop()
-        for q, gi in adj[p]:
+        for q, gi, _ in index.cross[p]:
             if gi != skip_gluing and q not in seen:
                 seen.add(q)
                 stack.append(q)
-    return len(seen) == spec.pieces
+    return seen
 
 
 def separating_gluings(spec: SurfaceSpec) -> frozenset[int]:
     """Indices of gluings whose geodesic separates the surface (bridges of the
     pieces multigraph).  Self-gluings and doubled gluings never separate."""
     require_valid(spec)
+    index = pieces_index(spec)
     return frozenset(
         i
         for i, g in enumerate(spec.gluings)
-        if g.a[0] != g.b[0] and not _connected_without(spec, i)
+        if g.a[0] != g.b[0] and len(_reachable(index, i)) != spec.pieces
     )
 
 
@@ -349,7 +340,8 @@ def domain_from_pieces(spec: SurfaceSpec, piece_set: Iterable[int]) -> GeodesicD
     of its pieces.  Area is 2*pi per piece, and the genus is recovered from
     m + p - 2 + 2g = #pieces.
     """
-    nbrs, cross, cusp_counts, open_lists = _domain_tables(spec)
+    require_valid(spec)
+    index = pieces_index(spec)
     inside = sorted(set(int(p) for p in piece_set))
     if not inside:
         raise SpecError("domain needs at least one piece")
@@ -362,7 +354,7 @@ def domain_from_pieces(spec: SurfaceSpec, piece_set: Iterable[int]) -> GeodesicD
     stack = [inside[0]]
     while stack:
         p = stack.pop()
-        for q, _ in nbrs[p]:
+        for q in index.neighbours[p]:
             if q in inset and q not in seen:
                 seen.add(q)
                 stack.append(q)
@@ -376,9 +368,9 @@ def domain_from_pieces(spec: SurfaceSpec, piece_set: Iterable[int]) -> GeodesicD
     openings: list[tuple[int, float]] = []
     p_count = 0
     for p in inside:
-        p_count += cusp_counts[p]
-        openings.extend(open_lists[p])
-        for q, gi, length in cross[p]:
+        p_count += index.cusps[p]
+        openings.extend(index.opens[p])
+        for q, gi, length in index.cross[p]:
             if q not in inset:
                 cuts.append((gi, length))
     cuts.sort()
@@ -433,12 +425,7 @@ def connected_piece_subsets(spec: SurfaceSpec, max_size: int) -> Iterator[tuple[
     max_size = min(int(max_size), spec.pieces)
     if max_size < 1:
         return
-    nbrs: list[set[int]] = [set() for _ in range(spec.pieces)]
-    for g in spec.gluings:
-        pa, pb = g.a[0], g.b[0]
-        if pa != pb:
-            nbrs[pa].add(pb)
-            nbrs[pb].add(pa)
+    nbrs = pieces_index(spec).neighbours
 
     def grow(members: list[int], frontier: list[int], banned: set[int]) -> Iterator[tuple[int, ...]]:
         yield tuple(sorted(members))
@@ -673,14 +660,3 @@ def family_from_dict(obj: dict, name: str = "family") -> Family:
         return spec_from_dict(inst)
 
     return Family(name=name, param_name=pname, lo=lo, hi=hi, builder=build)
-
-
-def load_family(source: str | Path | dict, name: str | None = None) -> Family:
-    if isinstance(source, dict):
-        return family_from_dict(source, name or "family")
-    path = Path(source)
-    try:
-        obj = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"{source}: not valid JSON: {exc}") from exc
-    return family_from_dict(obj, name or path.stem)

@@ -1,0 +1,110 @@
+"""Golden corpus: the stdout of every command in every format, byte for byte.
+
+The package promises byte-stable JSON/CSV/dot output, so each case runs
+`cheegernet.cli.main` in-process and compares its stdout with a file under
+`tests/golden/`.  The inputs are the bundled `flute8.json` and four family
+files, plus three static files in `tests/golden/`:
+
+* `gen12.json`: the benchmark's generated spec
+  `perfbench/workloads.generated_spec(random.Random(1), 12, 3, 5, 1)`,
+  with thin gluings and non-unit lengths;
+* `loop.json`: a small spec with a self-gluing and a doubled gluing;
+* `template.family.json`: a fixed-topology family with length expressions.
+
+The expected files were written by the source of commit 3da901c, the last
+one before the single-pass domain enumeration, by running this file as a
+script from the repository root with that commit's `src` on the path:
+
+    PYTHONPATH=src python tests/test_golden.py
+
+Re-running it rewrites every expected file; a change that is meant to keep
+the output must leave `git status` clean afterwards.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from cheegernet import cli, families
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+SPECS = {
+    "flute8": families.bundled_path("flute8.json"),
+    "gen12": GOLDEN / "gen12.json",
+    "loop": GOLDEN / "loop.json",
+}
+SPEC_COMMANDS = ["validate", "thickthin", "isoperimetry", "net", "cheeger",
+                 "hyperbolicity", "boundary", "qi"]
+
+# Family files and the extra arguments of their sweeps: the bundled tree
+# family (depths 3..6) is capped at 6 pieces to keep the corpus fast.
+FAMILIES = {
+    "flute": (families.bundled_path("flute.family.json"), []),
+    "shrinking": (families.bundled_path("shrinking.family.json"), []),
+    "tree": (families.bundled_path("tree.family.json"), ["--max-pieces", "6"]),
+    "genus": (families.bundled_path("genus.family.json"), []),
+    "template": (GOLDEN / "template.family.json", []),
+}
+
+
+def _cases() -> dict:
+    """Golden file name -> argv."""
+    cases = {}
+    for name, path in SPECS.items():
+        for command in SPEC_COMMANDS:
+            formats = ["json", "csv"] + (["dot"] if command == "net" else [])
+            for fmt in formats:
+                cases[f"{name}.{command}.{fmt}"] = [command, str(path), "--format", fmt]
+        for fmt in ("json", "csv"):
+            cases[f"{name}.isoperimetry-parametric.{fmt}"] = [
+                "isoperimetry", str(path), "--mode", "parametric", "--format", fmt]
+    for name, (path, extra) in FAMILIES.items():
+        for fmt in ("json", "csv"):
+            cases[f"{name}.validate.{fmt}"] = ["validate", str(path), "--format", fmt]
+            cases[f"{name}.sweep.{fmt}"] = ["sweep", str(path), "--format", fmt] + extra
+    return cases
+
+
+CASES = _cases()
+
+
+def run_cli(argv: list) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden(case):
+    code, out = run_cli(CASES[case])
+    assert code == cli.EXIT_OK
+    assert out == (GOLDEN / f"{case}.txt").read_text()
+
+
+@pytest.mark.parametrize("family", ["template", "tree"])
+def test_pooled_sweep_matches_serial_golden(family, monkeypatch):
+    """The process pool gives the serial bytes, also for a template family
+    whose builder is a closure."""
+    monkeypatch.setenv("CHEEGERNET_THREADS", "2")
+    case = f"{family}.sweep.json"
+    code, out = run_cli(CASES[case])
+    assert code == cli.EXIT_OK
+    assert out == (GOLDEN / f"{case}.txt").read_text()
+
+
+if __name__ == "__main__":
+    os.environ.pop("CHEEGERNET_THREADS", None)
+    for case, argv in sorted(CASES.items()):
+        code, out = run_cli(argv)
+        if code != cli.EXIT_OK:
+            sys.exit(f"{case}: exit code {code}")
+        (GOLDEN / f"{case}.txt").write_text(out)
+    print(f"wrote {len(CASES)} golden files to {GOLDEN}")

@@ -11,6 +11,7 @@ from conftest import cycle_graph, random_connected_graph, random_tree
 from cheegernet import families
 from cheegernet.graphtools import (
     Graph,
+    _base_delta,
     boundary_proxy,
     cheeger,
     geodesic_union_set,
@@ -288,6 +289,17 @@ class TestFarApartScan:
         g = net_graph(spec)
         rep = hyperbolicity_delta(g)
         assert rep.delta == all_quadruples_delta(g.distance_matrix())
+
+    def test_base_dependence_is_the_largest_base_delta(self):
+        rng = random.Random(2015)
+        graphs = [random_connected_graph(rng, n, rng.randint(0, 2 * n))
+                  for n in (rng.randint(4, 16) for _ in range(200))]
+        graphs += [cycle_graph(n) for n in range(4, 31)]
+        graphs += [net_graph(families.flute(3)), net_graph(families.pants_tree(2))]
+        for g in graphs:
+            D = g.distance_matrix()
+            rep = hyperbolicity_delta(g)
+            assert rep.base_dependence == max(_base_delta(D, o) for o in range(g.n))
 
     def test_flute8_counts_evaluated_quadruples(self):
         g = net_graph(load_spec(families.bundled_path("flute8.json")))

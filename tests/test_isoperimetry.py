@@ -13,6 +13,7 @@ from cheegernet.hypmath import DomainError, delta1
 from cheegernet.isoperimetry import (
     boundary_split,
     cheeger_lower_bound,
+    domain_reports,
     family_csv,
     fit_loglog,
     h_g_exact,
@@ -24,6 +25,7 @@ from cheegernet.isoperimetry import (
 )
 from cheegernet.surface import (
     boundary_length,
+    connected_piece_subsets,
     domain_from_pieces,
     make_spec,
 )
@@ -103,6 +105,54 @@ class TestParametric:
         b = h_g_parametric(spec, budget=8, seed=5)
         assert a.h_g == b.h_g
         assert a.best_domain.piece_set == b.best_domain.piece_set
+
+
+def brute_domain_reports(spec, delta, max_pieces):
+    """(h_g, best domain, worst_c, witness, examined) from a domain built
+    for every connected piece set, lengths summed in boundary order."""
+    ratios, regularity = [], []
+    for members in connected_piece_subsets(spec, max_pieces):
+        d = domain_from_pieces(spec, members)
+        total = 0.0
+        for c in d.boundary:
+            total += c.length
+        ratios.append((total / d.area, members))
+        long_total, short_count = boundary_split(d, delta)
+        regularity.append((long_total / short_count if short_count else math.inf, members))
+    h_g, best = min(ratios)
+    worst, witness = min(regularity)
+    return (
+        h_g,
+        domain_from_pieces(spec, best),
+        worst,
+        domain_from_pieces(spec, witness) if worst < math.inf else None,
+        len(ratios),
+    )
+
+
+class TestDomainReports:
+    @pytest.mark.parametrize("cap", [1, 2, 4, 12])
+    def test_matches_domain_by_domain_oracle(self, cap):
+        rng = random.Random(400 + cap)
+        for _ in range(25):
+            spec = random_spec(rng, max_pieces=9, thin_below=0.6)
+            delta = rng.choice([0.3, 0.6, 1.2])
+            iso, reg = domain_reports(spec, delta, max_pieces=cap)
+            got = (iso.h_g, iso.best_domain, reg.worst_c, reg.witness, iso.examined)
+            assert repr(got) == repr(brute_domain_reports(spec, delta, cap))
+            assert reg.examined == iso.examined and reg.delta == delta
+
+    def test_single_reports_agree(self):
+        spec = families.genus_ladder(4)
+        iso, reg = domain_reports(spec, 0.2, max_pieces=5)
+        assert repr(iso) == repr(h_g_exact(spec, max_pieces=5))
+        assert repr(reg) == repr(regularity_constant(spec, 0.2, max_pieces=5))
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(DomainError):
+            domain_reports(families.flute(3), 0.0)
+        with pytest.raises(DomainError):
+            domain_reports(families.flute(3), 0.5, max_pieces=0)
 
 
 class TestRegularity:
