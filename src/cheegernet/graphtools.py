@@ -2,8 +2,11 @@
 
 Vertices are arbitrary hashable labels; insertion order is the canonical
 vertex order and every report breaks ties toward it, so identical inputs
-give byte-identical outputs.  numpy is used for the four-point scans and
-the subset enumerations; everything else is plain BFS/Dijkstra.
+give byte-identical outputs.  All-pairs distances are composed over the
+block-cut tree: BFS or Dijkstra runs only inside each biconnected block
+(found by an iterative Hopcroft-Tarjan search), and numpy adds the blocks'
+matrices across cut vertices.  numpy also does the four-point scans and the
+subset enumerations; single-source searches are plain BFS/Dijkstra.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .hypmath import DomainError
 
 __all__ = [
     "Graph",
+    "biconnected_components",
     "gromov_product",
     "HyperbolicityReport",
     "hyperbolicity_delta",
@@ -136,24 +140,110 @@ class Graph:
     def distance_matrix(self, weighted: bool = False) -> np.ndarray:
         """All-pairs distances in canonical vertex order.  Raises if the
         graph is disconnected: every metric routine here assumes one
-        component."""
-        order = self.vertices()
+        component.
+
+        The matrix is composed over the block-cut tree.  A shortest path
+        between two vertices of one block stays in that block, so each
+        block gets its own BFS (or Dijkstra) matrix on the subgraph it
+        spans.  Blocks are then added in breadth-first order of the tree
+        from the block of the first vertex; a block attached at cut vertex
+        a gets d(x, y) = d(x, a) + d(a, y) against every vertex already
+        placed.  Hop counts are exact.  A weighted distance across a cut
+        vertex is a sum of two block distances, where a whole-graph
+        Dijkstra adds the edge weights one by one along the path, so on
+        arbitrary weights the two can differ by rounding.
+        """
         n = self.n
-        if weighted:
-            mat = np.empty((n, n), dtype=np.float64)
-            for i, v in enumerate(order):
-                dist = self.dijkstra(v)
-                if len(dist) != n:
-                    raise DomainError("distance matrix of a disconnected graph")
-                mat[i] = [dist[u] for u in order]
-        else:
-            mat = np.empty((n, n), dtype=np.int32)
-            for i, v in enumerate(order):
-                dist = self.bfs_distances(v)
-                if len(dist) != n:
-                    raise DomainError("distance matrix of a disconnected graph")
-                mat[i] = [dist[u] for u in order]
-        return mat
+        dtype = np.float64 if weighted else np.int32
+        if n <= 1:
+            return np.zeros((n, n), dtype=dtype)
+        order = self.vertices()
+        blocks_of: list[list[list[int]]] = [[] for _ in range(n)]
+        for block in biconnected_components(self):
+            for i in block:
+                blocks_of[i].append(block)
+        D = np.zeros((n, n), dtype=dtype)
+        placed = np.zeros(n, dtype=np.intp)  # vertex indices, placement order
+        is_placed = [True] + [False] * (n - 1)
+        count = 1
+        queue = deque([0])
+        while queue:
+            a = queue.popleft()
+            for block in blocks_of[a]:
+                new = [i for i in block if not is_placed[i]]
+                if not new:
+                    continue
+                sub = Graph()
+                for i in block:
+                    sub.add_vertex(order[i])
+                for i in block:
+                    for v, w in self._adj[order[i]].items():
+                        if sub.has_vertex(v):
+                            sub.add_edge(order[i], v, w)
+                search = sub.dijkstra if weighted else sub.bfs_distances
+                labels = [order[i] for i in [a] + new]
+                local = np.array([[dist[u] for u in labels]
+                                  for dist in map(search, labels)], dtype=dtype)
+                old = placed[:count]
+                D[np.ix_(new, new)] = local[1:, 1:]
+                D[np.ix_(old, new)] = D[old, a][:, None] + local[0, 1:][None, :]
+                D[np.ix_(new, old)] = local[1:, 0][:, None] + D[a, old][None, :]
+                placed[count:count + len(new)] = new
+                count += len(new)
+                for i in new:
+                    is_placed[i] = True
+                queue.extend(new)
+        if count != n:
+            raise DomainError("distance matrix of a disconnected graph")
+        return D
+
+
+def biconnected_components(graph: Graph) -> list[list[int]]:
+    """Blocks of the graph as sorted lists of vertex indices, by an
+    iterative Hopcroft-Tarjan depth-first search (CACM 1973).  Every edge
+    lies in exactly one block and two blocks share at most one vertex, a
+    cut vertex; an isolated vertex lies in none."""
+    index = graph._index
+    nbrs = [[index[u] for u in adj] for adj in graph._adj.values()]
+    n = len(nbrs)
+    disc = [-1] * n
+    low = [0] * n
+    blocks = []
+    clock = 0
+    for root in range(n):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        stack = [(root, -1, iter(nbrs[root]))]
+        edges = []
+        while stack:
+            v, parent, it = stack[-1]
+            for w in it:
+                if disc[w] < 0:
+                    edges.append((v, w))
+                    disc[w] = low[w] = clock
+                    clock += 1
+                    stack.append((w, v, iter(nbrs[w])))
+                    break
+                if w != parent and disc[w] < disc[v]:
+                    edges.append((v, w))
+                    low[v] = min(low[v], disc[w])
+            else:
+                stack.pop()
+                if not stack:
+                    continue
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= disc[u]:
+                    block = set()
+                    while True:
+                        edge = edges.pop()
+                        block.update(edge)
+                        if edge == (u, v):
+                            break
+                    blocks.append(sorted(block))
+    return blocks
 
 
 def gromov_product(dmat: np.ndarray, i: int, j: int, o: int) -> float:

@@ -14,7 +14,6 @@ compared against net distances through the inclusion map.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -422,19 +421,18 @@ class QIReport:
 
 
 def _pair_matrices(graph_a: Graph, graph_b: Graph, vmap):
-    dom = [v for v in graph_a.vertices() if v in vmap]
+    """Distances of the mapped pairs i < j in graph_a and between their
+    images in graph_b, and the rows of graph_b's weighted distance matrix
+    at the images, one per mapped vertex."""
+    order = graph_a.vertices()
+    dom = [i for i, v in enumerate(order) if v in vmap]
     if len(dom) < 2:
         raise DomainError("quasi-isometry estimate needs at least two mapped vertices")
-    da = np.empty((len(dom), len(dom)))
-    for i, v in enumerate(dom):
-        dist = graph_a.bfs_distances(v)
-        da[i] = [dist[u] for u in dom]
-    db = np.empty((len(dom), len(dom)))
-    for i, v in enumerate(dom):
-        dist = graph_b.dijkstra(vmap[v])
-        db[i] = [dist[vmap[u]] for u in dom]
+    img = [graph_b.index_of(vmap[order[i]]) for i in dom]
+    da = graph_a.distance_matrix()[np.ix_(dom, dom)].astype(np.float64)
+    image_rows = graph_b.distance_matrix(weighted=True)[img]
     iu = np.triu_indices(len(dom), k=1)
-    return da[iu], db[iu], len(dom)
+    return da[iu], image_rows[:, img][iu], image_rows
 
 
 def minimal_beta(graph_a: Graph, graph_b: Graph, vmap, alpha: float) -> float:
@@ -464,7 +462,8 @@ def estimate_qi_constants(
     """
     if alpha_grid is None:
         alpha_grid = [1.0 + 0.25 * k for k in range(29)]  # 1.0 .. 8.0
-    da, db, ndom = _pair_matrices(graph_a, graph_b, vmap)
+    da, db, image_rows = _pair_matrices(graph_a, graph_b, vmap)
+    ndom = image_rows.shape[0]
     table = []
     for alpha in alpha_grid:
         over = db - alpha * da
@@ -476,23 +475,7 @@ def estimate_qi_constants(
         (a, b) for a, b in table if b <= best_beta + beta_tol
     )
 
-    image = sorted({vmap[v] for v in graph_a.vertices() if v in vmap},
-                   key=graph_b.index_of)
-    dist = {v: 0.0 for v in image}
-    heap = [(0.0, graph_b.index_of(v), v) for v in image]
-    heapq.heapify(heap)
-    done = set()
-    while heap:
-        du, _, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        for v in graph_b.neighbors(u):
-            alt = du + graph_b.weight(u, v)
-            if v not in dist or alt < dist[v]:
-                dist[v] = alt
-                heapq.heappush(heap, (alt, graph_b.index_of(v), v))
-    fullness = max(dist[v] for v in graph_b.vertices())
+    fullness = float(image_rows.min(axis=0).max())
     return QIReport(
         alpha=alpha_star,
         beta=beta_star,

@@ -551,7 +551,9 @@ def eval_length_expr(expr: float | str, param_name: str, value: float) -> float:
     """Evaluate a length expression in one parameter.
 
     Grammar: numbers, the parameter name, + - * / ^ (also **), unary minus,
-    exp(...), ln(...), parentheses.
+    exp(...), ln(...), parentheses.  Arithmetic that fails at this value
+    (division by zero, ln of a non-positive number, overflow) raises
+    SpecError naming the expression and the parameter value.
     """
     if isinstance(expr, (int, float)) and not isinstance(expr, bool):
         return float(expr)
@@ -587,7 +589,7 @@ def eval_length_expr(expr: float | str, param_name: str, value: float) -> float:
             fn = ops.get(type(node.op))
             if fn is None:
                 raise SpecError(f"operator {type(node.op).__name__} not allowed in {expr!r}")
-            return fn(ev(node.left), ev(node.right))
+            return arith(fn, ev(node.left), ev(node.right))
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
@@ -595,8 +597,16 @@ def eval_length_expr(expr: float | str, param_name: str, value: float) -> float:
             and len(node.args) == 1
             and not node.keywords
         ):
-            return _EXPR_FUNCS[node.func.id](ev(node.args[0]))
+            return arith(_EXPR_FUNCS[node.func.id], ev(node.args[0]))
         raise SpecError(f"disallowed element in length expression {expr!r}")
+
+    def arith(fn, *args) -> float:
+        try:
+            return fn(*args)
+        except (ZeroDivisionError, ValueError, OverflowError) as exc:
+            raise SpecError(
+                f"length expression {expr!r} fails at {param_name} = {value}: {exc}"
+            ) from exc
 
     return ev(tree)
 

@@ -99,6 +99,30 @@ class TestExitCodes:
         code, _, err = run_main(capsys, "sweep", FLUTE8)
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    @pytest.mark.parametrize("length, error", [
+        ("1/(n-2)", "division by zero"),   # ZeroDivisionError
+        ("ln(n-2)", "math domain error"),  # ValueError
+        ("exp(1000*n)", "math range error"),  # OverflowError
+    ])
+    def test_failing_length_expression(self, capsys, tmp_path, command, length, error):
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps({
+            "param": {"name": "n", "range": [2, 3]},
+            "pieces": 2,
+            "gluings": [
+                {"a": [0, 0], "b": [1, 0], "length": length},
+                {"a": [0, 1], "b": [1, 1], "length": "1/n"},
+            ],
+            "cusps": [[0, 2]],
+            "opens": [{"at": [1, 2], "length": "2"}],
+        }))
+        code, out, err = run_main(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert "invalid input" in err and repr(length) in err
+        assert "n = 2" in err and error in err
+
 
 class TestDeterminism:
     def test_net_json_stable(self, capsys):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from cheegernet import families
 from cheegernet.graphtools import (
     Graph,
     _base_delta,
+    biconnected_components,
     boundary_proxy,
     cheeger,
     geodesic_union_set,
@@ -22,7 +24,7 @@ from cheegernet.graphtools import (
     uniform_perfectness,
 )
 from cheegernet.hypmath import ARCSINH_ONE, DomainError, delta1
-from cheegernet.netgraph import NetBuildParams, build_net
+from cheegernet.netgraph import NetBuildParams, build_net, build_quotient_mesh
 from cheegernet.surface import load_spec
 
 
@@ -80,6 +82,128 @@ class TestGraph:
         assert not g.is_connected()
         with pytest.raises(DomainError):
             g.distance_matrix()
+        # Two components of several blocks each, hop counts and weighted.
+        rng = random.Random(3)
+        g, _ = glued_blocks(rng, 4)
+        h, _ = glued_blocks(rng, 3)
+        for u, v, w in h.edges():
+            g.add_edge(("h", u), ("h", v), w)
+        for weighted in (False, True):
+            with pytest.raises(DomainError, match="distance matrix of a disconnected graph"):
+                g.distance_matrix(weighted=weighted)
+
+
+def per_source_matrix(g: Graph, weighted: bool = False) -> np.ndarray:
+    """Oracle: one whole-graph BFS or Dijkstra per source vertex."""
+    order = g.vertices()
+    search = g.dijkstra if weighted else g.bfs_distances
+    return np.array([[dist[u] for u in order] for dist in map(search, order)],
+                    dtype=np.float64 if weighted else np.int32).reshape(g.n, g.n)
+
+
+def glued_blocks(rng: random.Random, count: int, weighted: bool = False):
+    """Graph glued from `count` random blocks (bridges, cycles, complete
+    graphs), each attached at one vertex of the graph built so far.  Vertex
+    labels are inserted in shuffled order, so the first vertex is anywhere
+    in the block-cut tree.  Returns the graph and the blocks' label sets."""
+    edges, blocks, size = [], [], 1
+    for _ in range(count):
+        kind = rng.choice(["bridge", "cycle", "complete"])
+        k = {"bridge": 2, "cycle": rng.randint(3, 7), "complete": rng.randint(3, 5)}[kind]
+        members = [rng.randrange(size)] + list(range(size, size + k - 1))
+        size += k - 1
+        if kind == "complete":
+            pairs = list(itertools.combinations(members, 2))
+        else:
+            pairs = list(zip(members, members[1:] + members[:1]))[: k - (kind == "bridge")]
+        edges += pairs
+        blocks.append(frozenset(members))
+    labels = list(range(size))
+    rng.shuffle(labels)
+    g = Graph()
+    for v in labels:
+        g.add_vertex(f"v{v}")
+    for u, v in edges:
+        g.add_edge(f"v{u}", f"v{v}", rng.uniform(0.1, 3.0) if weighted else 1.0)
+    return g, {frozenset(f"v{v}" for v in b) for b in blocks}
+
+
+def cli_net_and_mesh(spec):
+    eps = ARCSINH_ONE / 2.0
+    params = NetBuildParams(eps=eps, delta=0.9 * delta1(eps))
+    return build_net(spec, params).graph, build_quotient_mesh(spec, params)[0]
+
+
+class TestBlockComposedMatrix:
+    """distance_matrix composed over the block-cut tree against per-source
+    searches on the whole graph."""
+
+    def test_glued_blocks_match_bfs(self):
+        rng = random.Random(1973)
+        for _ in range(150):
+            g, _ = glued_blocks(rng, rng.randint(1, 12))
+            assert np.array_equal(g.distance_matrix(), per_source_matrix(g))
+
+    def test_one_block_graphs(self):
+        graphs = [cycle_graph(n) for n in range(3, 12)]
+        for n in range(3, 9):
+            g = Graph()
+            for u, v in itertools.combinations(range(n), 2):
+                g.add_edge(u, v)
+            graphs.append(g)
+        for g in graphs:
+            assert biconnected_components(g) == [list(range(g.n))]
+            assert np.array_equal(g.distance_matrix(), per_source_matrix(g))
+
+    def test_tiny_graphs(self):
+        single = Graph()
+        single.add_vertex("a")
+        assert single.distance_matrix().tolist() == [[0]]
+        assert single.distance_matrix(weighted=True).tolist() == [[0.0]]
+        edge = Graph()
+        edge.add_edge("a", "b", 2.5)
+        assert edge.distance_matrix().tolist() == [[0, 1], [1, 0]]
+        assert edge.distance_matrix(weighted=True).tolist() == [[0.0, 2.5], [2.5, 0.0]]
+        for g in (path_graph(3), cycle_graph(3)):
+            assert np.array_equal(g.distance_matrix(), per_source_matrix(g))
+
+    def test_blocks_partition_the_edges(self):
+        rng = random.Random(1015)
+        for _ in range(100):
+            g, expected = glued_blocks(rng, rng.randint(1, 12))
+            order = g.vertices()
+            blocks = [frozenset(order[i] for i in b) for b in biconnected_components(g)]
+            assert set(blocks) == expected and len(blocks) == len(expected)
+            for u, v, _ in g.edges():
+                assert sum(u in b and v in b for b in blocks) == 1
+            for b1, b2 in itertools.combinations(blocks, 2):
+                assert len(b1 & b2) <= 1
+
+    def test_long_path_needs_no_recursion(self):
+        g = path_graph(3000)
+        assert len(biconnected_components(g)) == 2999
+        D = g.distance_matrix()
+        assert D[0, 2999] == 2999 and D[2999, 1500] == 1499
+
+    def test_random_weights_within_rounding(self):
+        rng = random.Random(2015)
+        for _ in range(100):
+            g, _ = glued_blocks(rng, rng.randint(1, 12), weighted=True)
+            D, oracle = g.distance_matrix(weighted=True), per_source_matrix(g, True)
+            np.testing.assert_allclose(D, oracle, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("name", ["flute8", "gen12", "loop", "pants_tree3"])
+    def test_nets_and_meshes_bit_for_bit(self, name):
+        golden = Path(__file__).resolve().parent / "golden"
+        spec = {
+            "flute8": lambda: load_spec(families.bundled_path("flute8.json")),
+            "gen12": lambda: load_spec(golden / "gen12.json"),
+            "loop": lambda: load_spec(golden / "loop.json"),
+            "pants_tree3": lambda: families.pants_tree(3),
+        }[name]()
+        net, mesh = cli_net_and_mesh(spec)
+        assert np.array_equal(net.distance_matrix(), per_source_matrix(net))
+        assert np.array_equal(mesh.distance_matrix(weighted=True), per_source_matrix(mesh, True))
 
 
 def brute_cheeger_finite_half(g: Graph):
