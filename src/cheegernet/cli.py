@@ -262,8 +262,9 @@ def _cmd_hyperbolicity(args, eps, delta) -> int:
 def _cmd_boundary(args, eps, delta) -> int:
     spec = _load_spec(args.input)
     net = netgraph.build_net(spec, _net_params(eps, delta))
+    dmat = net.graph.distance_matrix()
     proxy = graphtools.boundary_proxy(
-        net.graph, keep=lambda v: net.vertex_kind[v] == "net"
+        net.graph, keep=lambda v: net.vertex_kind[v] == "net", dmat=dmat
     )
     defect = graphtools.ultrametric_defect(proxy.dists)
     up = graphtools.uniform_perfectness(proxy.dists, a=proxy.a,
@@ -271,7 +272,7 @@ def _cmd_boundary(args, eps, delta) -> int:
     specials = sorted(net.special_w.values()) + sorted(net.special_v.values())
     pole = None
     if specials:
-        pole = graphtools.has_pole(net.graph, proxy.base, specials).to_dict()
+        pole = graphtools.has_pole(net.graph, proxy.base, specials, dmat=dmat).to_dict()
     out = {
         "proxy": proxy.to_dict(),
         "ultrametric_defect": defect,

@@ -5,8 +5,12 @@ vertex order and every report breaks ties toward it, so identical inputs
 give byte-identical outputs.  All-pairs distances are composed over the
 block-cut tree: BFS or Dijkstra runs only inside each biconnected block
 (found by an iterative Hopcroft-Tarjan search), and numpy adds the blocks'
-matrices across cut vertices.  numpy also does the four-point scans and the
-subset enumerations; single-source searches are plain BFS/Dijkstra.
+matrices across cut vertices.  Ratio cuts min cut(A)/|A| against a sink
+are exact, by Dinkelbach iteration over s-t min cuts from an iterative
+Dinic max flow in Python integers; ambient Cheeger constants use them.
+numpy does the four-point scans, the annulus counts of the perfectness
+test and the subset enumerations of the size-capped Cheeger constant;
+single-source searches are plain BFS/Dijkstra.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -29,6 +34,8 @@ __all__ = [
     "HyperbolicityReport",
     "hyperbolicity_delta",
     "CheegerReport",
+    "RatioCut",
+    "min_ratio_cut",
     "cheeger",
     "ProxyReport",
     "boundary_proxy",
@@ -528,6 +535,228 @@ def _blob_candidates(graph: Graph, allowed: set[int], size_cap: int, rng, count=
         yield cut, len(members), tuple(sorted(members))
 
 
+@dataclass(frozen=True)
+class RatioCut:
+    """Result of :func:`min_ratio_cut`: the exact minimum ratio, the
+    lexicographically smallest set attaining it, and the number of s-t
+    min-cut solves the Dinkelbach iteration made."""
+
+    ratio: Fraction
+    members: tuple
+    solves: int
+
+
+def _greedy_flow(adj: list, to: list, cap: list, s: int, t: int) -> None:
+    """One greedy pass of flow from s to t, in place on the residual
+    capacities cap: fill the arcs out of s, send the excess down the layers
+    of residual distance to t, then return what got stuck the way it came,
+    layer by layer away from t, which leaves a valid flow.  Dinic needs one
+    phase per augmenting-path length, which is quadratic when s feeds every
+    vertex of a long path; this pass routes such flow at once."""
+    n = len(adj)
+    dist = [-1] * n
+    dist[t] = 0
+    layers = [t]
+    for x in layers:
+        for e in adj[x]:
+            y = to[e]
+            if dist[y] < 0 and y != s and cap[e ^ 1]:
+                dist[y] = dist[x] + 1
+                layers.append(y)
+    excess = [0] * n
+    inflow: list[list] = [[] for _ in range(n)]  # (arc, amount) into each vertex
+    for e in adj[s]:
+        v = to[e]
+        if cap[e] and dist[v] > 0:
+            excess[v] += cap[e]
+            inflow[v].append((e, cap[e]))
+            cap[e ^ 1] += cap[e]
+            cap[e] = 0
+    for v in reversed(layers[1:]):
+        down = dist[v] - 1
+        for e in adj[v]:
+            if not excess[v]:
+                break
+            u = to[e]
+            if dist[u] == down and cap[e]:
+                f = min(cap[e], excess[v])
+                cap[e] -= f
+                cap[e ^ 1] += f
+                excess[v] -= f
+                excess[u] += f
+                inflow[u].append((e, f))
+    for v in layers[1:]:
+        for e, f in inflow[v]:
+            if not excess[v]:
+                break
+            r = min(f, excess[v])
+            cap[e] += r
+            cap[e ^ 1] -= r
+            excess[v] -= r
+            excess[to[e ^ 1]] += r
+
+
+def _max_flow(adj: list, to: list, cap: list, s: int, t: int) -> None:
+    """Max flow from s to t, in place on the residual capacities cap: the
+    greedy pass, then Dinic's blocking flows.  Arc e runs to to[e] and its
+    reverse is e ^ 1.  The depth-first search keeps its path on an explicit
+    stack, so no recursion depth limit applies."""
+    _greedy_flow(adj, to, cap, s, t)
+    n = len(adj)
+    while True:
+        level = [-1] * n
+        level[s] = 0
+        queue = [s]
+        for v in queue:
+            if v == t:
+                break
+            lv = level[v] + 1
+            for e in adj[v]:
+                w = to[e]
+                if cap[e] and level[w] < 0:
+                    level[w] = lv
+                    queue.append(w)
+        if level[t] < 0:
+            return
+        ptr = [0] * n
+        path: list[int] = []
+        v = s
+        while True:
+            if v == t:
+                f = min(cap[e] for e in path)
+                cut_at = None
+                for k, e in enumerate(path):
+                    cap[e] -= f
+                    cap[e ^ 1] += f
+                    if cut_at is None and not cap[e]:
+                        cut_at = k
+                del path[cut_at:]
+                v = to[path[-1]] if path else s
+                continue
+            arcs = adj[v]
+            i = ptr[v]
+            nxt = level[v] + 1
+            while i < len(arcs):
+                e = arcs[i]
+                if cap[e] and level[to[e]] == nxt:
+                    break
+                i += 1
+            ptr[v] = i
+            if i < len(arcs):
+                path.append(arcs[i])
+                v = to[arcs[i]]
+            elif v == s:
+                break
+            else:
+                level[v] = -1
+                e = path.pop()
+                v = to[e ^ 1]
+                ptr[v] += 1
+
+
+def _residual_reach(adj: list, to: list, cap: list, root: int, mark: list,
+                    backward: bool = False) -> list:
+    """Mark root and every unmarked vertex it reaches along arcs with
+    residual capacity (that reach it, when backward); return them, root
+    first."""
+    mark[root] = True
+    found = [root]
+    for v in found:
+        for e in adj[v]:
+            w = to[e]
+            if not mark[w] and cap[e ^ 1 if backward else e]:
+                mark[w] = True
+                found.append(w)
+    return found
+
+
+def min_ratio_cut(n: int, edges, pool) -> RatioCut:
+    """Exact min over nonempty A within pool of cut(A)/|A|, where cut(A)
+    is the total weight of edges with exactly one end in A and vertices
+    outside pool act as one sink.
+
+    Vertices are the indices 0..n-1; edges are (i, j, w) triples with
+    w > 0, parallel edges add and self-loops are ignored.  Every float is
+    a dyadic rational, so scaling the weights by their common power-of-two
+    denominator makes them integers and the whole computation exact.
+
+    Dinkelbach iteration (Management Science 1967) from lambda =
+    cut(pool)/|pool|: for lambda = p/q an s-t max flow with an arc s -> v
+    of capacity p for every v in pool, each edge at q times its weight and
+    every non-pool vertex merged into t finds min over A of
+    q*cut(A) - p*|A|.  A negative minimum gives a set of smaller ratio,
+    read off the source side, and the next lambda; a zero minimum
+    certifies lambda (Gallo, Grigoriadis and Tarjan, SIAM J. Comput. 1989).
+    The optimal sets are then exactly the nonempty sets closed under the
+    residual arcs of the last flow that avoid t (Picard and Queyranne,
+    Math. Programming Study 1980).  Among them the lexicographically
+    smallest sorted tuple is built greedily: the closure of the first
+    vertex whose closure avoids t, then the closure of each later such
+    vertex below the current maximum.
+    """
+    pool = sorted(set(pool))
+    if not pool:
+        raise DomainError("ratio cut needs a nonempty pool")
+    k = len(pool)
+    s, t = k, k + 1
+    local = [t] * n
+    for a, i in enumerate(pool):
+        local[i] = a
+    edges = list(edges)
+    scale = max((w.as_integer_ratio()[1] for _, _, w in edges), default=1)
+    adj: list[list[int]] = [[] for _ in range(k + 2)]
+    to: list[int] = []
+    base: list[int] = []  # integer weight of each arc, 0 if it leaves t or s
+
+    def arc_pair(u, v, w_uv, w_vu):
+        adj[u].append(len(to))
+        to.append(v)
+        base.append(w_uv)
+        adj[v].append(len(to))
+        to.append(u)
+        base.append(w_vu)
+
+    for i, j, w in edges:
+        a, b = sorted((local[i], local[j]))
+        if a != b:
+            num, den = w.as_integer_ratio()
+            weight = num * (scale // den)
+            arc_pair(a, b, weight, 0 if b == t else weight)
+    first_source = len(to)
+    for a in range(k):
+        arc_pair(s, a, 0, 0)
+
+    ratio = Fraction(sum(base[e ^ 1] for e in adj[t]), k)
+    solves = 0
+    while True:
+        p, q = ratio.numerator, ratio.denominator
+        cap = [q * w for w in base]
+        cap[first_source::2] = [p] * k
+        _max_flow(adj, to, cap, s, t)
+        solves += 1
+        # Source side of the min cut: the pool vertices s still reaches.
+        seen = [False] * (k + 2)
+        side = _residual_reach(adj, to, cap, s, seen)[1:]
+        if not side:
+            break
+        cut = sum(base[e] for a in side for e in adj[a] if not seen[to[e]])
+        ratio = Fraction(cut, len(side))
+    # Pool vertices with a residual path to t lie in no optimal set.
+    doomed = [False] * (k + 2)
+    _residual_reach(adj, to, cap, t, doomed, backward=True)
+    members = [False] * (k + 2)
+    members[s] = True
+    top = -1
+    for a in range(k):
+        if 0 <= top < a:
+            break
+        if not (members[a] or doomed[a]):
+            top = max(top, *_residual_reach(adj, to, cap, a, members))
+    witness = tuple(pool[a] for a in range(k) if members[a])
+    return RatioCut(ratio=Fraction(ratio.numerator, ratio.denominator * scale),
+                    members=witness, solves=solves)
+
+
 def cheeger(
     graph: Graph,
     mode: str = "finite_half",
@@ -537,12 +766,21 @@ def cheeger(
 ) -> CheegerReport:
     """Edge Cheeger constant: min over vertex sets A of cut(A)/|A|.
 
-    finite_half ranges A over all subsets with |A| <= n/2.  ambient ranges
-    A over subsets of a marked interior while the cut is still measured in
-    the whole graph; no size cap, matching the exhaustion of a space with
-    designated outer edge.  Enumeration is exhaustive while 2^|pool| stays
-    within work_limit; beyond that a Fiedler sweep plus seeded random blobs
-    gives an upper bound flagged exact=False.
+    finite_half ranges A over all subsets with |A| <= n/2.  Enumeration is
+    exhaustive while 2^n stays within work_limit; beyond that a Fiedler
+    sweep plus seeded random blobs gives an upper bound flagged
+    exact=False.  The size cap makes this problem NP-hard in general.
+    examined counts the sets evaluated.
+
+    ambient ranges A over subsets of a marked interior while the cut is
+    still measured in the whole graph; no size cap, matching the
+    exhaustion of a space with designated outer edge.  It is solved
+    exactly at every size by :func:`min_ratio_cut` (Dinkelbach iteration
+    over s-t min cuts), with examined counting the min-cut solves; it
+    ignores work_limit and seed.
+
+    The witness is the lexicographically smallest sorted index tuple among
+    the optimal sets (among the candidates, for the heuristic).
     """
     n = graph.n
     if n < 2:
@@ -550,20 +788,27 @@ def cheeger(
     if not graph.is_connected():
         raise DomainError("cheeger of a disconnected graph")
     order = graph.vertices()
-    if mode == "finite_half":
-        pool = list(range(n))
-        size_cap = n // 2
-    elif mode == "ambient":
+    if mode == "ambient":
         if interior is None:
             raise DomainError("ambient mode needs an interior vertex set")
-        pool = sorted(graph.index_of(v) for v in interior)
+        pool = {graph.index_of(v) for v in interior}
         if not pool:
             raise DomainError("ambient interior is empty")
         if len(pool) == n:
             raise DomainError("ambient interior must exclude some vertex")
-        size_cap = len(pool)
-    else:
+        index = graph._index
+        rc = min_ratio_cut(n, ((index[u], index[v], w) for u, v, w in graph.edges()), pool)
+        return CheegerReport(
+            value=float(rc.ratio),
+            witness=tuple(order[i] for i in rc.members),
+            exact=True,
+            mode=mode,
+            examined=rc.solves,
+        )
+    if mode != "finite_half":
         raise DomainError(f"unknown cheeger mode {mode!r}")
+    pool = list(range(n))
+    size_cap = n // 2
 
     adj = np.zeros((n, n))
     for u, v, w in graph.edges():
@@ -574,7 +819,7 @@ def cheeger(
     best = math.inf
     best_tuple: tuple | None = None
     examined = 0
-    exact = (1 << len(pool)) <= work_limit
+    exact = (1 << n) <= work_limit
     if exact:
         for masks, bits, sizes, cut, ok in _enumerate_cuts(adj, pool, size_cap):
             examined += int(ok.sum())
@@ -641,6 +886,7 @@ def boundary_proxy(
     radius: int | None = None,
     a: float = 2.0,
     keep=None,
+    dmat: np.ndarray | None = None,
 ) -> ProxyReport:
     """Sphere-at-infinity proxy: the set of kept vertices at graph distance
     exactly `radius` from `base`, in the visual metric a^-(x|y) with Gromov
@@ -648,14 +894,15 @@ def boundary_proxy(
 
     Defaults: base is the first vertex of minimum eccentricity; radius is
     max(2, ecc(base) - 2), two steps inside the horizon so the sphere is
-    populated all around.  Every distance comes from one distance matrix.
+    populated all around.  Every distance comes from one distance matrix:
+    dmat, the graph's hop-count matrix, computed here when not given.
     """
     if graph.n == 0:
         raise DomainError("boundary proxy of an empty graph")
     if a <= 1.0:
         raise DomainError(f"visual parameter a must exceed 1, got {a!r}")
     order = graph.vertices()
-    D = graph.distance_matrix()
+    D = graph.distance_matrix() if dmat is None else dmat
     b = int(D.max(axis=1).argmin()) if base is None else graph.index_of(base)
     base = order[b]
     dist = D[b].tolist()
@@ -742,15 +989,13 @@ class UPReport:
         }
 
 
-def _annulus_scales(dists: np.ndarray, a: float, radius: int, eps0: float):
+def _annulus_scales(realized: np.ndarray, a: float, radius: int, eps0: float):
     """Test scales: realized distances plus a half-octave geometric ladder
     from eps0 down to the proxy resolution floor a^-(radius-1).  The ladder
     is the point: scale gaps with no realized distance must still be
-    probed, otherwise a cluster-and-gap spectrum looks perfect."""
+    probed, otherwise a cluster-and-gap spectrum looks perfect.  realized
+    holds the sorted distinct off-diagonal distances."""
     floor = a ** (-(radius - 1))
-    n = dists.shape[0]
-    iu = np.triu_indices(n, k=1)
-    realized = np.unique(dists[iu])
     dmax = float(realized.max()) if realized.size else 0.0
     scales = {float(r) for r in realized if floor <= r < dmax}
     step = a**-0.5
@@ -759,7 +1004,7 @@ def _annulus_scales(dists: np.ndarray, a: float, radius: int, eps0: float):
         if e < dmax:
             scales.add(e)
         e *= step
-    return sorted(scales, reverse=True), floor, dmax
+    return sorted(scales, reverse=True), floor
 
 
 def uniform_perfectness(
@@ -775,7 +1020,10 @@ def uniform_perfectness(
     annulus (eps/S, eps] around x is empty.  The space passes at S when no
     point fails at any tested scale below some starting scale eps0.
     Reported: the least passing S from s_grid with the largest passing
-    eps0, or a failure with the obstructing scale.
+    eps0, or a failure with the obstructing scale.  The test counts, for
+    every point and every threshold any row can test, the entries at most
+    that threshold: one n x (thresholds + 1) table, small on proxies,
+    whose few distinct distances keep the thresholds few.
     """
     n = dists.shape[0]
     if n <= 2:
@@ -800,30 +1048,40 @@ def uniform_perfectness(
             n_points=n,
             floor=math.nan,
         )
+    realized = np.unique(dists[iu])
+    fracs = sorted(eps0_fractions, reverse=True)
+    ladders = {frac: _annulus_scales(realized, a, radius, frac * dmax) for frac in fracs}
+    # Every threshold any (S, eps0) row can test: the scales eps and the
+    # inner radii eps/S.  count[x, k] is the number of entries of row x at
+    # most query[k]: bincount the first query index >= each entry per row,
+    # then take running sums along the row.
+    tested = {frac: [eps for eps in ladders[frac][0] if eps <= frac * dmax] for frac in fracs}
+    query = np.unique([q for eps_list in tested.values() for eps in eps_list
+                       for q in [eps] + [eps / s for s in s_grid]])
+    first = np.searchsorted(query, dists, side="left") + (len(query) + 1) * np.arange(n)[:, None]
+    count = np.bincount(first.ravel(), minlength=n * (len(query) + 1))
+    count = count.reshape(n, len(query) + 1).cumsum(axis=1)
+    row_max = dists.max(axis=1)
     table = []
     best = None
     floor_out = math.nan
     for s in s_grid:
-        for frac in sorted(eps0_fractions, reverse=True):
+        for frac in fracs:
             eps0 = frac * dmax
-            scales, floor, _ = _annulus_scales(dists, a, radius, eps0)
+            scales, floor = ladders[frac]
             floor_out = floor
             fail_eps = None
-            for eps in scales:
-                if eps > eps0:
-                    continue
-                lo = eps / s
-                for x in range(n):
-                    row = dists[x]
-                    beyond = bool((row > eps).any())
-                    if not beyond:
-                        continue
-                    hit = bool(((row > lo) & (row <= eps)).any())
-                    if not hit:
-                        fail_eps = eps
-                        break
-                if fail_eps is not None:
-                    break
+            eps_list = tested[frac]
+            if eps_list:
+                # x fails at eps when something lies beyond eps but no entry
+                # of its row lies in (eps/S, eps].
+                hi = np.searchsorted(query, eps_list)
+                lo = np.searchsorted(query, [eps / s for eps in eps_list])
+                beyond = row_max[:, None] > np.array(eps_list)[None, :]
+                empty = count[:, hi] == count[:, lo]
+                fails = (beyond & empty).any(axis=0)
+                if fails.any():
+                    fail_eps = eps_list[int(fails.argmax())]
             ok = fail_eps is None and bool(scales)
             table.append((s, eps0, ok, fail_eps))
             if ok and best is None:
@@ -873,39 +1131,33 @@ class PoleReport:
         }
 
 
-def geodesic_union_set(graph: Graph, base, peripheral) -> set:
+def geodesic_union_set(graph: Graph, base, peripheral, dmat: np.ndarray | None = None) -> set:
     """Vertices lying on some shortest path from base to some peripheral
-    vertex: x qualifies iff d(base,x) + d(x,u) = d(base,u)."""
-    dv = graph.bfs_distances(base)
-    if len(dv) != graph.n:
-        raise DomainError("geodesic union in a disconnected graph")
-    out = set()
+    vertex: x qualifies iff d(base,x) + d(x,u) = d(base,u).  Distances are
+    read from dmat, the graph's hop-count distance matrix, computed here
+    when not given."""
+    D = graph.distance_matrix() if dmat is None else dmat
+    order = graph.vertices()
+    b = graph.index_of(base)
+    on = np.zeros(graph.n, dtype=bool)
     for u in peripheral:
-        du = graph.bfs_distances(u)
-        target = dv[u]
-        for x, dx in dv.items():
-            if dx + du[x] == target:
-                out.add(x)
-    return out
+        i = graph.index_of(u)
+        on |= D[b] + D[i] == D[b, i]
+    return {order[x] for x in np.flatnonzero(on)}
 
 
-def has_pole(graph: Graph, base, peripheral, m_grid=(1, 2, 3, 4, 6, 8, 12)) -> PoleReport:
+def has_pole(graph: Graph, base, peripheral, m_grid=(1, 2, 3, 4, 6, 8, 12),
+             dmat: np.ndarray | None = None) -> PoleReport:
     """Whether every vertex is within some grid M of the union of geodesics
-    from base to the peripheral set.  Distance to the union is exact: a
-    multi-source BFS from the union set."""
+    from base to the peripheral set.  Distance to the union is exact: the
+    least entry of each row of the hop-count distance matrix dmat over the
+    union's columns (dmat is computed here when not given)."""
     if not peripheral:
         raise DomainError("pole test needs a nonempty peripheral set")
-    t_set = geodesic_union_set(graph, base, peripheral)
-    dist = {x: 0 for x in t_set}
-    q = deque(sorted(t_set, key=graph.index_of))
-    while q:
-        u = q.popleft()
-        du = dist[u]
-        for v in graph.neighbors(u):
-            if v not in dist:
-                dist[v] = du + 1
-                q.append(v)
-    needed = max(dist.values())
+    D = graph.distance_matrix() if dmat is None else dmat
+    t_set = geodesic_union_set(graph, base, peripheral, D)
+    cols = [graph.index_of(v) for v in t_set]
+    needed = int(D[:, cols].min(axis=1).max())
     for m in m_grid:
         if m >= needed:
             return PoleReport(True, float(m), needed, base, len(peripheral))

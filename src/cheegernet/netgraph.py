@@ -292,18 +292,15 @@ def interior_vertices(net: NetGraph) -> list:
 def net_cheeger_estimate(
     net: NetGraph, work_limit: int = 1 << 20, seed: int = 0
 ) -> CheegerReport:
-    """Cheeger estimate of the net: ambient against the open rings when the
-    spec has them, else the plain finite graph constant."""
+    """Cheeger constant of the net: ambient against the open rings when the
+    spec has them, exact at every size by Dinkelbach min cuts (work_limit
+    and seed are unused then); else the plain finite graph constant with
+    at most half the vertices, exhaustive within work_limit subsets and a
+    seeded heuristic upper bound (exact=False) beyond."""
     interior = interior_vertices(net)
     if len(interior) == net.graph.n:
         return cheeger(net.graph, mode="finite_half", work_limit=work_limit, seed=seed)
-    return cheeger(
-        net.graph,
-        mode="ambient",
-        interior=interior,
-        work_limit=work_limit,
-        seed=seed,
-    )
+    return cheeger(net.graph, mode="ambient", interior=interior)
 
 
 # ---------------------------------------------------------------------------

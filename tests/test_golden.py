@@ -17,6 +17,12 @@ script from the repository root with that commit's `src` on the path:
 
     PYTHONPATH=src python tests/test_golden.py
 
+The six `{flute8,gen12,loop}.cheeger.{json,csv}.txt` files were rewritten
+the same way by the commit "Exact ambient Cheeger by Dinkelbach min cuts",
+which made ambient Cheeger exact: only `exact` (false to true) and the JSON
+`examined` (now the number of min-cut solves) changed; every value and
+witness stayed the same.
+
 Re-running it rewrites every expected file; a change that is meant to keep
 the output must leave `git status` clean afterwards.
 """

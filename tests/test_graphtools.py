@@ -1,18 +1,24 @@
 """Graph metric machinery against small brute-force oracles."""
 
 import itertools
+import json
 import math
 import random
+from collections import deque
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import cycle_graph, random_connected_graph, random_tree
-from cheegernet import families
+from cheegernet import cli, families, netgraph
 from cheegernet.graphtools import (
     Graph,
+    PoleReport,
+    UPReport,
     _base_delta,
+    _max_flow,
     biconnected_components,
     boundary_proxy,
     cheeger,
@@ -20,6 +26,7 @@ from cheegernet.graphtools import (
     gromov_product,
     has_pole,
     hyperbolicity_delta,
+    min_ratio_cut,
     ultrametric_defect,
     uniform_perfectness,
 )
@@ -296,6 +303,135 @@ class TestCheeger:
             cheeger(g, mode="ambient", interior=g.vertices())
 
 
+
+DYADIC_WEIGHTS = (0.5, 1.0, 1.25, 3.0)
+
+
+def cli_params() -> NetBuildParams:
+    """The net parameters of the command line's defaults."""
+    eps = ARCSINH_ONE / 2.0
+    return NetBuildParams(eps=eps, delta=0.9 * delta1(eps))
+
+
+def brute_ratio_cut(n: int, edges, pool):
+    """min cut(A)/|A| over nonempty A within pool on an edge list, exact."""
+    best, best_set = None, None
+    for r in range(1, len(pool) + 1):
+        for combo in itertools.combinations(sorted(pool), r):
+            inside = set(combo)
+            cut = sum(Fraction(w) for i, j, w in edges if (i in inside) != (j in inside))
+            val = cut / r
+            if best is None or val < best or (val == best and combo < best_set):
+                best, best_set = val, combo
+    return best, best_set
+
+
+class TestMaxFlow:
+    def test_matches_min_cut_enumeration(self):
+        """Flow value equals the least s-t cut over all vertex subsets, and
+        the flow is conserved at every other vertex."""
+        rng = random.Random(1956)
+        for _ in range(300):
+            n = rng.randint(2, 9)
+            s, t = 0, n - 1
+            adj, to, cap = [[] for _ in range(n)], [], []
+            for _ in range(rng.randint(0, 3 * n)):
+                u, v = rng.sample(range(n), 2)
+                for x, y in ((u, v), (v, u)):
+                    adj[x].append(len(to))
+                    to.append(y)
+                    cap.append(rng.choice([0, 1, 2, 7, 10**15 + 3]))
+            orig = list(cap)
+            _max_flow(adj, to, cap, s, t)
+            net = [0] * n
+            for e in range(0, len(to), 2):
+                assert cap[e] >= 0 and cap[e ^ 1] >= 0
+                f = orig[e] - cap[e]
+                assert f == cap[e ^ 1] - orig[e ^ 1]
+                net[to[e]] += f
+                net[to[e ^ 1]] -= f
+            assert all(net[v] == 0 for v in range(1, n - 1))
+            least = min(
+                sum(orig[e] for e in range(len(to))
+                    if to[e ^ 1] in side and to[e] not in side)
+                for r in range(n - 1)
+                for rest in itertools.combinations(range(1, n - 1), r)
+                for side in [{s, *rest}]
+            )
+            assert net[t] == least
+
+
+class TestExactAmbientCheeger:
+    """Ambient Cheeger by Dinkelbach iteration over s-t min cuts."""
+
+    def test_matches_brute_with_dyadic_weights_and_shuffled_interiors(self):
+        rng = random.Random(1967)
+        for _ in range(320):
+            n = rng.randint(3, 11)
+            shape = random_connected_graph(rng, n, rng.randint(0, n + 3))
+            g = Graph()
+            for v in shape.vertices():
+                g.add_vertex(v)
+            for u, v, _ in shape.edges():
+                g.add_edge(u, v, rng.choice(DYADIC_WEIGHTS))
+            interior = rng.sample(g.vertices(), rng.randint(1, n - 1))
+            rep = cheeger(g, mode="ambient", interior=interior)
+            want, want_set = brute_cheeger_ambient(g, interior)
+            assert rep.exact and rep.mode == "ambient" and rep.examined >= 1
+            assert rep.value == want
+            assert tuple(g.index_of(v) for v in rep.witness) == want_set
+
+    def test_edge_list_with_parallel_edges_and_loops(self):
+        rng = random.Random(1989)
+        for _ in range(150):
+            n = rng.randint(2, 9)
+            edges = [(rng.randrange(n), rng.randrange(n), rng.choice(DYADIC_WEIGHTS))
+                     for _ in range(rng.randint(0, 2 * n))]
+            pool = rng.sample(range(n), rng.randint(1, n))
+            rc = min_ratio_cut(n, edges, pool)
+            want, want_set = brute_ratio_cut(n, edges, pool)
+            assert rc.ratio == want
+            assert rc.members == want_set
+
+    @pytest.mark.parametrize("depth, value", [
+        (2, Fraction(18, 19)), (3, Fraction(18, 29)), (4, Fraction(9, 17)),
+        (5, Fraction(36, 73)), (6, Fraction(72, 151)),
+    ])
+    def test_pants_tree_values(self, depth, value):
+        net = build_net(families.pants_tree(depth), cli_params())
+        rep = netgraph.net_cheeger_estimate(net)
+        assert rep.exact and rep.mode == "ambient"
+        assert rep.value == float(value)
+
+    def test_every_bundled_instance_is_exact(self):
+        for path in families.bundled_families().values():
+            fam = families.load_family(path)
+            for v in range(fam.lo, fam.hi + 1):
+                net = build_net(fam.builder(v), cli_params())
+                assert len(netgraph.interior_vertices(net)) < net.graph.n
+                assert netgraph.net_cheeger_estimate(net).exact
+
+    def test_long_path_needs_no_recursion(self):
+        g = path_graph(3000)
+        rep = cheeger(g, mode="ambient", interior=list(range(1, 3000)))
+        assert rep.exact
+        assert rep.value == 1.0 / 2999.0
+        assert rep.witness == tuple(range(1, 3000))
+
+    def test_pool_without_sink_has_ratio_zero(self):
+        # nothing outside the pool: every union of components has cut 0;
+        # (0, 1) precedes (0, 1, 2, 3, 4), while interleaved components
+        # must be taken together, since (0, 1, 2, 3) precedes (0, 2)
+        rc = min_ratio_cut(5, [(0, 1, 1.0), (2, 3, 0.5), (3, 4, 3.0)], range(5))
+        assert rc.ratio == 0 and rc.members == (0, 1) and rc.solves == 1
+        rc = min_ratio_cut(4, [(0, 2, 1.0), (1, 3, 1.0)], range(4))
+        assert rc.members == (0, 1, 2, 3)
+
+    def test_empty_pool_rejected(self):
+        with pytest.raises(DomainError):
+            min_ratio_cut(3, [(0, 1, 1.0)], [])
+
+
 def brute_delta(g: Graph) -> float:
     D = g.distance_matrix()
     n = g.n
@@ -541,6 +677,112 @@ class TestUniformPerfectness:
             assert rep.s_value == passing[0]
 
 
+def loop_annulus_scales(dists, a, radius, eps0):
+    """The scale list of the per-point loop below."""
+    floor = a ** (-(radius - 1))
+    n = dists.shape[0]
+    iu = np.triu_indices(n, k=1)
+    realized = np.unique(dists[iu])
+    dmax = float(realized.max()) if realized.size else 0.0
+    scales = {float(r) for r in realized if floor <= r < dmax}
+    step = a**-0.5
+    e = eps0
+    while e >= floor:
+        if e < dmax:
+            scales.add(e)
+        e *= step
+    return sorted(scales, reverse=True), floor
+
+
+def loop_uniform_perfectness(dists, a=2.0, radius=8, s_grid=(1.5, 2.0, 3.0, 4.0, 6.0, 8.0),
+                             eps0_fractions=(1.0, 0.5, 0.25)):
+    """Oracle: the annulus test point by point and scale by scale, two
+    ndarray.any calls per point."""
+    n = dists.shape[0]
+    iu = np.triu_indices(n, k=1)
+    dmax = float(dists[iu].max())
+    table = []
+    best = None
+    floor_out = math.nan
+    for s in s_grid:
+        for frac in sorted(eps0_fractions, reverse=True):
+            eps0 = frac * dmax
+            scales, floor = loop_annulus_scales(dists, a, radius, eps0)
+            floor_out = floor
+            fail_eps = None
+            for eps in scales:
+                if eps > eps0:
+                    continue
+                lo = eps / s
+                for x in range(n):
+                    row = dists[x]
+                    if not bool((row > eps).any()):
+                        continue
+                    if not bool(((row > lo) & (row <= eps)).any()):
+                        fail_eps = eps
+                        break
+                if fail_eps is not None:
+                    break
+            ok = fail_eps is None and bool(scales)
+            table.append((s, eps0, ok, fail_eps))
+            if ok and best is None:
+                best = (s, eps0)
+            if ok:
+                break
+    passed = best is not None
+    return UPReport(
+        passed=passed,
+        s_value=best[0] if passed else None,
+        eps0=best[1] if passed else None,
+        reason="" if passed else "empty annulus at every tested S",
+        table=tuple(table),
+        n_points=n,
+        floor=floor_out,
+    )
+
+
+def net_proxy(spec):
+    net = build_net(spec, cli_params())
+    return net, boundary_proxy(net.graph, keep=lambda v: net.vertex_kind[v] == "net")
+
+
+class TestUniformPerfectnessOracle:
+    """The counting form of the annulus test against the per-point loop,
+    field for field and float for float."""
+
+    def test_random_matrices(self):
+        rng = random.Random(1806)
+        for _ in range(100):
+            n = rng.randint(3, 20)
+            a = rng.choice([1.5, 2.0, 3.0])
+            if rng.random() < 0.5:
+                vals = np.array([[rng.uniform(0.0, 1.0) for _ in range(n)] for _ in range(n)])
+            else:
+                vals = np.array([[a ** -rng.randint(0, 9) for _ in range(n)] for _ in range(n)])
+            d = np.triu(vals, k=1)
+            d = d + d.T
+            radius = rng.randint(3, 12)
+            s_grid = tuple(sorted(rng.sample([1.5, 2.0, 3.0, 4.0, 6.0, 8.0], rng.randint(1, 6))))
+            got = uniform_perfectness(d, a=a, radius=radius, s_grid=s_grid)
+            want = loop_uniform_perfectness(d, a=a, radius=radius, s_grid=s_grid)
+            assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("name", ["flute8", "gen12", "loop", "flute40", "pants_tree5"])
+    def test_net_proxies(self, name):
+        golden = Path(__file__).resolve().parent / "golden"
+        spec = {
+            "flute8": lambda: load_spec(families.bundled_path("flute8.json")),
+            "gen12": lambda: load_spec(golden / "gen12.json"),
+            "loop": lambda: load_spec(golden / "loop.json"),
+            "flute40": lambda: families.flute(40),
+            "pants_tree5": lambda: families.pants_tree(5),
+        }[name]()
+        _, proxy = net_proxy(spec)
+        got = uniform_perfectness(proxy.dists, a=proxy.a, radius=proxy.radius)
+        want = loop_uniform_perfectness(proxy.dists, a=proxy.a, radius=proxy.radius)
+        assert repr(got) == repr(want)
+
+
 def brute_geodesic_union(g: Graph, base, peripheral):
     """Enumerate all shortest paths explicitly via the BFS predecessor DAG."""
     out = set()
@@ -599,3 +841,69 @@ class TestPole:
     def test_empty_peripheral_rejected(self):
         with pytest.raises(DomainError):
             has_pole(path_graph(3), 0, [])
+
+
+def bfs_has_pole(g: Graph, base, peripheral, m_grid=(1, 2, 3, 4, 6, 8, 12)) -> PoleReport:
+    """Oracle: one BFS from the base and one per peripheral vertex for the
+    geodesic union, then a multi-source BFS from the union."""
+    dv = g.bfs_distances(base)
+    union = set()
+    for u in peripheral:
+        du = g.bfs_distances(u)
+        union.update(x for x, dx in dv.items() if dx + du[x] == dv[u])
+    dist = {x: 0 for x in union}
+    q = deque(sorted(union, key=g.index_of))
+    while q:
+        u = q.popleft()
+        for v in g.neighbors(u):
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                q.append(v)
+    needed = max(dist.values())
+    for m in m_grid:
+        if m >= needed:
+            return PoleReport(True, float(m), needed, base, len(peripheral))
+    return PoleReport(False, None, needed, base, len(peripheral))
+
+
+class TestPoleFromMatrix:
+    """Pole tests read the boundary command's one distance matrix."""
+
+    def test_random_graphs_match_bfs(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            n = rng.randint(3, 25)
+            g = random_connected_graph(rng, n, rng.randint(0, 6))
+            base = rng.randrange(n)
+            peripheral = rng.sample(range(n), rng.randint(1, 4))
+            D = g.distance_matrix()
+            assert repr(has_pole(g, base, peripheral, dmat=D)) == repr(bfs_has_pole(g, base, peripheral))
+            assert has_pole(g, base, peripheral) == has_pole(g, base, peripheral, dmat=D)
+
+    @pytest.mark.parametrize("name", ["flute8", "gen12", "loop", "flute40"])
+    def test_net_poles_match_bfs(self, name):
+        golden = Path(__file__).resolve().parent / "golden"
+        spec = {
+            "flute8": lambda: load_spec(families.bundled_path("flute8.json")),
+            "gen12": lambda: load_spec(golden / "gen12.json"),
+            "loop": lambda: load_spec(golden / "loop.json"),
+            "flute40": lambda: families.flute(40),
+        }[name]()
+        net, proxy = net_proxy(spec)
+        specials = sorted(net.special_w.values()) + sorted(net.special_v.values())
+        assert specials
+        got = has_pole(net.graph, proxy.base, specials, dmat=net.graph.distance_matrix())
+        assert repr(got) == repr(bfs_has_pole(net.graph, proxy.base, specials))
+
+    def test_boundary_command_builds_one_matrix(self, monkeypatch, capsys):
+        calls = []
+        original = Graph.distance_matrix
+
+        def counted(self, weighted=False):
+            calls.append(weighted)
+            return original(self, weighted)
+
+        monkeypatch.setattr(Graph, "distance_matrix", counted)
+        assert cli.main(["boundary", str(families.bundled_path("flute8.json"))]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["pole"] is not None
+        assert calls == [False]
