@@ -241,16 +241,10 @@ def _cmd_cheeger(args, eps, delta) -> int:
 
 def _cmd_hyperbolicity(args, eps, delta) -> int:
     spec = _load_spec(args.input)
-    net = netgraph.build_net(spec, _net_params(eps, delta))
-    if args.mode == "sampled":
-        rep = graphtools.hyperbolicity_delta(net.graph, exact_limit=0,
-                                             seed=args.seed)
-    elif args.mode in ("auto", "exact"):
-        limit = net.graph.n if args.mode == "exact" else 400
-        rep = graphtools.hyperbolicity_delta(net.graph, exact_limit=limit,
-                                             seed=args.seed)
-    else:
+    if args.mode not in ("auto", "exact"):
         raise DomainError(f"unknown hyperbolicity mode {args.mode!r}")
+    rep = graphtools.hyperbolicity_delta(
+        netgraph.build_net(spec, _net_params(eps, delta)).graph)
     if args.fmt == "csv":
         _emit_kv_csv({"delta": rep.delta, "exact": rep.exact,
                       "base_dependence": rep.base_dependence})

@@ -8,6 +8,8 @@ block-cut tree: BFS or Dijkstra runs only inside each biconnected block
 matrices across cut vertices.  Ratio cuts min cut(A)/|A| against a sink
 are exact, by Dinkelbach iteration over s-t min cuts from an iterative
 Dinic max flow in Python integers; ambient Cheeger constants use them.
+The four-point hyperbolicity constant is exact at every size: the largest
+over the same blocks, each scanned by far-apart pairs.
 numpy does the four-point scans, the annulus counts of the perfectness
 test and the subset enumerations of the size-capped Cheeger constant;
 single-source searches are plain BFS/Dijkstra.
@@ -279,145 +281,101 @@ class HyperbolicityReport:
         }
 
 
-def _four_point_block(D: np.ndarray, i: int, j: int):
-    """Per-quadruple defect matrix over k,l > j for fixed i < j.
-
-    Rows/cols index the vertices after j; entry (k,l) with k < l holds
-    (largest pairing sum - middle pairing sum)/2 for the quadruple
-    (i, j, j+1+k, j+1+l)."""
+def _four_point_block(D: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Doubled four-point defects for fixed i < j: entry (k, l) holds the
+    largest minus the middle pairing sum of the quadruple
+    (i, j, j+1+k, j+1+l), read for k < l."""
     sub = D[j + 1 :, j + 1 :]
-    s1 = float(D[i, j]) + sub
-    s2 = np.add.outer(D[i, j + 1 :], D[j, j + 1 :]).astype(s1.dtype)
+    s1 = D[i, j] + sub
+    s2 = np.add.outer(D[i, j + 1 :], D[j, j + 1 :])
     s3 = s2.T
     hi = np.maximum(np.maximum(s1, s2), s3)
     lo = np.minimum(np.minimum(s1, s2), s3)
-    mid = s1 + s2 + s3 - hi - lo
-    return (hi - mid) / 2.0
+    return 2 * hi + lo - s1 - s2 - s3
 
 
-def _base_delta(D: np.ndarray, o: int) -> float:
-    """max over x,y,z of min((x|z)_o, (z|y)_o) - (x|y)_o, in integers on
-    Q = 2*(.|.)_o, the doubled Gromov products at base o."""
-    Q = D[:, o][:, None] + D[o, :][None, :] - D
-    buf = np.empty_like(Q)
-    best = 0
-    for z in range(Q.shape[0]):
-        np.minimum(Q[:, z][:, None], Q[z, :][None, :], out=buf)
-        buf -= Q
-        best = max(best, int(buf.max()))
-    return best / 2.0
+def _first_witness(D: np.ndarray, best2: int) -> tuple:
+    """Lexicographically first quadruple with doubled defect best2."""
+    n = D.shape[0]
+    for i in range(n - 3):
+        for j in range(i + 1, n - 2):
+            ks, ls = np.nonzero(np.triu(_four_point_block(D, i, j) == best2, k=1))
+            if ks.size:
+                return (i, j, j + 1 + int(ks[0]), j + 1 + int(ls[0]))
+    raise AssertionError("no quadruple attains the scanned delta")
 
 
-def _far_apart_pairs(graph: Graph, D: np.ndarray):
-    """Pairs x < y with no neighbour of x farther from y and no neighbour of
-    y farther from x, ordered by decreasing distance, then lexicographically."""
+def _far_apart_scan(nbrs: list[list[int]], D: np.ndarray) -> tuple[int, int]:
+    """Doubled delta of a connected graph and the quadruples evaluated, by
+    the far-apart-pair scan.  Far-apart pairs x < y (no neighbour of x
+    farther from y, no neighbour of y farther from x) are taken by
+    decreasing distance, then lexicographically; each is checked against
+    every earlier pair until its distance is at most 2*delta."""
     near = np.empty(D.shape, dtype=bool)
-    for x, v in enumerate(graph.vertices()):
-        nbrs = [graph.index_of(u) for u in graph.neighbors(v)]
-        near[x] = D[nbrs].max(axis=0) <= D[x]
+    for x, row in enumerate(nbrs):
+        near[x] = D[row].max(axis=0) <= D[x]
     xs, ys = np.nonzero(np.triu(near & near.T, k=1))
     keep = np.argsort(-D[xs, ys], kind="stable")
-    return xs[keep], ys[keep]
+    xs, ys = xs[keep], ys[keep]
+    best2 = 0
+    quadruples = 0
+    for p in range(1, len(xs)):
+        x, y = xs[p], ys[p]
+        d = int(D[x, y])
+        if d <= best2:
+            break
+        v, w = xs[:p], ys[:p]
+        mid = np.maximum(D[x, v] + D[y, w], D[x, w] + D[y, v])
+        best2 = max(best2, int((d + D[v, w] - mid).max()))
+        quadruples += p
+    return best2, quadruples
 
 
-def hyperbolicity_delta(
-    graph: Graph,
-    exact_limit: int = 400,
-    sample_count: int = 1_000_000,
-    seed: int = 0,
-    base_samples: int = 8,
-) -> HyperbolicityReport:
-    """Four-point hyperbolicity constant of a connected graph.
+def hyperbolicity_delta(graph: Graph) -> HyperbolicityReport:
+    """Exact four-point hyperbolicity constant of a connected graph.
 
-    Up to exact_limit vertices delta is exact, by the far-apart-pair scan of
-    Cohen, Coudert and Lancin ("On computing the Gromov hyperbolicity", ACM
-    JEA 2015): pairs by decreasing distance, each against all earlier ones,
-    until that distance is at most 2*delta; quadruples counts the quadruples
-    it evaluated.  The witness is the lexicographically first quadruple
-    attaining delta.  Above exact_limit a seeded random sample of
-    sample_count quadruples gives a lower bound.  base_dependence is the
-    largest base-point delta, max over x, y, z of
-    min((x|z)_w, (z|y)_w) - (x|y)_w at base w.  Twice that difference is
-    d(x,y) + d(z,w) - max(d(x,z) + d(y,w), d(x,w) + d(y,z)), so no base
-    exceeds delta and each witness vertex attains it: exact runs report
-    delta itself, sampled runs the largest over the witness quadruple plus
-    base_samples sampled bases.
+    A shortest path between two vertices of one biconnected block stays in
+    that block, so delta is the largest delta of the blocks; blocks of
+    fewer than four vertices have delta 0.  Each block is scanned on its
+    own slice of the distance matrix and its own neighbour lists by the
+    far-apart-pair method of Cohen, Coudert and Lancin ("On computing the
+    Gromov hyperbolicity", ACM JEA 2015); quadruples is the number of
+    quadruples those scans evaluated, summed over the blocks.  The witness
+    is the lexicographically first quadruple (in canonical vertex order)
+    that lies in one block and attains delta, or the first four vertices
+    when delta is 0.  base_dependence is the largest base-point delta,
+    max over x, y, z of min((x|z)_w, (z|y)_w) - (x|y)_w at base w.  Twice
+    that difference is d(x,y) + d(z,w) - max(d(x,z) + d(y,w),
+    d(x,w) + d(y,z)), so no base exceeds delta and each witness vertex
+    attains it: it equals delta.
     """
-    n = graph.n
     order = graph.vertices()
-    if n < 4:
-        wit = tuple(order[: min(4, n)])
-        return HyperbolicityReport(0.0, wit, True, 0.0, 0)
+    if graph.n < 4:
+        return HyperbolicityReport(0.0, tuple(order), True, 0.0, 0)
     D = graph.distance_matrix()
-    Df = D.astype(np.float64)
-    rng = random.Random(seed)
-
-    if n <= exact_limit:
-        xs, ys = _far_apart_pairs(graph, D)
-        best2 = 0
-        quadruples = 0
-        for p in range(1, len(xs)):
-            x, y = xs[p], ys[p]
-            d = int(D[x, y])
-            if d <= best2:
-                break
-            v, w = xs[:p], ys[:p]
-            mid = np.maximum(D[x, v] + D[y, w], D[x, w] + D[y, v])
-            best2 = max(best2, int((d + D[v, w] - mid).max()))
-            quadruples += p
-        best = best2 / 2.0
-        witness = None
-        for i in range(n - 3):
-            if witness is not None:
-                break
-            for j in range(i + 1, n - 2):
-                blk = _four_point_block(Df, i, j)
-                m = blk.shape[0]
-                hit = None
-                for k in range(m - 1):
-                    row = blk[k, k + 1 :]
-                    idx = np.nonzero(row == best)[0]
-                    if idx.size:
-                        hit = (k, k + 1 + int(idx[0]))
-                        break
-                if hit is not None:
-                    witness = (i, j, j + 1 + hit[0], j + 1 + hit[1])
-                    break
-        assert witness is not None
-        exact = True
-        base_dep = best
-    else:
-        batch = 100_000
-        remaining = sample_count
-        best = 0.0
-        witness = (0, 1, 2, 3)
-        np_rng = np.random.default_rng(rng.randrange(2**63))
-        while remaining > 0:
-            b = min(batch, remaining)
-            remaining -= b
-            q = np_rng.integers(0, n, size=(b, 4))
-            s1 = Df[q[:, 0], q[:, 1]] + Df[q[:, 2], q[:, 3]]
-            s2 = Df[q[:, 0], q[:, 2]] + Df[q[:, 1], q[:, 3]]
-            s3 = Df[q[:, 0], q[:, 3]] + Df[q[:, 1], q[:, 2]]
-            hi = np.maximum(np.maximum(s1, s2), s3)
-            lo = np.minimum(np.minimum(s1, s2), s3)
-            mid = s1 + s2 + s3 - hi - lo
-            vals = (hi - mid) / 2.0
-            k = int(vals.argmax())
-            if float(vals[k]) > best:
-                best = float(vals[k])
-                witness = tuple(sorted(int(x) for x in q[k]))
-        quadruples = sample_count
-        exact = False
-        bases = list(witness)
-        pool = [i for i in range(n) if i not in set(witness)]
-        bases += rng.sample(pool, min(base_samples, len(pool)))
-        base_dep = max(_base_delta(D, o) for o in bases)
+    index = graph._index
+    nbrs = [[index[u] for u in adj] for adj in graph._adj.values()]
+    scans = []
+    quadruples = 0
+    for block in biconnected_components(graph):
+        if len(block) < 4:
+            continue
+        local = {v: k for k, v in enumerate(block)}
+        sub = D[np.ix_(block, block)]
+        best2, count = _far_apart_scan(
+            [[local[u] for u in nbrs[v] if u in local] for v in block], sub)
+        scans.append((best2, block, sub))
+        quadruples += count
+    best2 = max((scan[0] for scan in scans), default=0)
+    witness = (0, 1, 2, 3)
+    if best2:
+        witness = min(tuple(block[k] for k in _first_witness(sub, best2))
+                      for b2, block, sub in scans if b2 == best2)
     return HyperbolicityReport(
-        delta=best,
+        delta=best2 / 2.0,
         witness=tuple(order[i] for i in witness),
-        exact=exact,
-        base_dependence=base_dep,
+        exact=True,
+        base_dependence=best2 / 2.0,
         quadruples=quadruples,
     )
 

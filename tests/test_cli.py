@@ -137,11 +137,19 @@ class TestDeterminism:
                               "--format", "csv")
         assert out1 == out2
 
-    def test_hyperbolicity_sampled_stable(self, capsys):
-        args = ("hyperbolicity", FLUTE8, "--mode", "sampled", "--seed", "3")
-        _, out1, _ = run_main(capsys, *args)
-        _, out2, _ = run_main(capsys, *args)
+    def test_hyperbolicity_stable(self, capsys):
+        code1, out1, _ = run_main(capsys, "hyperbolicity", FLUTE8)
+        code2, out2, _ = run_main(capsys, "hyperbolicity", FLUTE8)
+        assert code1 == code2 == 0
+        assert json.loads(out1)["exact"] is True
         assert out1 == out2
+
+    def test_hyperbolicity_sampled_mode_rejected(self, capsys):
+        code, out, err = run_main(capsys, "hyperbolicity", FLUTE8,
+                                  "--mode", "sampled", "--seed", "3")
+        assert code == 3
+        assert out == ""
+        assert "unknown hyperbolicity mode 'sampled'" in err
 
 
 class TestCommands:
