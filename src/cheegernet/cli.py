@@ -3,18 +3,16 @@
 Exit codes: 0 success, 2 input or spec validation failure, 3 parameter
 failure (tolerance/scale arguments outside their admissible ranges).
 `isoperimetry` and `sweep` take h_g and the regularity constant of each spec
-from one enumeration pass (`isoperimetry.domain_reports`).
-CHEEGERNET_THREADS > 1 maps that pass over a family's specs, built in this
-process, in a pool of that many worker processes.
+from one enumeration pass (`isoperimetry.domain_reports`); a sweep runs it
+for the family's instances one after another.  Spec commands read their
+input with `surface.load_spec`; `validate` and `sweep` read the JSON first
+to tell spec and family files apart.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import itertools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -54,17 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _threads() -> int:
-    raw = os.environ.get("CHEEGERNET_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise DomainError(f"CHEEGERNET_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise DomainError(f"CHEEGERNET_THREADS must be >= 1, got {n}")
-    return n
-
-
 def _resolve_scales(args) -> tuple[float, float]:
     eps = EPS_DEFAULT if args.eps is None else args.eps
     delta = check_delta(eps, 0.9 * delta1(eps) if args.delta is None else args.delta)
@@ -93,13 +80,6 @@ def _load_json(path: str):
 
 def _is_family(doc) -> bool:
     return isinstance(doc, dict) and ("family" in doc or "param" in doc)
-
-
-def _load_spec(path: str) -> surface.SurfaceSpec:
-    doc = _load_json(path)
-    if _is_family(doc):
-        raise SpecError(f"{path} is a family file; this command needs a spec")
-    return surface.spec_from_dict(doc)
 
 
 def _net_params(eps, delta) -> netgraph.NetBuildParams:
@@ -133,7 +113,7 @@ def _cmd_validate(args, eps, delta) -> int:
 
 
 def _cmd_thickthin(args, eps, delta) -> int:
-    spec = _load_spec(args.input)
+    spec = surface.load_spec(args.input)
     tt = surface.thick_thin(spec, eps)
     thin_idx = set(tt.thin_indices())
     out = {
@@ -166,16 +146,11 @@ def _cmd_thickthin(args, eps, delta) -> int:
 
 
 def _cmd_isoperimetry(args, eps, delta) -> int:
-    spec = _load_spec(args.input)
-    mode = "exact" if args.mode == "auto" else args.mode
-    if mode not in ("exact", "parametric"):
-        raise DomainError(f"unknown isoperimetry mode {mode!r}")
+    spec = surface.load_spec(args.input)
+    if args.mode not in ("auto", "exact"):
+        raise DomainError(f"unknown isoperimetry mode {args.mode!r}")
     iso, reg = isoperimetry.domain_reports(spec, delta,
                                            max_pieces=args.max_pieces)
-    if mode == "parametric":
-        iso = isoperimetry.h_g_parametric(
-            spec, seed=args.seed, max_pieces=args.max_pieces
-        )
     out = iso.to_dict()
     out["regularity"] = reg.to_dict()
     out["h_lower_bound"] = isoperimetry.cheeger_lower_bound(iso.h_g)
@@ -189,7 +164,7 @@ def _cmd_isoperimetry(args, eps, delta) -> int:
 
 
 def _cmd_net(args, eps, delta) -> int:
-    spec = _load_spec(args.input)
+    spec = surface.load_spec(args.input)
     net = netgraph.build_net(spec, _net_params(eps, delta))
     tags = netgraph.net_tags(net)
     g = net.graph
@@ -221,7 +196,7 @@ def _max_curve_length(spec: surface.SurfaceSpec) -> float:
 
 
 def _cmd_cheeger(args, eps, delta) -> int:
-    spec = _load_spec(args.input)
+    spec = surface.load_spec(args.input)
     net = netgraph.build_net(spec, _net_params(eps, delta))
     if args.mode == "auto":
         rep = netgraph.net_cheeger_estimate(net, seed=args.seed)
@@ -240,7 +215,7 @@ def _cmd_cheeger(args, eps, delta) -> int:
 
 
 def _cmd_hyperbolicity(args, eps, delta) -> int:
-    spec = _load_spec(args.input)
+    spec = surface.load_spec(args.input)
     if args.mode not in ("auto", "exact"):
         raise DomainError(f"unknown hyperbolicity mode {args.mode!r}")
     rep = graphtools.hyperbolicity_delta(
@@ -254,7 +229,7 @@ def _cmd_hyperbolicity(args, eps, delta) -> int:
 
 
 def _cmd_boundary(args, eps, delta) -> int:
-    spec = _load_spec(args.input)
+    spec = surface.load_spec(args.input)
     net = netgraph.build_net(spec, _net_params(eps, delta))
     dmat = net.graph.distance_matrix()
     proxy = graphtools.boundary_proxy(
@@ -286,7 +261,7 @@ def _cmd_boundary(args, eps, delta) -> int:
 
 
 def _cmd_qi(args, eps, delta) -> int:
-    spec = _load_spec(args.input)
+    spec = surface.load_spec(args.input)
     params = _net_params(eps, delta)
     net = netgraph.build_net(spec, params)
     mesh, vmap, _kinds = netgraph.build_quotient_mesh(spec, params)
@@ -304,20 +279,7 @@ def _cmd_sweep(args, eps, delta) -> int:
     if not _is_family(doc):
         raise SpecError(f"{args.input} is not a family file")
     fam = families.load_family(doc, Path(args.input).stem)
-    threads = _threads()
-    if threads > 1:
-        values = list(fam.values())
-        specs = [fam.instance(v) for v in values]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as ex:
-            reports = list(ex.map(isoperimetry.domain_reports, specs,
-                                  itertools.repeat(delta),
-                                  itertools.repeat(args.max_pieces)))
-        report = isoperimetry.family_report(
-            fam.name, [(v, *r) for v, r in zip(values, reports)]
-        )
-    else:
-        report = isoperimetry.lii_verdict(fam, eps, delta,
-                                          max_pieces=args.max_pieces)
+    report = isoperimetry.lii_verdict(fam, eps, delta, max_pieces=args.max_pieces)
     if args.fmt == "csv":
         sys.stdout.write(isoperimetry.family_csv(report))
     else:
@@ -344,7 +306,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         eps, delta = _resolve_scales(args)
-        _threads()
         if args.fmt == "dot" and args.command not in _DOT_OK:
             raise DomainError(
                 f"--format dot is only available for: {sorted(_DOT_OK)}"

@@ -22,7 +22,6 @@ Division by zero counts follows the x/0 = +inf convention.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 from .hypmath import DomainError, check_delta
@@ -45,14 +44,12 @@ __all__ = [
     "FamilyReport",
     "domain_reports",
     "h_g_exact",
-    "h_g_parametric",
     "regularity_constant",
     "boundary_split",
     "cheeger_lower_bound",
     "fit_loglog",
     "is_decaying",
     "lii_verdict",
-    "family_report",
     "family_csv",
     "CSV_HEADER",
 ]
@@ -188,110 +185,6 @@ def h_g_exact(spec: SurfaceSpec, max_pieces: int = 12) -> IsoperimetricReport:
     return _exact_report(spec, max_pieces, h_g, best, examined)
 
 
-def _is_connected_subset(members: frozenset[int], nbrs) -> bool:
-    it = iter(members)
-    start = next(it)
-    seen = {start}
-    stack = [start]
-    while stack:
-        p = stack.pop()
-        for q in nbrs[p]:
-            if q in members and q not in seen:
-                seen.add(q)
-                stack.append(q)
-    return len(seen) == len(members)
-
-
-def h_g_parametric(
-    spec: SurfaceSpec,
-    budget: int = 20,
-    seed: int = 0,
-    max_pieces: int | None = None,
-) -> IsoperimetricReport:
-    """Heuristic isoperimetric minimum by Dinkelbach iteration.
-
-    Each restart grows a random connected seed set, then alternates between
-    minimizing L(boundary) - lam*area over single-piece moves (adds of an
-    adjacent piece, connectivity-preserving removals) and re-setting lam to
-    the current ratio.  Not a certified bound; never better than the true
-    minimum over the same size range.
-    """
-    require_valid(spec)
-    cap = spec.pieces if max_pieces is None else min(max_pieces, spec.pieces)
-    if cap < 1:
-        raise DomainError(f"max_pieces must be >= 1, got {max_pieces}")
-    rng = random.Random(seed)
-    index = pieces_index(spec)
-    nbrs = index.neighbours
-
-    def length_of(members: tuple[int, ...]) -> float:
-        return _boundary_sums(index, members, math.inf)[0]
-
-    def ratio_of(members: tuple[int, ...]) -> float:
-        return length_of(members) / (2.0 * math.pi * len(members))
-
-    def objective(members: tuple[int, ...], lam: float) -> float:
-        return length_of(members) - lam * (2.0 * math.pi * len(members))
-
-    def neighbors_of(state: frozenset[int]):
-        adds = sorted(
-            {q for p in state for q in nbrs[p] if q not in state}
-        ) if len(state) < cap else []
-        for q in adds:
-            yield state | {q}
-        if len(state) > 1:
-            for p in sorted(state):
-                cand = state - {p}
-                if _is_connected_subset(cand, nbrs):
-                    yield cand
-
-    best_ratio = math.inf
-    best_members: tuple[int, ...] | None = None
-    examined = 0
-    for _ in range(max(1, budget)):
-        start = rng.randrange(spec.pieces)
-        state = frozenset({start})
-        for _ in range(rng.randrange(cap)):
-            frontier = sorted({q for p in state for q in nbrs[p] if q not in state})
-            if not frontier or len(state) >= cap:
-                break
-            state = state | {rng.choice(frontier)}
-
-        lam = ratio_of(tuple(sorted(state)))
-        for _ in range(200):
-            # Steepest descent on the Dinkelbach objective at fixed lam.
-            moved = True
-            while moved:
-                moved = False
-                cur = objective(tuple(sorted(state)), lam)
-                best_move, best_val = None, cur
-                for cand in neighbors_of(state):
-                    examined += 1
-                    val = objective(tuple(sorted(cand)), lam)
-                    if val < best_val - 1e-15:
-                        best_move, best_val = cand, val
-                if best_move is not None:
-                    state = best_move
-                    moved = True
-            new_lam = ratio_of(tuple(sorted(state)))
-            if new_lam >= lam - 1e-15:
-                break
-            lam = new_lam
-        members = tuple(sorted(state))
-        r = ratio_of(members)
-        if r < best_ratio or (r == best_ratio and members < best_members):
-            best_ratio = r
-            best_members = members
-    assert best_members is not None
-    return IsoperimetricReport(
-        h_g=best_ratio,
-        best_domain=domain_from_pieces(spec, best_members),
-        lower_bound_certified=False,
-        method="parametric",
-        examined=examined,
-    )
-
-
 def boundary_split(domain: GeodesicDomain, delta: float) -> tuple[float, int]:
     """(total length of boundary components with length >= delta,
     count of boundary components with length < delta)."""
@@ -413,16 +306,9 @@ def lii_verdict(
     vals = sorted(values) if values is not None else list(family.values())
     if not vals:
         raise DomainError("family sweep needs at least one parameter value")
-    results = [(v, *domain_reports(family.instance(v), delta, max_pieces)) for v in vals]
-    return family_report(family.name, results)
-
-
-def family_report(name: str, results) -> FamilyReport:
-    """Assemble a FamilyReport from per-instance (param, iso, reg) triples,
-    already sorted by param."""
-    params = [v for v, _, _ in results]
-    hgs = [iso.h_g for _, iso, _ in results]
-    decaying, slope, r2 = is_decaying(params, hgs)
+    reports = [domain_reports(family.instance(v), delta, max_pieces) for v in vals]
+    hgs = [iso.h_g for iso, _ in reports]
+    decaying, slope, r2 = is_decaying(vals, hgs)
     verdict = "no_LII_evidence" if decaying else "has_LII_evidence"
     rows = tuple(
         FamilyRow(
@@ -432,10 +318,10 @@ def family_report(name: str, results) -> FamilyReport:
             worst_c=reg.worst_c,
             verdict=verdict,
         )
-        for v, iso, reg in results
+        for v, (iso, reg) in zip(vals, reports)
     )
     return FamilyReport(
-        name=name,
+        name=family.name,
         verdict=verdict,
         rows=rows,
         slope=slope,

@@ -529,7 +529,7 @@ def spec_to_dict(spec: SurfaceSpec) -> dict:
 def load_spec(source: str | Path | dict) -> SurfaceSpec:
     if isinstance(source, dict):
         return spec_from_dict(source)
-    text = Path(source).read_text()
+    text = Path(source).read_text(encoding="utf-8")
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

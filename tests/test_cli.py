@@ -80,11 +80,6 @@ class TestExitCodes:
         code, _, err = run_main(capsys, "net", FLUTE8, "--delta", "0.5")
         assert code == 3
 
-    def test_bad_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CHEEGERNET_THREADS", "zebra")
-        code, _, err = run_main(capsys, "validate", FLUTE8)
-        assert code == 3
-
     def test_dot_limited_to_net(self, capsys):
         code, _, err = run_main(capsys, "isoperimetry", FLUTE8,
                                 "--format", "dot")
@@ -173,10 +168,11 @@ class TestCommands:
         assert 0.0 < doc["h_lower_bound"] < doc["h_g"]
 
     def test_isoperimetry_parametric_mode(self, capsys):
-        code, out, _ = run_main(capsys, "isoperimetry", FLUTE8,
-                                "--mode", "parametric")
-        assert code == 0
-        assert json.loads(out)["method"] == "parametric"
+        code, out, err = run_main(capsys, "isoperimetry", FLUTE8,
+                                  "--mode", "parametric")
+        assert code == 3
+        assert out == ""
+        assert "unknown isoperimetry mode 'parametric'" in err
 
     def test_net_formats(self, capsys):
         code, out, _ = run_main(capsys, "net", FLUTE8)
@@ -237,17 +233,6 @@ class TestCommands:
         doc = json.loads(out)
         assert doc["family"] == "flute"
         assert len(doc["rows"]) == 4
-
-
-class TestParallelSweep:
-    def test_threads_match_serial(self, capsys, tiny_family_file, monkeypatch):
-        monkeypatch.setenv("CHEEGERNET_THREADS", "1")
-        _, serial, _ = run_main(capsys, "sweep", tiny_family_file,
-                                "--format", "csv")
-        monkeypatch.setenv("CHEEGERNET_THREADS", "2")
-        _, parallel, _ = run_main(capsys, "sweep", tiny_family_file,
-                                  "--format", "csv")
-        assert serial == parallel
 
 
 class TestInstalledEntryPoint:

@@ -17,7 +17,6 @@ from cheegernet.isoperimetry import (
     family_csv,
     fit_loglog,
     h_g_exact,
-    h_g_parametric,
     is_decaying,
     lii_verdict,
     regularity_constant,
@@ -83,28 +82,21 @@ class TestExact:
         rep = h_g_exact(spec, max_pieces=6)
         assert rep.best_domain.piece_set == (0, 1, 2, 3, 4, 5)
 
-
-class TestParametric:
-    def test_never_beats_exact_and_mostly_ties(self):
-        rng = random.Random(29)
-        ties = 0
-        total = 0
-        for _ in range(30):
-            spec = random_spec(rng, max_pieces=9)
-            exact = h_g_exact(spec, max_pieces=spec.pieces)
-            para = h_g_parametric(spec, budget=12, seed=1)
-            assert para.h_g >= exact.h_g - 1e-12
-            total += 1
-            if para.h_g <= exact.h_g + 1e-12:
-                ties += 1
-        assert ties >= 0.9 * total, f"parametric matched only {ties}/{total}"
-
-    def test_deterministic(self):
-        spec = families.shrinking_flute(7)
-        a = h_g_parametric(spec, budget=8, seed=5)
-        b = h_g_parametric(spec, budget=8, seed=5)
-        assert a.h_g == b.h_g
-        assert a.best_domain.piece_set == b.best_domain.piece_set
+    def test_tie_break_keeps_the_connected_witness(self):
+        # {0, 5} and {0, 2, 5} both attain 1/(2*pi); {0, 2, 5} is not
+        # connected ({2} is a separate component of ratio 1/(2*pi)), so an
+        # optimal set taken from a min cut must be cut down to the
+        # component holding the first piece to give this witness.
+        spec = make_spec(
+            6,
+            [((0, 0), (5, 0), 1.0), ((0, 2), (1, 0), 1.0), ((5, 2), (4, 0), 1.0),
+             ((2, 0), (3, 0), 1.0), ((1, 1), (3, 1), 8.0), ((3, 2), (4, 1), 8.0)],
+            cusps=[(0, 1), (2, 1), (2, 2), (5, 1)],
+            opens=[((1, 2), 50.0), ((4, 2), 50.0)],
+        )
+        rep = h_g_exact(spec, max_pieces=6)
+        assert rep.h_g == 1.0 / (2.0 * math.pi)
+        assert rep.best_domain.piece_set == (0, 5)
 
 
 def brute_domain_reports(spec, delta, max_pieces):
