@@ -48,7 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="command-specific mode selector")
     p.add_argument("--format", default="json", choices=["json", "csv", "dot"],
                    dest="fmt")
-    p.add_argument("--seed", type=int, default=0)
     return p
 
 
@@ -199,11 +198,10 @@ def _cmd_cheeger(args, eps, delta) -> int:
     spec = surface.load_spec(args.input)
     net = netgraph.build_net(spec, _net_params(eps, delta))
     if args.mode == "auto":
-        rep = netgraph.net_cheeger_estimate(net, seed=args.seed)
+        rep = netgraph.net_cheeger_estimate(net)
     elif args.mode in ("finite_half", "ambient"):
         interior = netgraph.interior_vertices(net) if args.mode == "ambient" else None
-        rep = graphtools.cheeger(net.graph, mode=args.mode, interior=interior,
-                                 seed=args.seed)
+        rep = graphtools.cheeger(net.graph, mode=args.mode, interior=interior)
     else:
         raise DomainError(f"unknown cheeger mode {args.mode!r}")
     out = rep.to_dict()
@@ -318,7 +316,7 @@ def main(argv=None) -> int:
     except DomainError as e:
         print(f"cheegernet: parameter error: {e}", file=sys.stderr)
         return EXIT_PARAM
-    except (SpecError, json.JSONDecodeError) as e:
+    except (SpecError, json.JSONDecodeError, UnicodeDecodeError) as e:
         print(f"cheegernet: invalid input: {e}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as e:

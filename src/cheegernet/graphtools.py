@@ -7,7 +7,9 @@ block-cut tree: BFS or Dijkstra runs only inside each biconnected block
 (found by an iterative Hopcroft-Tarjan search), and numpy adds the blocks'
 matrices across cut vertices.  Ratio cuts min cut(A)/|A| against a sink
 are exact, by Dinkelbach iteration over s-t min cuts from an iterative
-Dinic max flow in Python integers; ambient Cheeger constants use them.
+Dinic max flow in Python integers; ambient Cheeger constants use them,
+and so does the size-capped constant's upper bound on graphs too large to
+enumerate, over the two halves of the Fiedler order.
 The four-point hyperbolicity constant is exact at every size: the largest
 over the same blocks, each scanned by far-apart pairs.
 numpy does the four-point scans, the annulus counts of the perfectness
@@ -20,7 +22,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -431,66 +432,12 @@ def _mask_to_tuple(mask: int, subset_indices) -> tuple:
     return tuple(out)
 
 
-def _fiedler_order(graph: Graph) -> list[int]:
-    n = graph.n
-    adj = np.zeros((n, n))
-    for u, v, w in graph.edges():
-        iu, iv = graph.index_of(u), graph.index_of(v)
-        adj[iu, iv] = w
-        adj[iv, iu] = w
+def _fiedler_order(adj: np.ndarray) -> list[int]:
+    """Vertex indices sorted by the Fiedler vector of the weighted
+    adjacency matrix adj, ties toward the smaller index."""
     lap = np.diag(adj.sum(axis=1)) - adj
-    vals, vecs = np.linalg.eigh(lap)
-    fiedler = vecs[:, 1]
-    return sorted(range(n), key=lambda i: (fiedler[i], i))
-
-
-def _sweep_candidates(graph: Graph, allowed: set[int], size_cap: int):
-    """Prefix cuts along the Fiedler order, both directions, restricted to
-    allowed vertices."""
-    order = graph.vertices()
-    idx_nbrs = [
-        [graph.index_of(u) for u in graph.neighbors(v)] for v in order
-    ]
-    forward = _fiedler_order(graph)
-    for seq in (forward, list(reversed(forward))):
-        members: set[int] = set()
-        cut = 0.0
-        for i in seq:
-            if i not in allowed:
-                continue
-            v = order[i]
-            for jn, u in zip(idx_nbrs[i], graph.neighbors(v)):
-                w = graph.weight(v, u)
-                cut += -w if jn in members else w
-            members.add(i)
-            if members and len(members) <= size_cap:
-                yield cut, len(members), tuple(sorted(members))
-
-
-def _blob_candidates(graph: Graph, allowed: set[int], size_cap: int, rng, count=50):
-    order = graph.vertices()
-    allowed_sorted = sorted(allowed)
-    idx_nbrs = {
-        i: [graph.index_of(u) for u in graph.neighbors(order[i])] for i in allowed
-    }
-    for _ in range(count):
-        start = rng.choice(allowed_sorted)
-        target = rng.randrange(1, max(2, size_cap + 1))
-        members = {start}
-        frontier = [j for j in idx_nbrs[start] if j in allowed]
-        while len(members) < target and frontier:
-            j = frontier.pop(rng.randrange(len(frontier)))
-            if j in members:
-                continue
-            members.add(j)
-            frontier.extend(k for k in idx_nbrs[j] if k in allowed and k not in members)
-        cut = 0.0
-        for i in members:
-            v = order[i]
-            for jn, u in zip(idx_nbrs[i], graph.neighbors(v)):
-                if jn not in members:
-                    cut += graph.weight(v, u)
-        yield cut, len(members), tuple(sorted(members))
+    fiedler = np.linalg.eigh(lap)[1][:, 1]
+    return sorted(range(len(adj)), key=lambda i: (fiedler[i], i))
 
 
 @dataclass(frozen=True)
@@ -720,25 +667,29 @@ def cheeger(
     mode: str = "finite_half",
     interior=None,
     work_limit: int = 1 << 20,
-    seed: int = 0,
 ) -> CheegerReport:
     """Edge Cheeger constant: min over vertex sets A of cut(A)/|A|.
 
-    finite_half ranges A over all subsets with |A| <= n/2.  Enumeration is
-    exhaustive while 2^n stays within work_limit; beyond that a Fiedler
-    sweep plus seeded random blobs gives an upper bound flagged
-    exact=False.  The size cap makes this problem NP-hard in general.
-    examined counts the sets evaluated.
+    finite_half ranges A over all subsets with |A| <= n/2; the size cap
+    makes this problem NP-hard in general.  Enumeration is exhaustive
+    while 2^n stays within work_limit, with examined counting the sets
+    evaluated.  Beyond that the value is an upper bound flagged
+    exact=False: :func:`min_ratio_cut` runs once with the first n//2
+    vertices of the Fiedler order as its pool and once with the last n//2,
+    and the smaller result is reported, with examined counting the min-cut
+    solves.  Every set a pool allows has at most n/2 vertices, and every
+    prefix of a Fiedler sweep of at most n/2 vertices lies in one pool, so
+    the bound is never above the best such prefix.
 
     ambient ranges A over subsets of a marked interior while the cut is
     still measured in the whole graph; no size cap, matching the
     exhaustion of a space with designated outer edge.  It is solved
     exactly at every size by :func:`min_ratio_cut` (Dinkelbach iteration
     over s-t min cuts), with examined counting the min-cut solves; it
-    ignores work_limit and seed.
+    ignores work_limit.
 
     The witness is the lexicographically smallest sorted index tuple among
-    the optimal sets (among the candidates, for the heuristic).
+    the optimal sets (among the two pools' optimal sets, for the bound).
     """
     n = graph.n
     if n < 2:
@@ -746,6 +697,8 @@ def cheeger(
     if not graph.is_connected():
         raise DomainError("cheeger of a disconnected graph")
     order = graph.vertices()
+    index = graph._index
+    edges = [(index[u], index[v], w) for u, v, w in graph.edges()]
     if mode == "ambient":
         if interior is None:
             raise DomainError("ambient mode needs an interior vertex set")
@@ -754,63 +707,53 @@ def cheeger(
             raise DomainError("ambient interior is empty")
         if len(pool) == n:
             raise DomainError("ambient interior must exclude some vertex")
-        index = graph._index
-        rc = min_ratio_cut(n, ((index[u], index[v], w) for u, v, w in graph.edges()), pool)
-        return CheegerReport(
-            value=float(rc.ratio),
-            witness=tuple(order[i] for i in rc.members),
-            exact=True,
-            mode=mode,
-            examined=rc.solves,
-        )
-    if mode != "finite_half":
+        cuts = [min_ratio_cut(n, edges, pool)]
+    elif mode != "finite_half":
         raise DomainError(f"unknown cheeger mode {mode!r}")
+    else:
+        adj = np.zeros((n, n))
+        for i, j, w in edges:
+            adj[i, j] = adj[j, i] = w
+        if (1 << n) <= work_limit:
+            return _enumerated_cheeger(adj, order)
+        forward = _fiedler_order(adj)
+        half = n // 2
+        cuts = [min_ratio_cut(n, edges, pool)
+                for pool in (forward[:half], forward[n - half:])]
+    best = min(cuts, key=lambda rc: (rc.ratio, rc.members))
+    return CheegerReport(
+        value=float(best.ratio),
+        witness=tuple(order[i] for i in best.members),
+        exact=mode == "ambient",
+        mode=mode,
+        examined=sum(rc.solves for rc in cuts),
+    )
+
+
+def _enumerated_cheeger(adj: np.ndarray, order: list) -> CheegerReport:
+    """Exact finite_half Cheeger constant by enumerating every subset."""
+    n = len(order)
     pool = list(range(n))
-    size_cap = n // 2
-
-    adj = np.zeros((n, n))
-    for u, v, w in graph.edges():
-        iu, iv = graph.index_of(u), graph.index_of(v)
-        adj[iu, iv] = w
-        adj[iv, iu] = w
-
     best = math.inf
     best_tuple: tuple | None = None
     examined = 0
-    exact = (1 << n) <= work_limit
-    if exact:
-        for masks, bits, sizes, cut, ok in _enumerate_cuts(adj, pool, size_cap):
-            examined += int(ok.sum())
-            vals = np.where(ok, cut / np.maximum(sizes, 1.0), np.inf)
-            v = float(vals.min())
-            if not math.isfinite(v) or v > best:
-                continue
-            for k in np.nonzero(vals == v)[0]:
-                t = _mask_to_tuple(int(masks[k]), pool)
-                if v < best or best_tuple is None or t < best_tuple:
-                    best = v
-                    best_tuple = t
-    else:
-        rng = random.Random(seed)
-        allowed = set(pool)
-        cands = []
-        for i in pool:
-            v = order[i]
-            cands.append((float(sum(graph.weight(v, u) for u in graph.neighbors(v))), 1, (i,)))
-        cands.extend(_sweep_candidates(graph, allowed, size_cap))
-        cands.extend(_blob_candidates(graph, allowed, size_cap, rng))
-        for cut, size, t in cands:
-            examined += 1
-            val = cut / size
-            if val < best or (val == best and t < best_tuple):
-                best = val
+    for masks, bits, sizes, cut, ok in _enumerate_cuts(adj, pool, n // 2):
+        examined += int(ok.sum())
+        vals = np.where(ok, cut / np.maximum(sizes, 1.0), np.inf)
+        v = float(vals.min())
+        if not math.isfinite(v) or v > best:
+            continue
+        for k in np.nonzero(vals == v)[0]:
+            t = _mask_to_tuple(int(masks[k]), pool)
+            if v < best or best_tuple is None or t < best_tuple:
+                best = v
                 best_tuple = t
     assert best_tuple is not None
     return CheegerReport(
         value=best,
         witness=tuple(order[i] for i in best_tuple),
-        exact=exact,
-        mode=mode,
+        exact=True,
+        mode="finite_half",
         examined=examined,
     )
 

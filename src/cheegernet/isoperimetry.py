@@ -204,6 +204,7 @@ def regularity_constant(
     """Worst ratio L(long boundary)/#(short boundary components) over the
     enumerated domains; +inf when no domain has short components."""
     require_valid(spec)
+    _check_cap(max_pieces)
     _check_scale(delta)
     _, _, worst, witness, examined = _scan(spec, delta, max_pieces)
     return _regularity_report(spec, delta, worst, witness, examined)

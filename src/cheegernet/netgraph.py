@@ -54,16 +54,13 @@ __all__ = [
 class NetBuildParams:
     eps: float
     delta: float
-    samples_per_unit_length: float = 1.0
 
     def __post_init__(self):
         check_delta(self.eps, self.delta)
-        if not (math.isfinite(self.samples_per_unit_length) and self.samples_per_unit_length > 0):
-            raise DomainError("samples_per_unit_length must be positive")
 
     @property
     def density(self) -> float:
-        return max(1.0 / self.delta, self.samples_per_unit_length)
+        return 1.0 / self.delta
 
 
 @dataclass(frozen=True)
@@ -190,7 +187,6 @@ def degree_bound(
     eps: float,
     delta: float,
     max_curve_length: float = 2.0,
-    samples_per_unit_length: float = 1.0,
 ) -> int:
     """Uniform degree bound for nets built at (eps, delta) from specs whose
     curve lengths stay below max_curve_length.
@@ -203,7 +199,7 @@ def degree_bound(
     check_delta(eps, delta)
     if max_curve_length <= 0.0:
         raise DomainError("max_curve_length must be positive")
-    dens = max(1.0 / delta, samples_per_unit_length)
+    dens = 1.0 / delta
     mu = 2
     horo = 2.0 * math.sinh(eps)
     ring_cap = math.ceil(max(max_curve_length, horo) * dens)
@@ -289,17 +285,15 @@ def interior_vertices(net: NetGraph) -> list:
     return [v for v in net.graph.vertices() if v not in open_labels]
 
 
-def net_cheeger_estimate(
-    net: NetGraph, work_limit: int = 1 << 20, seed: int = 0
-) -> CheegerReport:
+def net_cheeger_estimate(net: NetGraph) -> CheegerReport:
     """Cheeger constant of the net: ambient against the open rings when the
-    spec has them, exact at every size by Dinkelbach min cuts (work_limit
-    and seed are unused then); else the plain finite graph constant with
-    at most half the vertices, exhaustive within work_limit subsets and a
-    seeded heuristic upper bound (exact=False) beyond."""
+    spec has them, exact at every size by Dinkelbach min cuts; else the
+    plain finite graph constant with at most half the vertices, exhaustive
+    up to 2^20 subsets and beyond that an upper bound (exact=False) from
+    min cuts over the two halves of the Fiedler order."""
     interior = interior_vertices(net)
     if len(interior) == net.graph.n:
-        return cheeger(net.graph, mode="finite_half", work_limit=work_limit, seed=seed)
+        return cheeger(net.graph, mode="finite_half")
     return cheeger(net.graph, mode="ambient", interior=interior)
 
 

@@ -119,6 +119,22 @@ class TestExitCodes:
         assert "n = 2" in err and error in err
 
 
+    @pytest.mark.parametrize("command", ["validate", "sweep", "net"])
+    def test_input_not_utf8(self, capsys, tmp_path, command):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'{"pieces": 2, "name": "\xff"}')
+        code, out, err = run_main(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert "invalid input" in err
+
+    def test_seed_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cheeger", FLUTE8, "--seed", "3"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_net_json_stable(self, capsys):
         _, out1, _ = run_main(capsys, "net", FLUTE8)
@@ -141,7 +157,7 @@ class TestDeterminism:
 
     def test_hyperbolicity_sampled_mode_rejected(self, capsys):
         code, out, err = run_main(capsys, "hyperbolicity", FLUTE8,
-                                  "--mode", "sampled", "--seed", "3")
+                                  "--mode", "sampled")
         assert code == 3
         assert out == ""
         assert "unknown hyperbolicity mode 'sampled'" in err

@@ -3,12 +3,16 @@
 The package promises byte-stable JSON/CSV/dot output, so each case runs
 `cheegernet.cli.main` in-process and compares its stdout with a file under
 `tests/golden/`.  The inputs are the bundled `flute8.json` and four family
-files, plus three static files in `tests/golden/`:
+files, plus four static files in `tests/golden/`:
 
 * `gen12.json`: the benchmark's generated spec
   `perfbench/workloads.generated_spec(random.Random(1), 12, 3, 5, 1)`,
   with thin gluings and non-unit lengths;
 * `loop.json`: a small spec with a self-gluing and a doubled gluing;
+* `closed.json`: two pieces glued along all three curves, a closed
+  surface with no cusps or open curves, so `cheeger` takes the size-capped
+  `finite_half` constant, and its 31-vertex net is past the enumeration
+  limit;
 * `template.family.json`: a fixed-topology family with length expressions.
 
 The expected files were written by the source of commit 3da901c, the last
@@ -36,6 +40,13 @@ The commit "One h_g path and one sweep path" deleted the seeded
 `{flute8,gen12,loop}.isoperimetry-parametric.{json,csv}.txt` cases and
 files; every other file stayed the same.
 
+The sixteen `closed.*` files were added by the commit "One min-cut engine
+for both Cheeger modes" and written first with the source of its parent;
+that commit replaced the Fiedler sweep and random blobs of the
+`finite_half` bound with min ratio cuts over the two halves of the Fiedler
+order, and only the JSON `examined` of `closed.cheeger.json.txt` changed
+(111 candidate sets to 4 min-cut solves); value and witness stayed the same.
+
 Re-running it rewrites every expected file; a change that is meant to keep
 the output must leave `git status` clean afterwards.
 """
@@ -57,6 +68,7 @@ SPECS = {
     "flute8": families.bundled_path("flute8.json"),
     "gen12": GOLDEN / "gen12.json",
     "loop": GOLDEN / "loop.json",
+    "closed": GOLDEN / "closed.json",
 }
 SPEC_COMMANDS = ["validate", "thickthin", "isoperimetry", "net", "cheeger",
                  "hyperbolicity", "boundary", "qi"]

@@ -292,9 +292,9 @@ class TestCheeger:
         # all 9,740,685 subsets of at most 12 of the 24 vertices (witness
         # indices 0, 1, 2, 7, 9, 12, 16, 17, 18, 19, 21, 22).
         exact_value = 0.75
-        heur = cheeger(g, mode="finite_half", work_limit=1 << 10)
-        assert not heur.exact
-        assert heur.value >= exact_value - 1e-12
+        bound = cheeger(g, mode="finite_half", work_limit=1 << 10)
+        assert not bound.exact
+        assert bound.value >= exact_value - 1e-12
 
     def test_mode_validation(self):
         g = path_graph(4)
@@ -308,6 +308,54 @@ class TestCheeger:
 
 
 DYADIC_WEIGHTS = (0.5, 1.0, 1.25, 3.0)
+
+
+def weighted_graph(rng: random.Random, n: int, extra: int) -> Graph:
+    shape = random_connected_graph(rng, n, extra)
+    g = Graph()
+    for v in shape.vertices():
+        g.add_vertex(v)
+    for u, v, _ in shape.edges():
+        g.add_edge(u, v, rng.choice(DYADIC_WEIGHTS))
+    return g
+
+
+def cut_ratio(g: Graph, members) -> float:
+    inside = set(members)
+    return sum(w for u, v, w in g.edges() if (u in inside) != (v in inside)) / len(inside)
+
+
+class TestFiniteHalfBound:
+    """Beyond work_limit, finite_half is the better of two min ratio cuts,
+    pooled on the halves of the Fiedler order."""
+
+    def test_bound_against_brute(self):
+        rng = random.Random(1806)
+        for _ in range(30):
+            n = rng.randint(8, 16)
+            g = weighted_graph(rng, n, rng.randint(0, n))
+            rep = cheeger(g, mode="finite_half", work_limit=1 << 4)
+            want, _ = brute_cheeger_finite_half(g)
+            assert not rep.exact and rep.mode == "finite_half"
+            assert rep.examined >= 2
+            assert rep.value >= want
+            assert 1 <= len(rep.witness) <= n // 2
+            assert cut_ratio(g, rep.witness) == rep.value
+
+    def test_bound_beats_every_fiedler_prefix(self):
+        rng = random.Random(4619)
+        for _ in range(40):
+            n = rng.randint(8, 40)
+            g = weighted_graph(rng, n, rng.randint(0, 2 * n))
+            rep = cheeger(g, mode="finite_half", work_limit=1 << 4)
+            adj = np.zeros((n, n))
+            for u, v, w in g.edges():
+                adj[u, v] = adj[v, u] = w
+            fiedler = np.linalg.eigh(np.diag(adj.sum(axis=1)) - adj)[1][:, 1]
+            order = sorted(range(n), key=lambda i: (fiedler[i], i))
+            for seq in (order, order[::-1]):
+                for k in range(1, n // 2 + 1):
+                    assert rep.value <= cut_ratio(g, seq[:k])
 
 
 def cli_params() -> NetBuildParams:
@@ -371,12 +419,7 @@ class TestExactAmbientCheeger:
         rng = random.Random(1967)
         for _ in range(320):
             n = rng.randint(3, 11)
-            shape = random_connected_graph(rng, n, rng.randint(0, n + 3))
-            g = Graph()
-            for v in shape.vertices():
-                g.add_vertex(v)
-            for u, v, _ in shape.edges():
-                g.add_edge(u, v, rng.choice(DYADIC_WEIGHTS))
+            g = weighted_graph(rng, n, rng.randint(0, n + 3))
             interior = rng.sample(g.vertices(), rng.randint(1, n - 1))
             rep = cheeger(g, mode="ambient", interior=interior)
             want, want_set = brute_cheeger_ambient(g, interior)

@@ -176,6 +176,11 @@ class TestRegularity:
         with pytest.raises(DomainError):
             regularity_constant(families.flute(3), 0.0)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_must_be_positive(self, cap):
+        with pytest.raises(DomainError):
+            regularity_constant(families.flute(3), 0.5, max_pieces=cap)
+
 
 class TestTrends:
     def test_fit_exact_power_law(self):
