@@ -4,9 +4,9 @@ Exit codes: 0 success, 2 input or spec validation failure, 3 parameter
 failure (tolerance/scale arguments outside their admissible ranges).
 `isoperimetry` and `sweep` take h_g and the regularity constant of each spec
 from one enumeration pass (`isoperimetry.domain_reports`); a sweep runs it
-for the family's instances one after another.  Spec commands read their
-input with `surface.load_spec`; `validate` and `sweep` read the JSON first
-to tell spec and family files apart.
+for the family's instances one after another.  Every command reads its
+input with `surface.read_json`; `validate` and `sweep` look at the document
+first to tell spec and family files apart.
 """
 
 from __future__ import annotations
@@ -72,11 +72,6 @@ def _emit_kv_csv(obj: dict) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _load_json(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _is_family(doc) -> bool:
     return isinstance(doc, dict) and ("family" in doc or "param" in doc)
 
@@ -86,7 +81,7 @@ def _net_params(eps, delta) -> netgraph.NetBuildParams:
 
 
 def _cmd_validate(args, eps, delta) -> int:
-    doc = _load_json(args.input)
+    doc = surface.read_json(args.input)
     if _is_family(doc):
         fam = families.load_family(doc, Path(args.input).stem)
         checked = []
@@ -231,7 +226,7 @@ def _cmd_boundary(args, eps, delta) -> int:
     net = netgraph.build_net(spec, _net_params(eps, delta))
     dmat = net.graph.distance_matrix()
     proxy = graphtools.boundary_proxy(
-        net.graph, keep=lambda v: net.vertex_kind[v] == "net", dmat=dmat
+        net.graph, keep=lambda v: v[0] == "net", dmat=dmat
     )
     defect = graphtools.ultrametric_defect(proxy.dists)
     up = graphtools.uniform_perfectness(proxy.dists, a=proxy.a,
@@ -262,7 +257,7 @@ def _cmd_qi(args, eps, delta) -> int:
     spec = surface.load_spec(args.input)
     params = _net_params(eps, delta)
     net = netgraph.build_net(spec, params)
-    mesh, vmap, _kinds = netgraph.build_quotient_mesh(spec, params)
+    mesh, vmap = netgraph.build_quotient_mesh(spec, params)
     rep = netgraph.estimate_qi_constants(net.graph, mesh, vmap)
     if args.fmt == "csv":
         _emit_kv_csv({"alpha": rep.alpha, "beta": rep.beta,
@@ -273,7 +268,7 @@ def _cmd_qi(args, eps, delta) -> int:
 
 
 def _cmd_sweep(args, eps, delta) -> int:
-    doc = _load_json(args.input)
+    doc = surface.read_json(args.input)
     if not _is_family(doc):
         raise SpecError(f"{args.input} is not a family file")
     fam = families.load_family(doc, Path(args.input).stem)
@@ -316,7 +311,7 @@ def main(argv=None) -> int:
     except DomainError as e:
         print(f"cheegernet: parameter error: {e}", file=sys.stderr)
         return EXIT_PARAM
-    except (SpecError, json.JSONDecodeError, UnicodeDecodeError) as e:
+    except SpecError as e:
         print(f"cheegernet: invalid input: {e}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as e:

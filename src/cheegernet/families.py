@@ -20,11 +20,10 @@ fixed-topology family files with length expressions are handled by
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 from pathlib import Path
 
-from .surface import Family, SpecError, SurfaceSpec, family_from_dict, make_spec
+from .surface import Family, SpecError, SurfaceSpec, _parse_param, family_from_dict, make_spec, read_json
 
 __all__ = [
     "flute",
@@ -109,28 +108,22 @@ BUILDERS = {
 
 def load_family(source: str | Path | dict, name: str | None = None) -> Family:
     """Load either style of family file (builder reference or fixed-topology
-    template with length expressions)."""
+    template with length expressions), from a path or a decoded document."""
     if isinstance(source, dict):
         obj = source
         default_name = name or "family"
     else:
-        path = Path(source)
-        try:
-            obj = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"{source}: not valid JSON: {exc}") from exc
-        default_name = name or path.stem
+        obj = read_json(source)
+        default_name = name or Path(source).stem
     if not isinstance(obj, dict):
         raise SpecError(f"family must be a JSON object, got {type(obj).__name__}")
     if "family" in obj:
         builder_name = obj["family"]
-        builder = BUILDERS.get(builder_name)
+        builder = BUILDERS.get(builder_name) if isinstance(builder_name, str) else None
         if builder is None:
             raise SpecError(
                 f"unknown family builder {builder_name!r}; known: {sorted(BUILDERS)}"
             )
-        from .surface import _parse_param
-
         pname, lo, hi = _parse_param(obj, default_name)
         return Family(name=builder_name, param_name=pname, lo=lo, hi=hi, builder=builder)
     return family_from_dict(obj, default_name)

@@ -20,7 +20,6 @@ single-source searches are plain BFS/Dijkstra.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -33,7 +32,6 @@ from .hypmath import DomainError
 __all__ = [
     "Graph",
     "biconnected_components",
-    "gromov_product",
     "HyperbolicityReport",
     "hyperbolicity_delta",
     "CheegerReport",
@@ -109,9 +107,6 @@ class Graph:
             for v, w in self._adj[u].items():
                 if iu < self._index[v]:
                     yield u, v, w
-
-    def edge_count(self) -> int:
-        return sum(len(d) for d in self._adj.values()) // 2
 
     def bfs_distances(self, source) -> dict:
         dist = {source: 0}
@@ -254,10 +249,6 @@ def biconnected_components(graph: Graph) -> list[list[int]]:
                             break
                     blocks.append(sorted(block))
     return blocks
-
-
-def gromov_product(dmat: np.ndarray, i: int, j: int, o: int) -> float:
-    return (float(dmat[i, o]) + float(dmat[j, o]) - float(dmat[i, j])) / 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -16,21 +16,16 @@ from dataclasses import dataclass
 __all__ = [
     "ARCSINH_ONE",
     "DomainError",
-    "CollarGeometry",
     "CuspCollar",
     "check_margulis",
     "check_delta",
     "collar_width",
-    "collar_geometry",
     "thin_half_width",
     "thin_boundary_length",
     "thin_collar_area",
     "shrunk_collar_area_bound",
     "cusp_collar",
     "thin_separation",
-    "ball_area",
-    "ball_circumference",
-    "quad_relation",
     "delta1",
 ]
 
@@ -209,33 +204,6 @@ def thin_separation(l: float, eps: float) -> float:
     return collar_width(l) - thin_half_width(l, eps)
 
 
-def ball_area(r: float) -> float:
-    """Area 4*pi*sinh(r/2)^2 of the hyperbolic disc of radius r."""
-    r = _require_positive("r", r)
-    s = math.sinh(0.5 * r)
-    return 4.0 * math.pi * s * s
-
-
-def ball_circumference(r: float) -> float:
-    """Circumference 2*pi*sinh(r) of the hyperbolic circle of radius r;
-    equals d/dr ball_area(r)."""
-    r = _require_positive("r", r)
-    return 2.0 * math.pi * math.sinh(r)
-
-
-def quad_relation(a: float, beta: float) -> float:
-    """Side relation arcsinh(sinh(a)*cosh(beta)) of the right-angled
-    quadrilateral with side a and opposite distance beta."""
-    a = _require_positive("a", a)
-    beta = _require_finite("beta", beta)
-    if beta < 0.0:
-        raise DomainError(f"beta must be >= 0, got {beta!r}")
-    try:
-        return math.asinh(math.sinh(a) * math.cosh(beta))
-    except OverflowError as exc:
-        raise DomainError(f"quad_relation overflow at a={a!r}, beta={beta!r}") from exc
-
-
 def delta1(eps: float) -> float:
     """Net scale min(ln(1/sinh(eps)), arcsinh((sqrt(3)/4)*sinh(eps))).
 
@@ -243,29 +211,3 @@ def delta1(eps: float) -> float:
     """
     eps = check_margulis(eps)
     return min(-math.log(math.sinh(eps)), math.asinh(math.sqrt(3.0) / 4.0 * math.sinh(eps)))
-
-
-@dataclass(frozen=True)
-class CollarGeometry:
-    """Collar record: derived fields satisfy
-    boundary_component_length = core_length*cosh(half_width) and
-    area = 2*core_length*sinh(half_width)."""
-
-    core_length: float
-    half_width: float
-    boundary_component_length: float
-    area: float
-
-
-def collar_geometry(core_length: float, half_width: float) -> CollarGeometry:
-    """Build the collar record for a core geodesic and a half-width."""
-    core_length = _require_positive("core_length", core_length)
-    half_width = _require_finite("half_width", half_width)
-    if half_width < 0.0:
-        raise DomainError(f"half_width must be >= 0, got {half_width!r}")
-    return CollarGeometry(
-        core_length=core_length,
-        half_width=half_width,
-        boundary_component_length=core_length * math.cosh(half_width),
-        area=2.0 * core_length * math.sinh(half_width),
-    )

@@ -43,9 +43,6 @@ __all__ = [
     "FamilyRow",
     "FamilyReport",
     "domain_reports",
-    "h_g_exact",
-    "regularity_constant",
-    "boundary_split",
     "cheeger_lower_bound",
     "fit_loglog",
     "is_decaying",
@@ -131,83 +128,38 @@ def _scan(spec: SurfaceSpec, delta: float, max_pieces: int):
     return best_ratio, best, worst, witness, examined
 
 
-def _check_cap(max_pieces: int) -> None:
+def domain_reports(
+    spec: SurfaceSpec, delta: float, max_pieces: int = 12
+) -> tuple[IsoperimetricReport, RegularityReport]:
+    """h_g and the regularity constant of a spec from one pass over its
+    connected piece sets of size up to max_pieces.
+
+    h_g is the least L(boundary)/area; it is certified exact when the cap
+    covers every size.  The regularity constant is the worst ratio
+    L(long boundary)/#(short boundary components) at scale delta, +inf when
+    no set has short components.  Ties break to the lexicographically
+    smallest piece set.
+    """
+    require_valid(spec)
     if max_pieces < 1:
         raise DomainError(f"max_pieces must be >= 1, got {max_pieces}")
-
-
-def _check_scale(delta: float) -> None:
     if not (math.isfinite(delta) and delta > 0.0):
         raise DomainError(f"delta must be positive, got {delta!r}")
-
-
-def _exact_report(spec, max_pieces, h_g, best, examined) -> IsoperimetricReport:
-    return IsoperimetricReport(
+    h_g, best, worst, witness, examined = _scan(spec, delta, max_pieces)
+    iso = IsoperimetricReport(
         h_g=h_g,
         best_domain=domain_from_pieces(spec, best),
         lower_bound_certified=max_pieces >= spec.pieces,
         method="exact",
         examined=examined,
     )
-
-
-def _regularity_report(spec, delta, worst, witness, examined) -> RegularityReport:
-    return RegularityReport(
+    reg = RegularityReport(
         delta=delta,
         worst_c=worst,
         witness=domain_from_pieces(spec, witness) if witness is not None else None,
         examined=examined,
     )
-
-
-def domain_reports(
-    spec: SurfaceSpec, delta: float, max_pieces: int = 12
-) -> tuple[IsoperimetricReport, RegularityReport]:
-    """h_g_exact and regularity_constant of a spec from one pass over its
-    connected piece sets of size up to max_pieces."""
-    require_valid(spec)
-    _check_cap(max_pieces)
-    _check_scale(delta)
-    h_g, best, worst, witness, examined = _scan(spec, delta, max_pieces)
-    return (
-        _exact_report(spec, max_pieces, h_g, best, examined),
-        _regularity_report(spec, delta, worst, witness, examined),
-    )
-
-
-def h_g_exact(spec: SurfaceSpec, max_pieces: int = 12) -> IsoperimetricReport:
-    """Minimum of L(boundary)/area over all connected piece sets of size up
-    to max_pieces.  The bound is certified exact when the enumeration covers
-    every size.  Ties break to the lexicographically smallest piece set."""
-    require_valid(spec)
-    _check_cap(max_pieces)
-    h_g, best, _, _, examined = _scan(spec, math.inf, max_pieces)
-    return _exact_report(spec, max_pieces, h_g, best, examined)
-
-
-def boundary_split(domain: GeodesicDomain, delta: float) -> tuple[float, int]:
-    """(total length of boundary components with length >= delta,
-    count of boundary components with length < delta)."""
-    long_total = 0.0
-    short_count = 0
-    for c in domain.boundary:
-        if c.length >= delta:
-            long_total += c.length
-        else:
-            short_count += 1
-    return long_total, short_count
-
-
-def regularity_constant(
-    spec: SurfaceSpec, delta: float, max_pieces: int = 12
-) -> RegularityReport:
-    """Worst ratio L(long boundary)/#(short boundary components) over the
-    enumerated domains; +inf when no domain has short components."""
-    require_valid(spec)
-    _check_cap(max_pieces)
-    _check_scale(delta)
-    _, _, worst, witness, examined = _scan(spec, delta, max_pieces)
-    return _regularity_report(spec, delta, worst, witness, examined)
+    return iso, reg
 
 
 def cheeger_lower_bound(h_g: float) -> float:

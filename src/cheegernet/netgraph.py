@@ -15,7 +15,7 @@ compared against net distances through the inclusion map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,10 +42,7 @@ __all__ = [
     "net_cheeger_estimate",
     "build_quotient_mesh",
     "QIReport",
-    "minimal_beta",
     "estimate_qi_constants",
-    "to_edgelist",
-    "parse_edgelist",
     "to_dot",
 ]
 
@@ -82,22 +79,21 @@ class NetGraph:
     ring_of_slot: dict
     special_w: dict
     special_v: dict
-    vertex_kind: dict = field(repr=False)
 
 
 def _ring_count(length: float, density: float) -> int:
     return max(1, math.ceil(length * density))
 
 
-def _add_ring(graph: Graph, labels) -> None:
+def _add_ring(graph: Graph, labels, weight: float = 1.0) -> None:
     k = len(labels)
     for lab in labels:
         graph.add_vertex(lab)
     if k == 2:
-        graph.add_edge(labels[0], labels[1])
+        graph.add_edge(labels[0], labels[1], weight)
     elif k > 2:
         for j in range(k):
-            graph.add_edge(labels[j], labels[(j + 1) % k])
+            graph.add_edge(labels[j], labels[(j + 1) % k], weight)
 
 
 def build_net(spec: SurfaceSpec, params: NetBuildParams) -> NetGraph:
@@ -168,9 +164,6 @@ def build_net(spec: SurfaceSpec, params: NetBuildParams) -> NetGraph:
                 if not g.has_edge(hub, lab):
                     g.add_edge(hub, lab)
 
-    kinds = {}
-    for v in g.vertices():
-        kinds[v] = v[0]
     return NetGraph(
         spec=spec,
         params=params,
@@ -179,7 +172,6 @@ def build_net(spec: SurfaceSpec, params: NetBuildParams) -> NetGraph:
         ring_of_slot=ring_of_slot,
         special_w=special_w,
         special_v=special_v,
-        vertex_kind=kinds,
     )
 
 
@@ -268,7 +260,7 @@ def boundary_vertex_set(net: NetGraph, piece_set) -> BoundarySets:
     deep = set()
     for u in boundary:
         for x in g.neighbors(u):
-            if x in members and net.vertex_kind[x] in ("hub", "net"):
+            if x in members and x[0] in ("hub", "net"):
                 deep.add(u)
                 break
     return BoundarySets(frozenset(members), frozenset(boundary), frozenset(deep))
@@ -314,8 +306,8 @@ def build_quotient_mesh(
 ):
     """Refined mesh of the surface after thin-collar surgery.
 
-    Returns (graph, vmap, kinds): a weighted graph, the inclusion map from
-    net vertices (specials have no image), and a kind tag per mesh vertex.
+    Returns (graph, vmap): a weighted graph and the inclusion map from net
+    vertices (specials have no image).
     Each net ring reappears refined by the given factor; the two rings of a
     delta-thin gluing map onto one ring, realizing the gluing of the collar
     boundaries; cusp rings stay but their special end is removed.
@@ -325,30 +317,19 @@ def build_quotient_mesh(
     net = build_net(spec, params)
     mesh = Graph()
     vmap: dict = {}
-    kinds: dict = {}
 
     for p in range(spec.pieces):
         hub = ("hub", p)
         mesh.add_vertex(hub)
         vmap[hub] = hub
-        kinds[hub] = "hub"
 
     merged_of_gluing: dict[int, tuple] = {}
     mesh_ring_of_slot: dict = {}
-    weights_of_ring: dict = {}
 
-    def add_mesh_ring(slot, net_count, length, kind):
+    def add_mesh_ring(slot, net_count, length):
         k = net_count * refinement
         labels = tuple(("m", slot[0], slot[1], j) for j in range(k))
-        for lab in labels:
-            mesh.add_vertex(lab)
-            kinds[lab] = kind
-        w = length / k
-        if k == 2:
-            mesh.add_edge(labels[0], labels[1], w)
-        elif k > 2:
-            for j in range(k):
-                mesh.add_edge(labels[j], labels[(j + 1) % k], w)
+        _add_ring(mesh, labels, length / k)
         return labels
 
     for ring in net.rings:
@@ -358,14 +339,12 @@ def build_quotient_mesh(
                 continue
             gl = spec.gluings[gi]
             owner = min(gl.a, gl.b)
-            labels = add_mesh_ring(owner, len(ring.labels), ring.length, "thin_core")
+            labels = add_mesh_ring(owner, len(ring.labels), ring.length)
             merged_of_gluing[gi] = labels
             mesh_ring_of_slot[gl.a] = labels
             mesh_ring_of_slot[gl.b] = labels
         else:
-            labels = add_mesh_ring(
-                ring.slot, len(ring.labels), ring.length, ring.kind
-            )
+            labels = add_mesh_ring(ring.slot, len(ring.labels), ring.length)
             for slot, r in net.ring_of_slot.items():
                 if r is ring:
                     mesh_ring_of_slot[slot] = labels
@@ -386,7 +365,7 @@ def build_quotient_mesh(
                 if not mesh.has_edge(hub, lab):
                     mesh.add_edge(hub, lab, w)
 
-    return mesh, vmap, kinds
+    return mesh, vmap
 
 
 # ---------------------------------------------------------------------------
@@ -424,17 +403,6 @@ def _pair_matrices(graph_a: Graph, graph_b: Graph, vmap):
     image_rows = graph_b.distance_matrix(weighted=True)[img]
     iu = np.triu_indices(len(dom), k=1)
     return da[iu], image_rows[:, img][iu], image_rows
-
-
-def minimal_beta(graph_a: Graph, graph_b: Graph, vmap, alpha: float) -> float:
-    """Least beta making vmap an (alpha, beta) quasi-isometric embedding:
-    d_A/alpha - beta <= d_B <= alpha*d_A + beta over all mapped pairs."""
-    if alpha < 1.0:
-        raise DomainError(f"alpha must be >= 1, got {alpha!r}")
-    da, db, _ = _pair_matrices(graph_a, graph_b, vmap)
-    over = db - alpha * da
-    under = da / alpha - db
-    return float(max(0.0, over.max(), under.max()))
 
 
 def estimate_qi_constants(
@@ -477,79 +445,24 @@ def estimate_qi_constants(
 
 
 # ---------------------------------------------------------------------------
-# Serialization
-
-
-def _vertex_tag(label, kind_map, ring_kind_of_label) -> str:
-    tag0 = label[0]
-    if tag0 == "hub":
-        return f"hub:{label[1]}"
-    if tag0 in ("net", "m"):
-        return f"{tag0}:{label[1]}:{label[2]}:{label[3]}:{ring_kind_of_label.get(label, kind_map.get(label, ''))}"
-    if tag0 == "w":
-        return f"w:{label[1]}:{label[2]}"
-    if tag0 == "v":
-        return f"v:{label[1]}"
-    return str(label)
-
-
-def to_edgelist(graph: Graph, tags: dict | None = None) -> str:
-    """Plain-text graph format: '# vertex <idx> <tag>' headers in canonical
-    order, then one edge per line as 'u v' or 'u v weight'."""
-    order = graph.vertices()
-    lines = []
-    for i, v in enumerate(order):
-        tag = tags.get(v, str(v)) if tags else str(v)
-        lines.append(f"# vertex {i} {tag}")
-    weighted = any(w != 1.0 for _, _, w in graph.edges())
-    for u, v, w in graph.edges():
-        iu, iv = graph.index_of(u), graph.index_of(v)
-        if weighted:
-            lines.append(f"{iu} {iv} {w!r}")
-        else:
-            lines.append(f"{iu} {iv}")
-    return "\n".join(lines) + "\n"
+# Vertex tags and DOT output
 
 
 def net_tags(net: NetGraph) -> dict:
-    ring_kind = {}
-    for ring in net.rings:
-        for lab in ring.labels:
-            ring_kind[lab] = ring.kind
-    return {
-        v: _vertex_tag(v, net.vertex_kind, ring_kind) for v in net.graph.vertices()
-    }
-
-
-def mesh_tags(mesh: Graph, kinds: dict) -> dict:
-    ring_kind = {lab: kinds[lab] for lab in kinds if lab[0] == "m"}
-    return {v: _vertex_tag(v, kinds, ring_kind) for v in mesh.vertices()}
-
-
-def parse_edgelist(text: str):
-    """Inverse of to_edgelist: returns (graph, tags) with integer vertex
-    labels in header order."""
-    g = Graph()
-    tags: dict[int, str] = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line.split()
-            if len(parts) >= 4 and parts[1] == "vertex":
-                idx = int(parts[2])
-                tags[idx] = " ".join(parts[3:])
-                g.add_vertex(idx)
-            continue
-        parts = line.split()
-        if len(parts) == 2:
-            g.add_edge(int(parts[0]), int(parts[1]))
-        elif len(parts) == 3:
-            g.add_edge(int(parts[0]), int(parts[1]), float(parts[2]))
+    """Tag per net vertex: its kind and label fields, and for ring samples
+    the kind of their curve."""
+    ring_kind = {lab: ring.kind for ring in net.rings for lab in ring.labels}
+    tags = {}
+    for v in net.graph.vertices():
+        if v[0] == "hub":
+            tags[v] = f"hub:{v[1]}"
+        elif v[0] == "net":
+            tags[v] = f"net:{v[1]}:{v[2]}:{v[3]}:{ring_kind[v]}"
+        elif v[0] == "w":
+            tags[v] = f"w:{v[1]}:{v[2]}"
         else:
-            raise DomainError(f"bad edge list line {ln}: {raw!r}")
-    return g, tags
+            tags[v] = f"v:{v[1]}"
+    return tags
 
 
 def to_dot(graph: Graph, tags: dict | None = None, name: str = "net") -> str:

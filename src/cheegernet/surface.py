@@ -35,7 +35,7 @@ from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .hypmath import check_delta, check_margulis, collar_width, cusp_collar, thin_boundary_length, thin_collar_area, thin_half_width
+from .hypmath import check_margulis, cusp_collar, thin_boundary_length, thin_collar_area, thin_half_width
 
 __all__ = [
     "SpecError",
@@ -57,12 +57,10 @@ __all__ = [
     "thick_thin",
     "domain_from_pieces",
     "boundary_length",
-    "lambda_x",
     "connected_piece_subsets",
-    "spec_to_dict",
     "spec_from_dict",
+    "read_json",
     "load_spec",
-    "save_spec",
     "family_from_dict",
     "eval_length_expr",
 ]
@@ -404,20 +402,6 @@ def boundary_length(domain: GeodesicDomain) -> float:
     return sum(c.length for c in domain.boundary)
 
 
-def lambda_x(spec: SurfaceSpec, eps: float, delta: float) -> float:
-    """Infimum of lengths of non-separating geodesics shorter than 2*delta;
-    +inf when there are none.  Requires 0 < delta < delta1(eps)."""
-    require_valid(spec)
-    check_delta(eps, delta)
-    seps = separating_gluings(spec)
-    lengths = [
-        g.length
-        for i, g in enumerate(spec.gluings)
-        if g.length < 2.0 * delta and i not in seps
-    ]
-    return min(lengths) if lengths else math.inf
-
-
 def connected_piece_subsets(spec: SurfaceSpec, max_size: int) -> Iterator[tuple[int, ...]]:
     """All connected piece sets of size <= max_size, each exactly once,
     in deterministic order."""
@@ -451,15 +435,16 @@ def connected_piece_subsets(spec: SurfaceSpec, max_size: int) -> Iterator[tuple[
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# JSON input
+
+
+def _is_int(obj) -> bool:
+    """A JSON integer: true and false are not counts or indices."""
+    return isinstance(obj, int) and not isinstance(obj, bool)
 
 
 def _slot_from_json(obj, where: str) -> Slot:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(isinstance(x, int) for x in obj)
-    ):
+    if not isinstance(obj, (list, tuple)) or len(obj) != 2 or not all(map(_is_int, obj)):
         raise SpecError(f"{where}: expected [piece, slot] pair, got {obj!r}")
     return (obj[0], obj[1])
 
@@ -479,11 +464,13 @@ def spec_from_dict(obj: dict) -> SurfaceSpec:
     for key in ("param", "family"):
         if key in obj:
             raise SpecError(f"found {key!r} key: this is a family file, use load_family")
-    if "pieces" not in obj or not isinstance(obj["pieces"], int):
+    if not _is_int(obj.get("pieces")):
         raise SpecError("spec needs an integer 'pieces' count")
     for key in ("gluings", "cusps"):
         if key not in obj or not isinstance(obj[key], list):
             raise SpecError(f"spec needs a {key!r} list")
+    if not isinstance(obj.get("opens", []), list):
+        raise SpecError("spec 'opens' must be a list")
     gluings = []
     for i, g in enumerate(obj.get("gluings", [])):
         if not isinstance(g, dict) or not {"a", "b", "length"} <= set(g):
@@ -513,32 +500,19 @@ def spec_from_dict(obj: dict) -> SurfaceSpec:
     )
 
 
-def spec_to_dict(spec: SurfaceSpec) -> dict:
-    out: dict = {
-        "pieces": spec.pieces,
-        "gluings": [
-            {"a": list(g.a), "b": list(g.b), "length": g.length} for g in spec.gluings
-        ],
-        "cusps": [list(c) for c in spec.cusps],
-    }
-    if spec.opens:
-        out["opens"] = [{"at": list(o.at), "length": o.length} for o in spec.opens]
-    return out
-
-
-def load_spec(source: str | Path | dict) -> SurfaceSpec:
-    if isinstance(source, dict):
-        return spec_from_dict(source)
-    text = Path(source).read_text(encoding="utf-8")
+def read_json(path: str | Path):
+    """The JSON document in a UTF-8 file; SpecError when the file is not
+    UTF-8, not JSON, or nested too deeply to decode.  The one reader of
+    input files."""
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"{source}: not valid JSON: {exc}") from exc
-    return spec_from_dict(obj)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise SpecError(f"{path}: not valid JSON: {exc}") from exc
 
 
-def save_spec(spec: SurfaceSpec, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(spec_to_dict(spec), sort_keys=True, indent=2) + "\n")
+def load_spec(path: str | Path) -> SurfaceSpec:
+    """The spec in a spec file."""
+    return spec_from_dict(read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +613,7 @@ def _parse_param(obj: dict, where: str) -> tuple[str, int, int]:
         or not isinstance(param.get("name"), str)
         or not isinstance(param.get("range"), list)
         or len(param["range"]) != 2
-        or not all(isinstance(x, int) for x in param["range"])
+        or not all(map(_is_int, param["range"]))
     ):
         raise SpecError(f"{where}: need 'param': {{'name': str, 'range': [lo, hi]}}")
     lo, hi = param["range"]
@@ -661,12 +635,12 @@ def family_from_dict(obj: dict, name: str = "family") -> Family:
 
     def build(value: int) -> SurfaceSpec:
         inst = json.loads(json.dumps(template))
-        for g in inst.get("gluings", []):
-            if isinstance(g, dict) and "length" in g:
-                g["length"] = eval_length_expr(g["length"], pname, value)
-        for o in inst.get("opens", []):
-            if isinstance(o, dict) and "length" in o:
-                o["length"] = eval_length_expr(o["length"], pname, value)
+        # A key that holds no list is left for spec_from_dict to reject.
+        for key in ("gluings", "opens"):
+            items = inst.get(key)
+            for item in items if isinstance(items, list) else ():
+                if isinstance(item, dict) and "length" in item:
+                    item["length"] = eval_length_expr(item["length"], pname, value)
         return spec_from_dict(inst)
 
     return Family(name=name, param_name=pname, lo=lo, hi=hi, builder=build)

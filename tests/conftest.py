@@ -1,5 +1,5 @@
 """Shared test helpers: seeded random specs and graphs, brute-force
-connectivity, and the acceptance-line printer."""
+connectivity, the boundary-split oracle, and the acceptance-line printer."""
 
 from __future__ import annotations
 
@@ -136,3 +136,16 @@ def pieces_connected(spec: SurfaceSpec, members) -> bool:
         seen.add(p)
         stack.extend(adj[p] - seen)
     return seen == members
+
+
+def boundary_split(domain, delta: float) -> tuple[float, int]:
+    """(total length of the boundary curves of length >= delta, count of
+    the shorter ones) of a built domain, summed in boundary order."""
+    long_total = 0.0
+    short_count = 0
+    for c in domain.boundary:
+        if c.length >= delta:
+            long_total += c.length
+        else:
+            short_count += 1
+    return long_total, short_count

@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from conftest import criterion_line, random_spec, random_connected_graph, random_tree, cycle_graph
+from conftest import boundary_split, criterion_line, random_spec, random_connected_graph, random_tree, cycle_graph
 from cheegernet import families, graphtools, isoperimetry, netgraph, surface
 from cheegernet.hypmath import (
     ARCSINH_ONE,
@@ -146,13 +146,12 @@ def test_04_flute_ratio_and_regularity():
     bad = []
     for n in range(2, 21):
         spec = families.flute(n)
-        rep = isoperimetry.h_g_exact(spec, max_pieces=n)
-        if rep.h_g != 1.0 / (math.pi * n):
-            bad.append(("h_g", n))
-        if rep.best_domain.piece_set != tuple(range(n)):
-            bad.append(("domain", n))
         for delta in (0.3, 0.9):
-            reg = isoperimetry.regularity_constant(spec, delta, max_pieces=n)
+            rep, reg = isoperimetry.domain_reports(spec, delta, max_pieces=n)
+            if rep.h_g != 1.0 / (math.pi * n):
+                bad.append(("h_g", n, delta))
+            if rep.best_domain.piece_set != tuple(range(n)):
+                bad.append(("domain", n, delta))
             if not math.isinf(reg.worst_c):
                 bad.append(("worst_c", n, delta))
     ok = not bad
@@ -169,13 +168,13 @@ def test_05_shrinking_witness_chain():
     for n in (5, 10, 20):
         spec = families.shrinking_flute(n)
         delta = 1.0 / n
-        rep = isoperimetry.regularity_constant(spec, delta, max_pieces=12)
+        _, rep = isoperimetry.domain_reports(spec, delta, max_pieces=12)
         if rep.worst_c != 0.0:
             bad.append(("worst_c", n, rep.worst_c))
         witnesses = 0
         for sub in surface.connected_piece_subsets(spec, 12):
             dom = surface.domain_from_pieces(spec, sub)
-            long_total, short_count = isoperimetry.boundary_split(dom, delta)
+            long_total, short_count = boundary_split(dom, delta)
             if long_total < delta * short_count:
                 witnesses += 1
                 total = surface.boundary_length(dom)
@@ -376,7 +375,7 @@ def test_09_family_trend_agreement():
             spec = builder(v)
             notch = cap if cap is not None else spec.pieces
             sizes.append(spec.pieces)
-            hgs.append(isoperimetry.h_g_exact(spec, max_pieces=notch).h_g)
+            hgs.append(isoperimetry.domain_reports(spec, DELTA, max_pieces=notch)[0].h_g)
             net = netgraph.build_net(spec, PARAMS)
             cheegers.append(netgraph.net_cheeger_estimate(net).value)
         t_h = trend_label(loglog_slope(sizes, hgs))
@@ -396,7 +395,7 @@ def test_10_qi_constants_stable():
     for n in (5, 10, 20):
         spec = families.flute(n)
         net = netgraph.build_net(spec, PARAMS)
-        mesh, vmap, _ = netgraph.build_quotient_mesh(spec, PARAMS)
+        mesh, vmap = netgraph.build_quotient_mesh(spec, PARAMS)
         rep = netgraph.estimate_qi_constants(net.graph, mesh, vmap)
         alphas.append(rep.alpha)
         betas.append(rep.beta)
@@ -418,7 +417,7 @@ def test_10_qi_constants_stable():
 def _proxy_up(spec):
     net = netgraph.build_net(spec, PARAMS)
     proxy = graphtools.boundary_proxy(
-        net.graph, keep=lambda v: net.vertex_kind[v] == "net"
+        net.graph, keep=lambda v: v[0] == "net"
     )
     return graphtools.uniform_perfectness(proxy.dists, a=proxy.a, radius=proxy.radius)
 
@@ -429,7 +428,7 @@ def test_11_perfectness_vs_decay():
     verdict must agree with the family's best-ratio trend."""
     flute_fail = all(not _proxy_up(families.flute(n)).passed for n in (10, 14, 18))
     flute_vals = [
-        isoperimetry.h_g_exact(families.flute(n), max_pieces=n).h_g
+        isoperimetry.domain_reports(families.flute(n), DELTA, max_pieces=n)[0].h_g
         for n in (4, 8, 12, 16, 20)
     ]
     flute_decays, _, _ = isoperimetry.is_decaying((4, 8, 12, 16, 20), flute_vals)
@@ -437,7 +436,7 @@ def test_11_perfectness_vs_decay():
     tree_ups = [_proxy_up(families.pants_tree(d)) for d in (3, 4, 5)]
     tree_pass = all(up.passed and up.s_value <= 8.0 for up in tree_ups)
     tree_vals = [
-        isoperimetry.h_g_exact(families.pants_tree(d), max_pieces=12).h_g
+        isoperimetry.domain_reports(families.pants_tree(d), DELTA, max_pieces=12)[0].h_g
         for d in (3, 4, 5, 6)
     ]
     tree_decays, _, _ = isoperimetry.is_decaying((3, 4, 5, 6), tree_vals)

@@ -1,17 +1,24 @@
 """Command line behavior: exit codes, determinism, output formats."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cheegernet
 from cheegernet import families
 from cheegernet.cli import main
 from cheegernet.isoperimetry import CSV_HEADER
 
 FLUTE8 = str(families.bundled_path("flute8.json"))
 FLUTE_FAM = str(families.bundled_path("flute.family.json"))
+# A valid one-piece spec (self-gluing and a cusp) and a parameter range.
+ONE_PIECE = {"pieces": 1, "gluings": [{"a": [0, 0], "b": [0, 1], "length": 1.0}],
+             "cusps": [[0, 2]]}
+N_1_2 = {"name": "n", "range": [1, 2]}
 
 
 def run_main(capsys, *argv):
@@ -123,6 +130,44 @@ class TestExitCodes:
     def test_input_not_utf8(self, capsys, tmp_path, command):
         path = tmp_path / "latin.json"
         path.write_bytes(b'{"pieces": 2, "name": "\xff"}')
+        code, out, err = run_main(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert "invalid input" in err
+
+    @pytest.mark.parametrize("command", ["validate", "sweep", "net"])
+    def test_input_nested_too_deeply(self, capsys, tmp_path, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run_main(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert "invalid input" in err
+
+    @pytest.mark.parametrize("command", ["validate", "net"])
+    @pytest.mark.parametrize("doc", [
+        {**ONE_PIECE, "opens": 5},
+        {**ONE_PIECE, "pieces": True},
+        {**ONE_PIECE, "gluings": [{"a": [False, 0], "b": [0, 1], "length": 1.0}]},
+    ], ids=["opens_not_list", "pieces_bool", "slot_bool"])
+    def test_malformed_spec_field(self, capsys, tmp_path, command, doc):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_main(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert "invalid input" in err
+
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    @pytest.mark.parametrize("doc", [
+        {"param": N_1_2, "pieces": 1, "gluings": 5, "cusps": [[0, 2]]},
+        {"param": N_1_2, **ONE_PIECE, "opens": 5},
+        {"family": ["flute"], "param": N_1_2},
+        {"family": "flute", "param": {"name": "n", "range": [True, 3]}},
+    ], ids=["gluings_not_list", "opens_not_list", "builder_not_str", "range_bool"])
+    def test_malformed_family_field(self, capsys, tmp_path, command, doc):
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(doc))
         code, out, err = run_main(capsys, command, str(path))
         assert code == 2
         assert out == ""
@@ -263,10 +308,14 @@ class TestInstalledEntryPoint:
         assert json.loads(proc.stdout)["valid"] is True
 
     def test_module_invocation(self):
+        # The child imports the package this test imported, installed or not.
+        src = str(Path(cheegernet.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "cheegernet", "validate", FLUTE8],
             capture_output=True,
             text=True,
             timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0

@@ -22,7 +22,6 @@ from cheegernet.graphtools import (
     boundary_proxy,
     cheeger,
     geodesic_union_set,
-    gromov_product,
     has_pole,
     hyperbolicity_delta,
     min_ratio_cut,
@@ -655,6 +654,11 @@ class TestFarApartScan:
         assert rep.witness == (("hub", 0), ("hub", 1), ("net", 0, 1, 0), ("net", 0, 1, 2))
 
 
+def gromov_product(dmat: np.ndarray, i: int, j: int, o: int) -> float:
+    """(i|j)_o from a distance matrix: the oracle for the proxy's products."""
+    return (float(dmat[i, o]) + float(dmat[j, o]) - float(dmat[i, j])) / 2.0
+
+
 class TestGromovProduct:
     def test_formula(self):
         g = path_graph(6)
@@ -829,7 +833,7 @@ def loop_uniform_perfectness(dists, a=2.0, radius=8, s_grid=(1.5, 2.0, 3.0, 4.0,
 
 def net_proxy(spec):
     net = build_net(spec, cli_params())
-    return net, boundary_proxy(net.graph, keep=lambda v: net.vertex_kind[v] == "net")
+    return net, boundary_proxy(net.graph, keep=lambda v: v[0] == "net")
 
 
 class TestUniformPerfectnessOracle:

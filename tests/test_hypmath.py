@@ -7,17 +7,12 @@ import pytest
 
 from cheegernet.hypmath import (
     ARCSINH_ONE,
-    CollarGeometry,
     DomainError,
-    ball_area,
-    ball_circumference,
     check_delta,
     check_margulis,
-    collar_geometry,
     collar_width,
     cusp_collar,
     delta1,
-    quad_relation,
     shrunk_collar_area_bound,
     thin_boundary_length,
     thin_collar_area,
@@ -38,10 +33,7 @@ ORACLE = {
     "cusp_lam_0.3": 0.60904058689428523791687053401019045819604846536036,
     "thin_separation_0.4_0.5": 0.70140784578132120662407020569429474502676216736267,
     "log_inv_sinh_0.5": 0.65182232594702720043887576652550626995247804105245,
-    "quad_relation_0.3_0.7": 0.37348098690183588781095277954343337793770210440323,
     "delta1_0.5": 0.22376876317600209941431683159354046206026491863956,
-    "ball_area_1.3": 6.1004340265198485138281033844082995523407141118208,
-    "ball_circumference_1.3": 10.671251575968819027001214335879202266574597325059,
     # extremal shrunk collar at eps=0.8, delta0=ln(4/3), l exactly 2d
     "shrunk_l_ext": 0.75132572472092349450458883232083148524329992486957,
     "shrunk_area_ext": 2.2462036106855749412191585300254924881654592474657,
@@ -88,15 +80,8 @@ class TestFrozenValues:
     def test_thin_separation(self):
         assert close(thin_separation(0.4, 0.5), ORACLE["thin_separation_0.4_0.5"])
 
-    def test_quad_relation(self):
-        assert close(quad_relation(0.3, 0.7), ORACLE["quad_relation_0.3_0.7"])
-
     def test_delta1(self):
         assert close(delta1(0.5), ORACLE["delta1_0.5"])
-
-    def test_ball(self):
-        assert close(ball_area(1.3), ORACLE["ball_area_1.3"])
-        assert close(ball_circumference(1.3), ORACLE["ball_circumference_1.3"])
 
     def test_shrunk_collar_extremal(self):
         # At the largest admissible core length the shrunk area halves the
@@ -177,19 +162,6 @@ class TestInvariants:
                 prev = s
             assert abs(thin_separation(1e-8, eps) - floor) < 1e-7
 
-    def test_ball_derivative(self):
-        for r in (0.3, 1.0, 2.5):
-            dr = 1e-6
-            numeric = (ball_area(r + dr) - ball_area(r - dr)) / (2.0 * dr)
-            assert abs(numeric - ball_circumference(r)) < 1e-5
-
-    def test_quad_monotone(self):
-        prev = 0.0
-        for i in range(1, 30):
-            v = quad_relation(0.1 * i, 0.5)
-            assert v > prev
-            prev = v
-
     def test_delta1_below_eps(self):
         for i in range(1, 40):
             eps = ARCSINH_ONE * i / 40.5
@@ -205,15 +177,6 @@ class TestInvariants:
                     area, holds = shrunk_collar_area_bound(l, eps, d0)
                     assert holds, (eps, d0, l)
                     assert area > 0.0
-
-    def test_collar_geometry_container(self):
-        g = collar_geometry(0.4, 1.2)
-        assert isinstance(g, CollarGeometry)
-        assert g.core_length == 0.4
-        assert g.area == pytest.approx(2.0 * 0.4 * math.sinh(1.2))
-        assert g.boundary_component_length == pytest.approx(
-            0.4 * math.cosh(1.2)
-        )
 
 
 class TestDomainErrors:
@@ -255,13 +218,3 @@ class TestDomainErrors:
             shrunk_collar_area_bound(2.0 * d * 1.01, eps, 0.1)
         with pytest.raises(DomainError):
             shrunk_collar_area_bound(-0.1, eps, 0.1)
-
-    def test_ball_domain(self):
-        with pytest.raises(DomainError):
-            ball_area(-1.0)
-        with pytest.raises(DomainError):
-            ball_circumference(math.nan)
-
-    def test_quad_overflow(self):
-        with pytest.raises(DomainError):
-            quad_relation(1e300, 1e300)

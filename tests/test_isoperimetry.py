@@ -7,19 +7,16 @@ import random
 
 import pytest
 
-from conftest import pieces_connected, random_spec
+from conftest import boundary_split, pieces_connected, random_spec
 from cheegernet import families
 from cheegernet.hypmath import DomainError, delta1
 from cheegernet.isoperimetry import (
-    boundary_split,
     cheeger_lower_bound,
     domain_reports,
     family_csv,
     fit_loglog,
-    h_g_exact,
     is_decaying,
     lii_verdict,
-    regularity_constant,
     CSV_HEADER,
 )
 from cheegernet.surface import (
@@ -46,7 +43,7 @@ class TestExact:
         rng = random.Random(17)
         for _ in range(30):
             spec = random_spec(rng, max_pieces=7)
-            rep = h_g_exact(spec, max_pieces=spec.pieces)
+            rep, _ = domain_reports(spec, 1.0, max_pieces=spec.pieces)
             assert rep.h_g == brute_h_g(spec, spec.pieces)
             assert rep.lower_bound_certified
             # reported witness realizes the reported value
@@ -55,7 +52,7 @@ class TestExact:
 
     def test_flute_closed_form(self):
         for n in range(2, 21):
-            rep = h_g_exact(families.flute(n), max_pieces=n)
+            rep, _ = domain_reports(families.flute(n), 1.0, max_pieces=n)
             assert rep.h_g == 1.0 / (math.pi * n)
             assert len(rep.best_domain.piece_set) == n
 
@@ -65,13 +62,13 @@ class TestExact:
             gluings=[((0, s), (1, s), 1.0) for s in range(3)],
             cusps=[],
         )
-        rep = h_g_exact(spec, max_pieces=2)
+        rep, _ = domain_reports(spec, 1.0, max_pieces=2)
         assert rep.h_g == 0.0
         assert rep.best_domain.boundary == ()
 
     def test_cap_respected(self):
         spec = families.flute(8)
-        rep = h_g_exact(spec, max_pieces=3)
+        rep, _ = domain_reports(spec, 1.0, max_pieces=3)
         assert not rep.lower_bound_certified
         assert len(rep.best_domain.piece_set) <= 3
         assert rep.h_g == 1.0 / (math.pi * 3.0)
@@ -79,7 +76,7 @@ class TestExact:
     def test_tie_break_lexicographic(self):
         # uniform chain: all size-k windows tie; smallest window wins
         spec = families.flute(6)
-        rep = h_g_exact(spec, max_pieces=6)
+        rep, _ = domain_reports(spec, 1.0, max_pieces=6)
         assert rep.best_domain.piece_set == (0, 1, 2, 3, 4, 5)
 
     def test_tie_break_keeps_the_connected_witness(self):
@@ -94,7 +91,7 @@ class TestExact:
             cusps=[(0, 1), (2, 1), (2, 2), (5, 1)],
             opens=[((1, 2), 50.0), ((4, 2), 50.0)],
         )
-        rep = h_g_exact(spec, max_pieces=6)
+        rep, _ = domain_reports(spec, 1.0, max_pieces=6)
         assert rep.h_g == 1.0 / (2.0 * math.pi)
         assert rep.best_domain.piece_set == (0, 5)
 
@@ -134,12 +131,6 @@ class TestDomainReports:
             assert repr(got) == repr(brute_domain_reports(spec, delta, cap))
             assert reg.examined == iso.examined and reg.delta == delta
 
-    def test_single_reports_agree(self):
-        spec = families.genus_ladder(4)
-        iso, reg = domain_reports(spec, 0.2, max_pieces=5)
-        assert repr(iso) == repr(h_g_exact(spec, max_pieces=5))
-        assert repr(reg) == repr(regularity_constant(spec, 0.2, max_pieces=5))
-
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
             domain_reports(families.flute(3), 0.0)
@@ -150,13 +141,13 @@ class TestDomainReports:
 class TestRegularity:
     def test_flute_inf_below_one(self):
         for delta in (0.3, 0.9, 0.999):
-            rep = regularity_constant(families.flute(6), delta, max_pieces=6)
+            _, rep = domain_reports(families.flute(6), delta, max_pieces=6)
             assert math.isinf(rep.worst_c)
 
     def test_shrinking_zero(self):
         n = 6
         spec = families.shrinking_flute(n)
-        rep = regularity_constant(spec, 1.0 / n, max_pieces=4)
+        _, rep = domain_reports(spec, 1.0 / n, max_pieces=4)
         assert rep.worst_c == 0.0
         assert rep.witness is not None
         long_total, short_count = boundary_split(rep.witness, 1.0 / n)
@@ -168,18 +159,18 @@ class TestRegularity:
             gluings=[((0, s), (1, s), 1.0) for s in range(3)],
             cusps=[],
         )
-        rep = regularity_constant(spec, 0.5, max_pieces=2)
+        _, rep = domain_reports(spec, 0.5, max_pieces=2)
         # full domain has empty boundary: 0 long / 0 short counts as +inf
         assert math.isinf(rep.worst_c)
 
     def test_delta_must_be_positive(self):
         with pytest.raises(DomainError):
-            regularity_constant(families.flute(3), 0.0)
+            domain_reports(families.flute(3), 0.0)
 
     @pytest.mark.parametrize("cap", [0, -1])
     def test_cap_must_be_positive(self, cap):
         with pytest.raises(DomainError):
-            regularity_constant(families.flute(3), 0.5, max_pieces=cap)
+            domain_reports(families.flute(3), 0.5, max_pieces=cap)
 
 
 class TestTrends:

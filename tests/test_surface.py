@@ -9,7 +9,6 @@ import random
 import pytest
 
 from conftest import pieces_connected, random_spec
-from cheegernet.hypmath import DomainError, delta1
 from cheegernet.surface import (
     Gluing,
     OpenBoundary,
@@ -20,15 +19,11 @@ from cheegernet.surface import (
     domain_from_pieces,
     eval_length_expr,
     family_from_dict,
-    lambda_x,
-    load_spec,
     make_gluing,
     make_spec,
     require_valid,
-    save_spec,
     separating_gluings,
     spec_from_dict,
-    spec_to_dict,
     thick_thin,
     validate,
 )
@@ -249,59 +244,7 @@ class TestThickThin:
         assert tt.cusp_collars[0].lam == pytest.approx(2.0 * math.sinh(0.3))
 
 
-class TestLambdaX:
-    def test_min_over_nonseparating(self):
-        eps = 0.5
-        delta = 0.9 * delta1(eps)
-        spec = make_spec(
-            pieces=2,
-            gluings=[
-                ((0, 0), (1, 0), 0.1),
-                ((0, 1), (1, 1), 0.05),
-                ((0, 2), (1, 2), 1.5),
-            ],
-            cusps=[],
-        )
-        # both short gluings are non-separating (parallel edges)
-        assert lambda_x(spec, eps, delta) == pytest.approx(0.05)
-
-    def test_inf_when_only_separating(self):
-        eps = 0.5
-        delta = 0.9 * delta1(eps)
-        spec = chain_spec(3, length=0.05)
-        assert lambda_x(spec, eps, delta) == math.inf
-
-    def test_delta_range_enforced(self):
-        spec = theta_spec()
-        with pytest.raises(DomainError):
-            lambda_x(spec, 0.5, delta1(0.5) * 1.01)
-        with pytest.raises(DomainError):
-            lambda_x(spec, 0.5, 0.0)
-
-
 class TestJson:
-    def test_round_trip(self, tmp_path):
-        rng = random.Random(3)
-        for i in range(10):
-            spec = random_spec(rng, max_pieces=6)
-            path = tmp_path / f"s{i}.json"
-            save_spec(spec, path)
-            again = load_spec(path)
-            assert again == spec
-
-    def test_round_trip_bytes_stable(self, tmp_path):
-        spec = chain_spec(3)
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        save_spec(spec, p1)
-        save_spec(load_spec(p1), p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_opens_key_omitted_when_empty(self):
-        doc = spec_to_dict(theta_spec())
-        assert "opens" not in doc
-        doc2 = spec_to_dict(chain_spec(2))
-        assert "opens" in doc2
-
     def test_malformed_rejected(self):
         with pytest.raises(SpecError):
             spec_from_dict({"pieces": 2})
