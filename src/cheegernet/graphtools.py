@@ -142,35 +142,50 @@ class Graph:
         first = next(iter(self._adj))
         return len(self.bfs_distances(first)) == self.n
 
-    def distance_matrix(self, weighted: bool = False) -> np.ndarray:
-        """All-pairs distances in canonical vertex order.  Raises if the
-        graph is disconnected: every metric routine here assumes one
-        component.
+    def distance_matrix(self, weighted: bool = False, rows=None) -> np.ndarray:
+        """Distances from the vertices of index `rows` (every vertex if
+        None; repeats and any order allowed) to every vertex, one row each,
+        columns in canonical vertex order.  Raises if the graph is
+        disconnected: every metric routine here assumes one component.
 
         The matrix is composed over the block-cut tree.  A shortest path
-        between two vertices of one block stays in that block, so each
-        block gets its own BFS (or Dijkstra) matrix on the subgraph it
-        spans.  Blocks are then added in breadth-first order of the tree
-        from the block of the first vertex; a block attached at cut vertex
-        a gets d(x, y) = d(x, a) + d(a, y) against every vertex already
-        placed.  Hop counts are exact.  A weighted distance across a cut
-        vertex is a sum of two block distances, where a whole-graph
-        Dijkstra adds the edge weights one by one along the path, so on
-        arbitrary weights the two can differ by rounding.
+        between two vertices of one block stays in that block, so all
+        searches are BFS (or Dijkstra) on the subgraph of one block.
+        Blocks are added in breadth-first order of the tree from the block
+        of the first vertex; a block attached at cut vertex a gets
+        D[old, new] = D[old, a] + d(a -> new) and
+        D[new, old] = d(new -> a) + D[a, old].  Only the rows asked for,
+        the cut vertices' and the first vertex's are composed, the last
+        two because later blocks read them; so one block costs a search
+        from a and one from each of its new vertices whose row is kept.
+        Kept rows and all columns are stored in placement order, so each
+        block writes contiguous slices, and one gather at the end returns
+        the rows asked for in canonical column order.  A row is the same
+        bits whichever other rows are asked for.  Hop counts are exact.  A
+        weighted distance across a cut vertex is a sum of two block
+        distances, where a whole-graph Dijkstra adds the edge weights one
+        by one along the path, so on arbitrary weights the two can differ
+        by rounding.
         """
         n = self.n
         dtype = np.float64 if weighted else np.int32
+        wanted = range(n) if rows is None else rows
         if n <= 1:
-            return np.zeros((n, n), dtype=dtype)
+            return np.zeros((len(wanted), n), dtype=dtype)
         order = self.vertices()
         blocks_of: list[list[list[int]]] = [[] for _ in range(n)]
         for block in biconnected_components(self):
             for i in block:
                 blocks_of[i].append(block)
-        D = np.zeros((n, n), dtype=dtype)
-        placed = np.zeros(n, dtype=np.intp)  # vertex indices, placement order
+        keep = [len(b) > 1 for b in blocks_of]  # cut vertices
+        keep[0] = True
+        for i in wanted:
+            keep[i] = True
+        M = np.zeros((sum(keep), n), dtype=dtype)  # kept rows x placed columns
+        row = [0] * n  # row of M of a kept vertex
+        pos = [0] * n  # column of M of a placed vertex
         is_placed = [True] + [False] * (n - 1)
-        count = 1
+        kept = count = 1
         queue = deque([0])
         while queue:
             a = queue.popleft()
@@ -178,29 +193,37 @@ class Graph:
                 new = [i for i in block if not is_placed[i]]
                 if not new:
                     continue
+                members = {order[i] for i in block}
                 sub = Graph()
                 for i in block:
-                    sub.add_vertex(order[i])
-                for i in block:
-                    for v, w in self._adj[order[i]].items():
-                        if sub.has_vertex(v):
-                            sub.add_edge(order[i], v, w)
+                    u = order[i]
+                    sub._index[u] = len(sub._adj)
+                    sub._adj[u] = {v: w for v, w in self._adj[u].items() if v in members}
                 search = sub.dijkstra if weighted else sub.bfs_distances
-                labels = [order[i] for i in [a] + new]
-                local = np.array([[dist[u] for u in labels]
-                                  for dist in map(search, labels)], dtype=dtype)
-                old = placed[:count]
-                D[np.ix_(new, new)] = local[1:, 1:]
-                D[np.ix_(old, new)] = D[old, a][:, None] + local[0, 1:][None, :]
-                D[np.ix_(new, old)] = local[1:, 0][:, None] + D[a, old][None, :]
-                placed[count:count + len(new)] = new
-                count += len(new)
+                labels = [order[i] for i in new]
+                end = count + len(new)
+                from_a = search(order[a])
+                M[:kept, count:end] = (M[:kept, pos[a], None]
+                                       + np.array([from_a[u] for u in labels], dtype=dtype))
+                fresh = [i for i in new if keep[i]]
+                if fresh:
+                    labels.insert(0, order[a])
+                    local = np.array([[dist[u] for u in labels]
+                                      for dist in (search(order[i]) for i in fresh)],
+                                     dtype=dtype)
+                    M[kept:kept + len(fresh), count:end] = local[:, 1:]
+                    M[kept:kept + len(fresh), :count] = local[:, :1] + M[row[a], :count]
+                    for i in fresh:
+                        row[i] = kept
+                        kept += 1
                 for i in new:
+                    pos[i] = count
+                    count += 1
                     is_placed[i] = True
                 queue.extend(new)
         if count != n:
             raise DomainError("distance matrix of a disconnected graph")
-        return D
+        return M[np.ix_([row[i] for i in wanted], pos)]
 
 
 def biconnected_components(graph: Graph) -> list[list[int]]:

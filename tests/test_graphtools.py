@@ -133,6 +133,14 @@ def glued_blocks(rng: random.Random, count: int, weighted: bool = False):
     return g, {frozenset(f"v{v}" for v in b) for b in blocks}
 
 
+def random_rows(rng: random.Random, n: int) -> list[int]:
+    """Row indices for distance_matrix(rows=...): either a sorted sample of
+    distinct vertices or draws with repeats in any order."""
+    if rng.random() < 0.5:
+        return sorted(rng.sample(range(n), rng.randint(1, n)))
+    return [rng.randrange(n) for _ in range(rng.randint(1, 2 * n))]
+
+
 def cli_net_and_mesh(spec):
     eps = ARCSINH_ONE / 2.0
     params = NetBuildParams(eps=eps, delta=0.9 * delta1(eps))
@@ -141,7 +149,8 @@ def cli_net_and_mesh(spec):
 
 class TestBlockComposedMatrix:
     """distance_matrix composed over the block-cut tree against per-source
-    searches on the whole graph."""
+    searches on the whole graph, and its selected rows against the rows of
+    the full matrix, byte for byte."""
 
     def test_glued_blocks_match_bfs(self):
         rng = random.Random(1973)
@@ -165,6 +174,7 @@ class TestBlockComposedMatrix:
         single.add_vertex("a")
         assert single.distance_matrix().tolist() == [[0]]
         assert single.distance_matrix(weighted=True).tolist() == [[0.0]]
+        assert single.distance_matrix(rows=[0, 0]).tolist() == [[0], [0]]
         edge = Graph()
         edge.add_edge("a", "b", 2.5)
         assert edge.distance_matrix().tolist() == [[0, 1], [1, 0]]
@@ -197,6 +207,17 @@ class TestBlockComposedMatrix:
             D, oracle = g.distance_matrix(weighted=True), per_source_matrix(g, True)
             np.testing.assert_allclose(D, oracle, rtol=1e-12, atol=0.0)
 
+    def test_rows_are_rows_of_the_full_matrix(self):
+        rng = random.Random(1806)
+        for trial in range(200):
+            weighted = trial % 2 == 1
+            g, _ = glued_blocks(rng, rng.randint(1, 12), weighted=weighted)
+            full = g.distance_matrix(weighted=weighted)
+            for rows in (random_rows(rng, g.n), []):
+                got = g.distance_matrix(weighted=weighted, rows=rows)
+                assert got.dtype == full.dtype and got.shape == (len(rows), g.n)
+                assert got.tobytes() == full[rows].tobytes()
+
     @pytest.mark.parametrize("name", ["flute8", "gen12", "loop", "pants_tree3"])
     def test_nets_and_meshes_bit_for_bit(self, name):
         golden = Path(__file__).resolve().parent / "golden"
@@ -207,8 +228,14 @@ class TestBlockComposedMatrix:
             "pants_tree3": lambda: families.pants_tree(3),
         }[name]()
         net, mesh = cli_net_and_mesh(spec)
-        assert np.array_equal(net.distance_matrix(), per_source_matrix(net))
-        assert np.array_equal(mesh.distance_matrix(weighted=True), per_source_matrix(mesh, True))
+        rng = random.Random(name)
+        for g, weighted in ((net, False), (mesh, True)):
+            full = g.distance_matrix(weighted=weighted)
+            assert np.array_equal(full, per_source_matrix(g, weighted))
+            for _ in range(3):
+                rows = random_rows(rng, g.n)
+                got = g.distance_matrix(weighted=weighted, rows=rows)
+                assert got.tobytes() == full[rows].tobytes()
 
 
 def brute_cheeger_finite_half(g: Graph):

@@ -3,11 +3,13 @@ estimation."""
 
 import math
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conftest import random_spec
-from cheegernet import families
+from conftest import random_connected_graph, random_spec
+from cheegernet import cli, families
 from cheegernet.graphtools import Graph
 from cheegernet.hypmath import (
     ARCSINH_ONE,
@@ -28,7 +30,7 @@ from cheegernet.netgraph import (
     net_tags,
     to_dot,
 )
-from cheegernet.surface import make_spec
+from cheegernet.surface import load_spec, make_spec
 
 EPS = ARCSINH_ONE / 2.0
 DELTA = 0.9 * delta1(EPS)
@@ -296,6 +298,30 @@ class TestQuotientMesh:
                 assert PARAMS.delta - 1e-12 <= w <= 1.0 + 1e-12
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+DEFAULT_ALPHAS = [1.0 + 0.25 * k for k in range(29)]
+
+
+def qi_oracle(graph_a, graph_b, vmap, alpha_grid, beta_tol=0.5):
+    """(alpha, beta, fullness, table) pair by pair from the full distance
+    matrices: beta at each alpha is the largest of 0, db - alpha*da and
+    da/alpha - db over all mapped pairs i < j."""
+    order = graph_a.vertices()
+    dom = [i for i, v in enumerate(order) if v in vmap]
+    img = [graph_b.index_of(vmap[order[i]]) for i in dom]
+    iu = np.triu_indices(len(dom), k=1)
+    da = graph_a.distance_matrix()[np.ix_(dom, dom)].astype(np.float64)[iu]
+    Db = graph_b.distance_matrix(weighted=True)
+    db = Db[np.ix_(img, img)][iu]
+    table = tuple(
+        (float(alpha), float(max(0.0, (db - alpha * da).max(), (da / alpha - db).max())))
+        for alpha in alpha_grid
+    )
+    best = min(b for _, b in table)
+    alpha, beta = next((a, b) for a, b in table if b <= best + beta_tol)
+    return alpha, beta, float(Db[img].min(axis=0).max()), table
+
+
 class TestQI:
     def test_identity_map(self):
         g = Graph()
@@ -327,6 +353,48 @@ class TestQI:
         betas = [b for _, b in rep.table]
         assert all(b2 <= b1 + 1e-12 for b1, b2 in zip(betas, betas[1:]))
         assert rep.fullness >= 0.0
+
+    @pytest.mark.parametrize("name", ["flute8", "gen12", "loop", "closed"])
+    def test_golden_specs_match_pair_oracle(self, name):
+        path = families.bundled_path("flute8.json") if name == "flute8" else GOLDEN / f"{name}.json"
+        spec = load_spec(path)
+        net = build_net(spec, PARAMS)
+        mesh, vmap = build_quotient_mesh(spec, PARAMS)
+        rep = estimate_qi_constants(net.graph, mesh, vmap)
+        assert (rep.alpha, rep.beta, rep.fullness, rep.table) == qi_oracle(
+            net.graph, mesh, vmap, DEFAULT_ALPHAS)
+
+    def test_random_maps_match_pair_oracle(self):
+        rng = random.Random(1985)
+        for _ in range(60):
+            a = random_connected_graph(rng, rng.randint(2, 25), rng.randint(0, 12))
+            b = random_connected_graph(rng, rng.randint(1, 25), rng.randint(0, 12))
+            for u, v, _ in list(b.edges()):
+                b.add_edge(u, v, rng.uniform(0.05, 4.0))
+            mapped = rng.sample(a.vertices(), rng.randint(2, a.n))
+            vmap = {v: rng.choice(b.vertices()) for v in mapped}
+            grid = DEFAULT_ALPHAS if rng.random() < 0.5 else sorted(
+                rng.uniform(1.0, 8.0) for _ in range(rng.randint(1, 12)))
+            rep = estimate_qi_constants(a, b, vmap, alpha_grid=grid)
+            assert (rep.alpha, rep.beta, rep.fullness, rep.table) == qi_oracle(a, b, vmap, grid)
+
+    def test_qi_searches_fewer_sources_than_mesh_vertices(self, monkeypatch, capsys):
+        """`qi` asks the mesh only for the image rows, so it runs fewer
+        Dijkstra searches than a full weighted matrix would (one per mesh
+        vertex and one more per block)."""
+        path = families.bundled_path("flute8.json")
+        mesh, _ = build_quotient_mesh(load_spec(path), PARAMS)
+        sources = []
+        dijkstra = Graph.dijkstra
+
+        def counted(self, source):
+            sources.append(source)
+            return dijkstra(self, source)
+
+        monkeypatch.setattr(Graph, "dijkstra", counted)
+        assert cli.main(["qi", str(path)]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert 0 < len(sources) < mesh.n
 
 
 class TestSerialization:
