@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="thick-thin scale, default arcsinh(1)/2")
     p.add_argument("--delta", type=float, default=None,
                    help="net scale, default 0.9*delta1(eps)")
-    p.add_argument("--max-pieces", type=int, default=12,
+    p.add_argument("--max-pieces", type=int, default=isoperimetry.MAX_PIECES,
                    help="domain enumeration cap")
     p.add_argument("--mode", default="auto",
                    help="command-specific mode selector")
@@ -141,8 +141,6 @@ def _cmd_thickthin(args, eps, delta) -> int:
 
 def _cmd_isoperimetry(args, eps, delta) -> int:
     spec = surface.load_spec(args.input)
-    if args.mode not in ("auto", "exact"):
-        raise DomainError(f"unknown isoperimetry mode {args.mode!r}")
     iso, reg = isoperimetry.domain_reports(spec, delta,
                                            max_pieces=args.max_pieces)
     out = iso.to_dict()
@@ -194,11 +192,9 @@ def _cmd_cheeger(args, eps, delta) -> int:
     net = netgraph.build_net(spec, _net_params(eps, delta))
     if args.mode == "auto":
         rep = netgraph.net_cheeger_estimate(net)
-    elif args.mode in ("finite_half", "ambient"):
+    else:
         interior = netgraph.interior_vertices(net) if args.mode == "ambient" else None
         rep = graphtools.cheeger(net.graph, mode=args.mode, interior=interior)
-    else:
-        raise DomainError(f"unknown cheeger mode {args.mode!r}")
     out = rep.to_dict()
     if args.fmt == "csv":
         _emit_kv_csv({"value": rep.value, "exact": rep.exact, "mode": rep.mode})
@@ -209,8 +205,6 @@ def _cmd_cheeger(args, eps, delta) -> int:
 
 def _cmd_hyperbolicity(args, eps, delta) -> int:
     spec = surface.load_spec(args.input)
-    if args.mode not in ("auto", "exact"):
-        raise DomainError(f"unknown hyperbolicity mode {args.mode!r}")
     rep = graphtools.hyperbolicity_delta(
         netgraph.build_net(spec, _net_params(eps, delta)).graph)
     if args.fmt == "csv":
@@ -225,16 +219,14 @@ def _cmd_boundary(args, eps, delta) -> int:
     spec = surface.load_spec(args.input)
     net = netgraph.build_net(spec, _net_params(eps, delta))
     dmat = net.graph.distance_matrix()
-    proxy = graphtools.boundary_proxy(
-        net.graph, keep=lambda v: v[0] == "net", dmat=dmat
-    )
+    proxy = graphtools.boundary_proxy(net.graph, dmat, keep=lambda v: v[0] == "net")
     defect = graphtools.ultrametric_defect(proxy.dists)
     up = graphtools.uniform_perfectness(proxy.dists, a=proxy.a,
                                         radius=proxy.radius)
     specials = sorted(net.special_w.values()) + sorted(net.special_v.values())
     pole = None
     if specials:
-        pole = graphtools.has_pole(net.graph, proxy.base, specials, dmat=dmat).to_dict()
+        pole = graphtools.has_pole(net.graph, proxy.base, specials, dmat).to_dict()
     out = {
         "proxy": proxy.to_dict(),
         "ultrametric_defect": defect,
@@ -294,6 +286,13 @@ _COMMANDS = {
 
 _DOT_OK = {"net"}
 
+# Accepted --mode values per command; every command accepts "auto".
+_MODES = {
+    "isoperimetry": ("auto", "exact"),
+    "hyperbolicity": ("auto", "exact"),
+    "cheeger": ("auto", "finite_half", "ambient"),
+}
+
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
@@ -303,6 +302,8 @@ def main(argv=None) -> int:
             raise DomainError(
                 f"--format dot is only available for: {sorted(_DOT_OK)}"
             )
+        if args.mode not in _MODES.get(args.command, ("auto",)):
+            raise DomainError(f"unknown {args.command} mode {args.mode!r}")
     except DomainError as e:
         print(f"cheegernet: parameter error: {e}", file=sys.stderr)
         return EXIT_PARAM

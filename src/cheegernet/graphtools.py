@@ -85,9 +85,6 @@ class Graph:
     def index_of(self, v) -> int:
         return self._index[v]
 
-    def has_vertex(self, v) -> bool:
-        return v in self._adj
-
     def has_edge(self, u, v) -> bool:
         return u in self._adj and v in self._adj[u]
 
@@ -417,35 +414,6 @@ class CheegerReport:
         }
 
 
-def _enumerate_cuts(adj: np.ndarray, subset_indices, size_cap):
-    """Yield (cut_weight, size, index_tuple) for every nonempty subset of
-    subset_indices, boundary weight measured in the full graph.  Chunked
-    numpy evaluation; subsets are encoded as bitmasks over subset_indices."""
-    m = len(subset_indices)
-    total = 1 << m
-    rows = adj[np.asarray(subset_indices), :]
-    chunk = 1 << 14
-    for lo in range(1, total, chunk):
-        masks = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        bits = ((masks[:, None] >> np.arange(m)) & 1).astype(np.float64)
-        sizes = bits.sum(axis=1)
-        inner = bits @ rows[:, np.asarray(subset_indices)]
-        cut = bits @ rows.sum(axis=1) - (inner * bits).sum(axis=1)
-        ok = sizes <= size_cap
-        yield masks, bits, sizes, cut, ok
-
-
-def _mask_to_tuple(mask: int, subset_indices) -> tuple:
-    out = []
-    k = 0
-    while mask:
-        if mask & 1:
-            out.append(subset_indices[k])
-        mask >>= 1
-        k += 1
-    return tuple(out)
-
-
 def _fiedler_order(adj: np.ndarray) -> list[int]:
     """Vertex indices sorted by the Fiedler vector of the weighted
     adjacency matrix adj, ties toward the smaller index."""
@@ -745,20 +713,29 @@ def cheeger(
 
 
 def _enumerated_cheeger(adj: np.ndarray, order: list) -> CheegerReport:
-    """Exact finite_half Cheeger constant by enumerating every subset."""
+    """Exact finite_half Cheeger constant by enumerating every subset of at
+    most n//2 vertices.  Subsets are bitmasks over the vertex indices,
+    evaluated in numpy chunks of 2^14 masks; the cut is the weight of the
+    edges leaving the set."""
     n = len(order)
-    pool = list(range(n))
     best = math.inf
     best_tuple: tuple | None = None
     examined = 0
-    for masks, bits, sizes, cut, ok in _enumerate_cuts(adj, pool, n // 2):
+    degrees = adj.sum(axis=1)
+    chunk = 1 << 14
+    for lo in range(1, 1 << n, chunk):
+        masks = np.arange(lo, min(lo + chunk, 1 << n), dtype=np.int64)
+        bits = ((masks[:, None] >> np.arange(n)) & 1).astype(np.float64)
+        sizes = bits.sum(axis=1)
+        cut = bits @ degrees - ((bits @ adj) * bits).sum(axis=1)
+        ok = sizes <= n // 2
         examined += int(ok.sum())
         vals = np.where(ok, cut / np.maximum(sizes, 1.0), np.inf)
         v = float(vals.min())
         if not math.isfinite(v) or v > best:
             continue
-        for k in np.nonzero(vals == v)[0]:
-            t = _mask_to_tuple(int(masks[k]), pool)
+        for mask in masks[vals == v].tolist():
+            t = tuple(i for i in range(n) if mask >> i & 1)
             if v < best or best_tuple is None or t < best_tuple:
                 best = v
                 best_tuple = t
@@ -795,50 +772,39 @@ class ProxyReport:
         }
 
 
-def boundary_proxy(
-    graph: Graph,
-    base=None,
-    radius: int | None = None,
-    a: float = 2.0,
-    keep=None,
-    dmat: np.ndarray | None = None,
-) -> ProxyReport:
-    """Sphere-at-infinity proxy: the set of kept vertices at graph distance
-    exactly `radius` from `base`, in the visual metric a^-(x|y) with Gromov
-    products taken at the base.
+def boundary_proxy(graph: Graph, dmat: np.ndarray, keep=None) -> ProxyReport:
+    """Sphere-at-infinity proxy: the kept vertices at graph distance exactly
+    `radius` from a base, in the visual metric a^-(x|y) with a = 2 and
+    Gromov products taken at the base.
 
-    Defaults: base is the first vertex of minimum eccentricity; radius is
+    The base is the first vertex of least eccentricity; the radius is
     max(2, ecc(base) - 2), two steps inside the horizon so the sphere is
-    populated all around.  Every distance comes from one distance matrix:
-    dmat, the graph's hop-count matrix, computed here when not given.
+    populated all around, walked inward while that sphere holds fewer than
+    three kept vertices, but never below 1.  Every distance is read from
+    dmat, the graph's hop-count distance matrix.
     """
     if graph.n == 0:
         raise DomainError("boundary proxy of an empty graph")
-    if a <= 1.0:
-        raise DomainError(f"visual parameter a must exceed 1, got {a!r}")
+    a = 2.0
     order = graph.vertices()
-    D = graph.distance_matrix() if dmat is None else dmat
-    b = int(D.max(axis=1).argmin()) if base is None else graph.index_of(base)
+    b = int(dmat.max(axis=1).argmin())
     base = order[b]
-    dist = D[b].tolist()
+    dist = dmat[b].tolist()
 
     def sphere(r: int) -> list[int]:
         return [i for i, v in enumerate(order) if dist[i] == r and (keep is None or keep(v))]
 
-    if radius is None:
-        # Two steps inside the horizon; kept vertices may occupy alternate
-        # layers, so walk inward to the first sphere with enough of them.
-        radius = max(2, max(dist) - 2)
-        while radius > 1 and len(sphere(radius)) < 3:
-            radius -= 1
-    if radius < 1:
-        raise DomainError(f"radius must be >= 1, got {radius}")
+    # Kept vertices may occupy alternate layers, so walk inward to the first
+    # sphere with enough of them.
+    radius = max(2, max(dist) - 2)
+    while radius > 1 and len(sphere(radius)) < 3:
+        radius -= 1
     idx = sphere(radius)
     if not idx:
         raise DomainError(f"no proxy points at radius {radius} from {base!r}")
     points = [order[i] for i in idx]
     # Both endpoints sit at distance `radius`, so (x|y) = radius - d(x,y)/2.
-    products = radius - D[np.ix_(idx, idx)] / 2.0
+    products = radius - dmat[np.ix_(idx, idx)] / 2.0
     dists = np.power(a, -products)
     np.fill_diagonal(dists, 0.0)
     return ProxyReport(
@@ -922,20 +888,16 @@ def _annulus_scales(realized: np.ndarray, a: float, radius: int, eps0: float):
     return sorted(scales, reverse=True), floor
 
 
-def uniform_perfectness(
-    dists: np.ndarray,
-    a: float = 2.0,
-    radius: int = 8,
-    s_grid=(1.5, 2.0, 3.0, 4.0, 6.0, 8.0),
-    eps0_fractions=(1.0, 0.5, 0.25),
-) -> UPReport:
-    """Annulus test for S-uniform perfectness of a finite metric sample.
+def uniform_perfectness(dists: np.ndarray, a: float, radius: int) -> UPReport:
+    """Annulus test for S-uniform perfectness of a finite metric sample
+    taken in the visual metric of base `a` on the sphere of `radius`.
 
     A point x fails at scale eps if something lies beyond eps but the
     annulus (eps/S, eps] around x is empty.  The space passes at S when no
     point fails at any tested scale below some starting scale eps0.
-    Reported: the least passing S from s_grid with the largest passing
-    eps0, or a failure with the obstructing scale.  The test counts, for
+    S runs over 1.5, 2, 3, 4, 6, 8 and eps0 over 1, 1/2 and 1/4 of the
+    largest distance.  Reported: the least passing S with the largest
+    passing eps0, or a failure with the obstructing scale.  The test counts, for
     every point and every threshold any row can test, the entries at most
     that threshold: one n x (thresholds + 1) table, small on proxies,
     whose few distinct distances keep the thresholds few.
@@ -964,7 +926,8 @@ def uniform_perfectness(
             floor=math.nan,
         )
     realized = np.unique(dists[iu])
-    fracs = sorted(eps0_fractions, reverse=True)
+    s_grid = (1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
+    fracs = (1.0, 0.5, 0.25)
     ladders = {frac: _annulus_scales(realized, a, radius, frac * dmax) for frac in fracs}
     # Every threshold any (S, eps0) row can test: the scales eps and the
     # inner radii eps/S.  count[x, k] is the number of entries of row x at
@@ -1046,34 +1009,30 @@ class PoleReport:
         }
 
 
-def geodesic_union_set(graph: Graph, base, peripheral, dmat: np.ndarray | None = None) -> set:
+def geodesic_union_set(graph: Graph, base, peripheral, dmat: np.ndarray) -> set:
     """Vertices lying on some shortest path from base to some peripheral
     vertex: x qualifies iff d(base,x) + d(x,u) = d(base,u).  Distances are
-    read from dmat, the graph's hop-count distance matrix, computed here
-    when not given."""
-    D = graph.distance_matrix() if dmat is None else dmat
+    read from dmat, the graph's hop-count distance matrix."""
     order = graph.vertices()
     b = graph.index_of(base)
     on = np.zeros(graph.n, dtype=bool)
     for u in peripheral:
         i = graph.index_of(u)
-        on |= D[b] + D[i] == D[b, i]
+        on |= dmat[b] + dmat[i] == dmat[b, i]
     return {order[x] for x in np.flatnonzero(on)}
 
 
-def has_pole(graph: Graph, base, peripheral, m_grid=(1, 2, 3, 4, 6, 8, 12),
-             dmat: np.ndarray | None = None) -> PoleReport:
-    """Whether every vertex is within some grid M of the union of geodesics
-    from base to the peripheral set.  Distance to the union is exact: the
-    least entry of each row of the hop-count distance matrix dmat over the
-    union's columns (dmat is computed here when not given)."""
+def has_pole(graph: Graph, base, peripheral, dmat: np.ndarray) -> PoleReport:
+    """Whether every vertex is within M of the union of geodesics from base
+    to the peripheral set, for some M of the grid 1, 2, 3, 4, 6, 8, 12.
+    Distance to the union is exact: the least entry of each row of the
+    hop-count distance matrix dmat over the union's columns."""
     if not peripheral:
         raise DomainError("pole test needs a nonempty peripheral set")
-    D = graph.distance_matrix() if dmat is None else dmat
-    t_set = geodesic_union_set(graph, base, peripheral, D)
+    t_set = geodesic_union_set(graph, base, peripheral, dmat)
     cols = [graph.index_of(v) for v in t_set]
-    needed = int(D[:, cols].min(axis=1).max())
-    for m in m_grid:
+    needed = int(dmat[:, cols].min(axis=1).max())
+    for m in (1, 2, 3, 4, 6, 8, 12):
         if m >= needed:
             return PoleReport(True, float(m), needed, base, len(peripheral))
     return PoleReport(False, None, needed, base, len(peripheral))

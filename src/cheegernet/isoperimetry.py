@@ -38,6 +38,7 @@ from .surface import (
 )
 
 __all__ = [
+    "MAX_PIECES",
     "IsoperimetricReport",
     "RegularityReport",
     "FamilyRow",
@@ -50,6 +51,9 @@ __all__ = [
     "family_csv",
     "CSV_HEADER",
 ]
+
+# Default size cap of the piece-set enumeration (the CLI's --max-pieces).
+MAX_PIECES = 12
 
 
 @dataclass(frozen=True)
@@ -129,7 +133,7 @@ def _scan(spec: SurfaceSpec, delta: float, max_pieces: int):
 
 
 def domain_reports(
-    spec: SurfaceSpec, delta: float, max_pieces: int = 12
+    spec: SurfaceSpec, delta: float, max_pieces: int = MAX_PIECES
 ) -> tuple[IsoperimetricReport, RegularityReport]:
     """h_g and the regularity constant of a spec from one pass over its
     connected piece sets of size up to max_pieces.
@@ -190,11 +194,11 @@ def fit_loglog(xs, ys) -> tuple[float, float]:
     return slope, r2
 
 
-def is_decaying(params, values, tail: int = 5) -> tuple[bool, float | None, float | None]:
-    """Trend call on the largest `tail` instances: decaying iff the log-log
+def is_decaying(params, values) -> tuple[bool, float | None, float | None]:
+    """Trend call on the largest five instances: decaying iff the log-log
     slope is < -0.5 with R^2 > 0.9.  Nonpositive values short-circuit to
     decaying (a zero ratio cannot be bounded away from zero)."""
-    pairs = sorted(zip(params, values))[-tail:]
+    pairs = sorted(zip(params, values))[-5:]
     if any(v <= 0.0 for _, v in pairs):
         return True, None, None
     if len(pairs) < 2:
@@ -245,10 +249,10 @@ def lii_verdict(
     family: Family,
     eps: float,
     delta: float,
-    max_pieces: int = 12,
-    values=None,
+    max_pieces: int = MAX_PIECES,
 ) -> FamilyReport:
-    """Sweep a family and decide whether its isoperimetric ratios decay.
+    """Sweep every instance of a family, in parameter order, and decide
+    whether its isoperimetric ratios decay.
 
     Decaying ratios (log-log slope < -0.5, R^2 > 0.9 over the largest five
     instances) are evidence against a linear isoperimetric inequality;
@@ -256,9 +260,7 @@ def lii_verdict(
     surface Cheeger bound h >= h_g/(1 + h_g) for the largest instance.
     """
     check_delta(eps, delta)
-    vals = sorted(values) if values is not None else list(family.values())
-    if not vals:
-        raise DomainError("family sweep needs at least one parameter value")
+    vals = list(family.values())
     reports = [domain_reports(family.instance(v), delta, max_pieces) for v in vals]
     hgs = [iso.h_g for iso, _ in reports]
     decaying, slope, r2 = is_decaying(vals, hgs)

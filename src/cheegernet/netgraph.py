@@ -175,11 +175,7 @@ def build_net(spec: SurfaceSpec, params: NetBuildParams) -> NetGraph:
     )
 
 
-def degree_bound(
-    eps: float,
-    delta: float,
-    max_curve_length: float = 2.0,
-) -> int:
+def degree_bound(eps: float, delta: float, max_curve_length: float) -> int:
     """Uniform degree bound for nets built at (eps, delta) from specs whose
     curve lengths stay below max_curve_length.
 
@@ -301,19 +297,17 @@ def _piece_spoke_weight(shortest: float, params: NetBuildParams) -> float:
     return min(1.0, max(params.delta, collar_width(shortest)))
 
 
-def build_quotient_mesh(
-    spec: SurfaceSpec, params: NetBuildParams, refinement: int = 3
-):
+def build_quotient_mesh(spec: SurfaceSpec, params: NetBuildParams):
     """Refined mesh of the surface after thin-collar surgery.
 
     Returns (graph, vmap): a weighted graph and the inclusion map from net
     vertices (specials have no image).
-    Each net ring reappears refined by the given factor; the two rings of a
+    Each net ring reappears with three mesh samples per net sample, and
+    sample j of a net ring maps to mesh sample 3j; the two rings of a
     delta-thin gluing map onto one ring, realizing the gluing of the collar
     boundaries; cusp rings stay but their special end is removed.
     """
-    if refinement < 1:
-        raise DomainError(f"refinement must be >= 1, got {refinement}")
+    refinement = 3
     net = build_net(spec, params)
     mesh = Graph()
     vmap: dict = {}
@@ -408,14 +402,9 @@ def _pair_matrices(graph_a: Graph, graph_b: Graph, vmap):
     return da[iu], image_rows[:, img][iu], image_rows
 
 
-def estimate_qi_constants(
-    graph_a: Graph,
-    graph_b: Graph,
-    vmap,
-    alpha_grid=None,
-    beta_tol: float = 0.5,
-) -> QIReport:
-    """Grid search for quasi-isometry constants of vmap.
+def estimate_qi_constants(graph_a: Graph, graph_b: Graph, vmap) -> QIReport:
+    """Grid search for quasi-isometry constants of vmap over alpha = 1.0,
+    1.25, ..., 8.0.
 
     beta(alpha) is the least beta >= 0 with da/alpha - beta <= db <=
     alpha*da + beta over the mapped pairs.  It is computed from the
@@ -423,12 +412,10 @@ def estimate_qi_constants(
     monotone, so db - alpha*da is largest at the largest db and
     da/alpha - db at the smallest, and the table has the same bits as the
     pair-by-pair maximum.  beta(alpha) is non-increasing, so the search
-    reports the knee: the smallest grid alpha whose beta comes within
-    beta_tol of the best beta on the grid.  Fullness is the largest
-    distance from any vertex of the target to the image.
+    reports the knee: the smallest grid alpha whose beta comes within 0.5
+    of the best beta on the grid.  Fullness is the largest distance from
+    any vertex of the target to the image.
     """
-    if alpha_grid is None:
-        alpha_grid = [1.0 + 0.25 * k for k in range(29)]  # 1.0 .. 8.0
     da, db, image_rows = _pair_matrices(graph_a, graph_b, vmap)
     ndom = image_rows.shape[0]
     by_hop = np.lexsort((db, da))
@@ -436,14 +423,14 @@ def estimate_qi_constants(
     hops, first = np.unique(da, return_index=True)
     db_min, db_max = db[first], db[np.append(first[1:], len(db)) - 1]
     table = []
-    for alpha in alpha_grid:
+    for alpha in (1.0 + 0.25 * k for k in range(29)):
         over = db_max - alpha * hops
         under = hops / alpha - db_min
         beta = float(max(0.0, over.max(), under.max()))
         table.append((float(alpha), beta))
     best_beta = min(b for _, b in table)
     alpha_star, beta_star = next(
-        (a, b) for a, b in table if b <= best_beta + beta_tol
+        (a, b) for a, b in table if b <= best_beta + 0.5
     )
 
     fullness = float(image_rows.min(axis=0).max())
@@ -477,12 +464,11 @@ def net_tags(net: NetGraph) -> dict:
     return tags
 
 
-def to_dot(graph: Graph, tags: dict | None = None, name: str = "net") -> str:
-    order = graph.vertices()
-    lines = [f"graph {name} {{"]
-    for i, v in enumerate(order):
-        tag = tags.get(v, str(v)) if tags else str(v)
-        lines.append(f'  n{i} [label="{tag}"];')
+def to_dot(graph: Graph, tags: dict) -> str:
+    """DOT text of a graph named net, each vertex labelled by its tag."""
+    lines = ["graph net {"]
+    for i, v in enumerate(graph.vertices()):
+        lines.append(f'  n{i} [label="{tags[v]}"];')
     weighted = any(w != 1.0 for _, _, w in graph.edges())
     for u, v, w in graph.edges():
         iu, iv = graph.index_of(u), graph.index_of(v)

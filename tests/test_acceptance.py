@@ -417,7 +417,7 @@ def test_10_qi_constants_stable():
 def _proxy_up(spec):
     net = netgraph.build_net(spec, PARAMS)
     proxy = graphtools.boundary_proxy(
-        net.graph, keep=lambda v: v[0] == "net"
+        net.graph, net.graph.distance_matrix(), keep=lambda v: v[0] == "net"
     )
     return graphtools.uniform_perfectness(proxy.dists, a=proxy.a, radius=proxy.radius)
 

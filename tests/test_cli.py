@@ -92,6 +92,17 @@ class TestExitCodes:
                                 "--format", "dot")
         assert code == 3
 
+    @pytest.mark.parametrize("command", [
+        "validate", "thickthin", "isoperimetry", "net", "cheeger",
+        "hyperbolicity", "boundary", "qi", "sweep",
+    ])
+    def test_unknown_mode(self, capsys, command):
+        path = FLUTE_FAM if command == "sweep" else FLUTE8
+        code, out, err = run_main(capsys, command, path, "--mode", "bogus")
+        assert code == 3
+        assert out == ""
+        assert f"unknown {command} mode 'bogus'" in err
+
     def test_family_rejected_by_spec_commands(self, capsys):
         code, _, err = run_main(capsys, "net", FLUTE_FAM)
         assert code == 2

@@ -282,13 +282,15 @@ def brute_cheeger_ambient(g: Graph, interior):
 
 class TestCheeger:
     def test_finite_half_matches_brute(self):
+        # 15 and 16 vertices take 2 and 4 of the enumeration's chunks of
+        # 2^14 masks, so the scan and its running minimum cross chunks.
         rng = random.Random(23)
-        for _ in range(40):
-            n = rng.randint(4, 10)
+        for n in [rng.randint(4, 10) for _ in range(40)] + [15, 16]:
             g = random_connected_graph(rng, n, rng.randint(0, n))
             rep = cheeger(g, mode="finite_half")
             want, want_set = brute_cheeger_finite_half(g)
             assert rep.exact
+            assert rep.examined == sum(math.comb(n, r) for r in range(1, n // 2 + 1))
             assert rep.value == want
             assert tuple(g.index_of(v) for v in rep.witness) == want_set
 
@@ -699,9 +701,12 @@ class TestBoundaryProxy:
     def test_products_match_direct_computation(self):
         rng = random.Random(13)
         g = random_connected_graph(rng, 18, 9)
-        rep = boundary_proxy(g, base=g.vertices()[0], radius=2)
         D = g.distance_matrix()
-        o = 0
+        rep = boundary_proxy(g, D)
+        o = int(D.max(axis=1).argmin())
+        assert rep.base == g.vertices()[o]
+        assert rep.a == 2.0
+        assert all(D[o, g.index_of(p)] == rep.radius for p in rep.points)
         for i, p in enumerate(rep.points):
             for j, q in enumerate(rep.points):
                 direct = gromov_product(D, g.index_of(p), g.index_of(q), o)
@@ -710,16 +715,19 @@ class TestBoundaryProxy:
         assert (np.diag(rep.dists) == 0.0).all()
 
     def test_keep_filter(self):
+        # base 4; the sphere of radius 2 holds two vertices, so the radius
+        # backs off to 1, where the filter leaves 3 of {3, 5}
         g = path_graph(9)
-        rep = boundary_proxy(g, base=4, radius=4, keep=lambda v: v == 0)
-        assert rep.points == (0,)
+        rep = boundary_proxy(g, g.distance_matrix(), keep=lambda v: v != 5)
+        assert (rep.base, rep.radius, rep.points) == (4, 1, (3,))
 
     def test_auto_radius_backs_off(self):
         # stars have everything at radius 1 from the hub
         g = Graph()
         for v in range(1, 6):
             g.add_edge(0, v)
-        rep = boundary_proxy(g, base=0)
+        rep = boundary_proxy(g, g.distance_matrix())
+        assert rep.base == 0
         assert rep.radius == 1
         assert len(rep.points) == 5
 
@@ -745,7 +753,7 @@ class TestUltrametricDefect:
         rng = random.Random(19)
         g = random_connected_graph(rng, 20, 10)
         rep = hyperbolicity_delta(g)
-        proxy = boundary_proxy(g, base=g.vertices()[0], radius=2)
+        proxy = boundary_proxy(g, g.distance_matrix())
         defect = ultrametric_defect(proxy.dists)
         assert defect <= proxy.a ** rep.delta + 1e-9
 
@@ -757,7 +765,7 @@ def geometric_points(scales):
 
 class TestUniformPerfectness:
     def test_degenerate(self):
-        rep = uniform_perfectness(np.zeros((2, 2)))
+        rep = uniform_perfectness(np.zeros((2, 2)), a=2.0, radius=8)
         assert not rep.passed
         assert "degenerate" in rep.reason
 
@@ -860,7 +868,8 @@ def loop_uniform_perfectness(dists, a=2.0, radius=8, s_grid=(1.5, 2.0, 3.0, 4.0,
 
 def net_proxy(spec):
     net = build_net(spec, cli_params())
-    return net, boundary_proxy(net.graph, keep=lambda v: v[0] == "net")
+    return net, boundary_proxy(net.graph, net.graph.distance_matrix(),
+                               keep=lambda v: v[0] == "net")
 
 
 class TestUniformPerfectnessOracle:
@@ -879,9 +888,8 @@ class TestUniformPerfectnessOracle:
             d = np.triu(vals, k=1)
             d = d + d.T
             radius = rng.randint(3, 12)
-            s_grid = tuple(sorted(rng.sample([1.5, 2.0, 3.0, 4.0, 6.0, 8.0], rng.randint(1, 6))))
-            got = uniform_perfectness(d, a=a, radius=radius, s_grid=s_grid)
-            want = loop_uniform_perfectness(d, a=a, radius=radius, s_grid=s_grid)
+            got = uniform_perfectness(d, a=a, radius=radius)
+            want = loop_uniform_perfectness(d, a=a, radius=radius)
             assert repr(got) == repr(want)
 
     @pytest.mark.parametrize("name", ["flute8", "gen12", "loop", "flute40", "pants_tree5"])
@@ -925,13 +933,13 @@ class TestPole:
             g = random_connected_graph(rng, n, rng.randint(0, 4))
             base = 0
             peripheral = [n - 1, n // 2]
-            got = geodesic_union_set(g, base, peripheral)
+            got = geodesic_union_set(g, base, peripheral, g.distance_matrix())
             want = brute_geodesic_union(g, base, peripheral)
             assert got == want
 
     def test_path_has_tight_pole(self):
         g = path_graph(8)
-        rep = has_pole(g, 0, [7])
+        rep = has_pole(g, 0, [7], g.distance_matrix())
         assert rep.has_pole
         assert rep.needed == 0
         assert rep.m_value == 1.0
@@ -942,7 +950,7 @@ class TestPole:
         g.add_edge(2, "p1")
         g.add_edge("p1", "p2")
         g.add_edge("p2", "p3")
-        rep = has_pole(g, 0, [5])
+        rep = has_pole(g, 0, [5], g.distance_matrix())
         assert rep.needed == 3
         assert rep.m_value == 3.0
 
@@ -950,14 +958,14 @@ class TestPole:
         g = path_graph(4)
         for k in range(20):
             g.add_edge(1 if k == 0 else f"t{k - 1}", f"t{k}")
-        rep = has_pole(g, 0, [3], m_grid=(1, 2, 4))
+        rep = has_pole(g, 0, [3], g.distance_matrix())
         assert not rep.has_pole
         assert rep.m_value is None
         assert rep.needed == 20
 
     def test_empty_peripheral_rejected(self):
         with pytest.raises(DomainError):
-            has_pole(path_graph(3), 0, [])
+            has_pole(path_graph(3), 0, [], path_graph(3).distance_matrix())
 
 
 def bfs_has_pole(g: Graph, base, peripheral, m_grid=(1, 2, 3, 4, 6, 8, 12)) -> PoleReport:
@@ -994,8 +1002,7 @@ class TestPoleFromMatrix:
             base = rng.randrange(n)
             peripheral = rng.sample(range(n), rng.randint(1, 4))
             D = g.distance_matrix()
-            assert repr(has_pole(g, base, peripheral, dmat=D)) == repr(bfs_has_pole(g, base, peripheral))
-            assert has_pole(g, base, peripheral) == has_pole(g, base, peripheral, dmat=D)
+            assert repr(has_pole(g, base, peripheral, D)) == repr(bfs_has_pole(g, base, peripheral))
 
     @pytest.mark.parametrize("name", ["flute8", "gen12", "loop", "flute40"])
     def test_net_poles_match_bfs(self, name):

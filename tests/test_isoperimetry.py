@@ -216,16 +216,16 @@ class TestFamilySweep:
         assert rep.h_lower_bound == pytest.approx(hg_last / (1 + hg_last))
 
     def test_tree_has_lii_at_cap(self):
-        fam = families.load_family(families.bundled_path("tree.family.json"))
-        rep = lii_verdict(fam, eps=0.5, delta=0.15, max_pieces=10,
-                          values=[3, 4, 5])
+        fam = families.load_family({"family": "pants_tree",
+                                    "param": {"name": "depth", "range": [3, 5]}})
+        rep = lii_verdict(fam, eps=0.5, delta=0.15, max_pieces=10)
+        assert [r.param for r in rep.rows] == [3, 4, 5]
         assert rep.verdict == "has_LII_evidence"
         assert all(r.h_g > 0.15 for r in rep.rows)
 
     def test_csv_shape(self):
-        fam = families.load_family(families.bundled_path("flute.family.json"))
-        rep = lii_verdict(fam, eps=0.5, delta=0.15, max_pieces=6,
-                          values=[2, 3, 4])
+        fam = families.load_family({"family": "flute", "param": {"name": "n", "range": [2, 4]}})
+        rep = lii_verdict(fam, eps=0.5, delta=0.15, max_pieces=6)
         text = family_csv(rep)
         lines = text.strip().split("\n")
         assert lines[0] == CSV_HEADER

@@ -135,7 +135,7 @@ class TestDegreeBound:
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
-            degree_bound(0.5, delta1(0.5) * 1.1)
+            degree_bound(0.5, delta1(0.5) * 1.1, max_curve_length=1.0)
         with pytest.raises(DomainError):
             degree_bound(0.5, 0.1, max_curve_length=0.0)
 
@@ -257,9 +257,13 @@ class TestInterior:
 class TestQuotientMesh:
     def test_refinement_counts_and_weights(self):
         spec = thin_pair_spec()
-        mesh, vmap = build_quotient_mesh(spec, PARAMS, refinement=3)
+        mesh, vmap = build_quotient_mesh(spec, PARAMS)
         net = build_net(spec, PARAMS)
         assert mesh.is_connected()
+        # three mesh samples per net sample on every ring
+        for ring in net.rings:
+            key = vmap[ring.labels[0]][:3]
+            assert sum(v[:3] == key for v in mesh.vertices()) == 3 * len(ring.labels)
         # per mesh ring: edge weights sum back to the curve length
         ring_lengths = {}
         for u, v, w in mesh.edges():
@@ -274,12 +278,13 @@ class TestQuotientMesh:
 
     def test_thin_sides_identified(self):
         spec = thin_pair_spec()
-        mesh, vmap = build_quotient_mesh(spec, PARAMS, refinement=2)
+        mesh, vmap = build_quotient_mesh(spec, PARAMS)
         net = build_net(spec, PARAMS)
         ra = net.ring_of_slot[(0, 0)]
         rb = net.ring_of_slot[(1, 0)]
         for j in range(len(ra.labels)):
             assert vmap[ra.labels[j]] == vmap[rb.labels[j]]
+            assert vmap[ra.labels[j]][3] == 3 * j
 
     def test_specials_dropped(self):
         spec = thin_pair_spec()
@@ -373,10 +378,9 @@ class TestQI:
                 b.add_edge(u, v, rng.uniform(0.05, 4.0))
             mapped = rng.sample(a.vertices(), rng.randint(2, a.n))
             vmap = {v: rng.choice(b.vertices()) for v in mapped}
-            grid = DEFAULT_ALPHAS if rng.random() < 0.5 else sorted(
-                rng.uniform(1.0, 8.0) for _ in range(rng.randint(1, 12)))
-            rep = estimate_qi_constants(a, b, vmap, alpha_grid=grid)
-            assert (rep.alpha, rep.beta, rep.fullness, rep.table) == qi_oracle(a, b, vmap, grid)
+            rep = estimate_qi_constants(a, b, vmap)
+            assert (rep.alpha, rep.beta, rep.fullness, rep.table) == qi_oracle(
+                a, b, vmap, DEFAULT_ALPHAS)
 
     def test_qi_searches_fewer_sources_than_mesh_vertices(self, monkeypatch, capsys):
         """`qi` asks the mesh only for the image rows, so it runs fewer
