@@ -189,6 +189,8 @@ def _max_curve_length(spec: surface.SurfaceSpec) -> float:
 
 def _cmd_cheeger(args, eps, delta) -> int:
     spec = surface.load_spec(args.input)
+    if args.mode == "ambient" and not spec.opens:
+        raise DomainError("the spec has no open curves, so ambient mode has no outer edge")
     net = netgraph.build_net(spec, _net_params(eps, delta))
     if args.mode == "auto":
         rep = netgraph.net_cheeger_estimate(net)

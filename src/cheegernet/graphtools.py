@@ -11,7 +11,8 @@ Dinic max flow in Python integers; ambient Cheeger constants use them,
 and so does the size-capped constant's upper bound on graphs too large to
 enumerate, over the two halves of the Fiedler order.
 The four-point hyperbolicity constant is exact at every size: the largest
-over the same blocks, each scanned by far-apart pairs.
+over the same blocks, each scanned by far-apart pairs on its own m x m
+matrix, so no n x n matrix is built.
 numpy does the four-point scans, the annulus counts of the perfectness
 test and the subset enumerations of the size-capped Cheeger constant;
 single-source searches are plain BFS/Dijkstra.
@@ -147,7 +148,8 @@ class Graph:
 
         The matrix is composed over the block-cut tree.  A shortest path
         between two vertices of one block stays in that block, so all
-        searches are BFS (or Dijkstra) on the subgraph of one block.
+        searches are BFS (or Dijkstra) on the subgraph of one block, whose
+        labels are the positions in the block.
         Blocks are added in breadth-first order of the tree from the block
         of the first vertex; a block attached at cut vertex a gets
         D[old, new] = D[old, a] + d(a -> new) and
@@ -169,11 +171,10 @@ class Graph:
         wanted = range(n) if rows is None else rows
         if n <= 1:
             return np.zeros((len(wanted), n), dtype=dtype)
-        order = self.vertices()
-        blocks_of: list[list[list[int]]] = [[] for _ in range(n)]
-        for block in biconnected_components(self):
+        blocks_of: list[list[tuple]] = [[] for _ in range(n)]
+        for block, sub in _block_graphs(self):
             for i in block:
-                blocks_of[i].append(block)
+                blocks_of[i].append((block, sub))
         keep = [len(b) > 1 for b in blocks_of]  # cut vertices
         keep[0] = True
         for i in wanted:
@@ -186,40 +187,32 @@ class Graph:
         queue = deque([0])
         while queue:
             a = queue.popleft()
-            for block in blocks_of[a]:
-                new = [i for i in block if not is_placed[i]]
+            for block, sub in blocks_of[a]:
+                new = [k for k, i in enumerate(block) if not is_placed[i]]
                 if not new:
                     continue
-                members = {order[i] for i in block}
-                sub = Graph()
-                for i in block:
-                    u = order[i]
-                    sub._index[u] = len(sub._adj)
-                    sub._adj[u] = {v: w for v, w in self._adj[u].items() if v in members}
                 search = sub.dijkstra if weighted else sub.bfs_distances
-                labels = [order[i] for i in new]
                 end = count + len(new)
-                from_a = search(order[a])
+                at = block.index(a)
+                from_a = search(at)
                 M[:kept, count:end] = (M[:kept, pos[a], None]
-                                       + np.array([from_a[u] for u in labels], dtype=dtype))
-                fresh = [i for i in new if keep[i]]
+                                       + np.array([from_a[k] for k in new], dtype=dtype))
+                fresh = [k for k in new if keep[block[k]]]
                 if fresh:
-                    labels.insert(0, order[a])
-                    local = np.array([[dist[u] for u in labels]
-                                      for dist in (search(order[i]) for i in fresh)],
+                    cols = [at] + new
+                    local = np.array([[dist[k] for k in cols] for dist in map(search, fresh)],
                                      dtype=dtype)
                     M[kept:kept + len(fresh), count:end] = local[:, 1:]
                     M[kept:kept + len(fresh), :count] = local[:, :1] + M[row[a], :count]
-                    for i in fresh:
-                        row[i] = kept
+                    for k in fresh:
+                        row[block[k]] = kept
                         kept += 1
-                for i in new:
+                for k in new:
+                    i = block[k]
                     pos[i] = count
                     count += 1
                     is_placed[i] = True
-                queue.extend(new)
-        if count != n:
-            raise DomainError("distance matrix of a disconnected graph")
+                    queue.append(i)
         return M[np.ix_([row[i] for i in wanted], pos)]
 
 
@@ -271,6 +264,31 @@ def biconnected_components(graph: Graph) -> list[list[int]]:
     return blocks
 
 
+def _block_graphs(graph: Graph) -> list[tuple[list[int], Graph]]:
+    """Each block of a connected graph with at least two vertices, with
+    its subgraph labelled by the positions 0..m-1 in the block.  An edge
+    whose ends share a block lies in it, since two blocks share at most
+    one vertex.  Raises if the graph is disconnected: the block-cut tree
+    of c components with B blocks of total size S has S = n + B - c."""
+    index = graph._index
+    nbrs = [[(index[u], w) for u, w in adj.items()] for adj in graph._adj.values()]
+    where = [-1] * len(nbrs)  # position in the current block
+    out = []
+    for block in biconnected_components(graph):
+        for k, i in enumerate(block):
+            where[i] = k
+        sub = Graph()
+        sub._index = {k: k for k in range(len(block))}
+        sub._adj = {k: {where[j]: w for j, w in nbrs[i] if where[j] >= 0}
+                    for k, i in enumerate(block)}
+        for i in block:
+            where[i] = -1
+        out.append((block, sub))
+    if sum(len(block) for block, _ in out) - len(out) != len(nbrs) - 1:
+        raise DomainError("distance matrix of a disconnected graph")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Four-point hyperbolicity
 
@@ -317,15 +335,20 @@ def _first_witness(D: np.ndarray, best2: int) -> tuple:
     raise AssertionError("no quadruple attains the scanned delta")
 
 
+def _near(nbrs: list[list[int]], D: np.ndarray) -> np.ndarray:
+    """near[x, y]: no neighbour of x is farther from y than x is.  Runs of
+    neighbour rows are unpadded, so a hub widens only its own run."""
+    starts = np.cumsum([0] + [len(row) for row in nbrs[:-1]])
+    return np.maximum.reduceat(D[[u for row in nbrs for u in row]], starts) <= D
+
+
 def _far_apart_scan(nbrs: list[list[int]], D: np.ndarray) -> tuple[int, int]:
     """Doubled delta of a connected graph and the quadruples evaluated, by
     the far-apart-pair scan.  Far-apart pairs x < y (no neighbour of x
     farther from y, no neighbour of y farther from x) are taken by
     decreasing distance, then lexicographically; each is checked against
     every earlier pair until its distance is at most 2*delta."""
-    near = np.empty(D.shape, dtype=bool)
-    for x, row in enumerate(nbrs):
-        near[x] = D[row].max(axis=0) <= D[x]
+    near = _near(nbrs, D)
     xs, ys = np.nonzero(np.triu(near & near.T, k=1))
     keep = np.argsort(-D[xs, ys], kind="stable")
     xs, ys = xs[keep], ys[keep]
@@ -348,9 +371,11 @@ def hyperbolicity_delta(graph: Graph) -> HyperbolicityReport:
 
     A shortest path between two vertices of one biconnected block stays in
     that block, so delta is the largest delta of the blocks; blocks of
-    fewer than four vertices have delta 0.  Each block is scanned on its
-    own slice of the distance matrix and its own neighbour lists by the
-    far-apart-pair method of Cohen, Coudert and Lancin ("On computing the
+    fewer than four vertices have delta 0.  No n x n matrix is built: each
+    block of four or more vertices fills its own m x m matrix by a BFS
+    from each vertex of its subgraph, and is scanned on that matrix and
+    its own neighbour lists by the far-apart-pair method of Cohen, Coudert
+    and Lancin ("On computing the
     Gromov hyperbolicity", ACM JEA 2015); quadruples is the number of
     quadruples those scans evaluated, summed over the blocks.  The witness
     is the lexicographically first quadruple (in canonical vertex order)
@@ -364,25 +389,22 @@ def hyperbolicity_delta(graph: Graph) -> HyperbolicityReport:
     order = graph.vertices()
     if graph.n < 4:
         return HyperbolicityReport(0.0, tuple(order), True, 0.0, 0)
-    D = graph.distance_matrix()
-    index = graph._index
-    nbrs = [[index[u] for u in adj] for adj in graph._adj.values()]
     scans = []
     quadruples = 0
-    for block in biconnected_components(graph):
-        if len(block) < 4:
+    for block, sub in _block_graphs(graph):
+        m = len(block)
+        if m < 4:
             continue
-        local = {v: k for k, v in enumerate(block)}
-        sub = D[np.ix_(block, block)]
-        best2, count = _far_apart_scan(
-            [[local[u] for u in nbrs[v] if u in local] for v in block], sub)
-        scans.append((best2, block, sub))
+        D = np.array([[dist[k] for k in range(m)] for dist in map(sub.bfs_distances, range(m))],
+                     dtype=np.int32)
+        best2, count = _far_apart_scan([list(adj) for adj in sub._adj.values()], D)
+        scans.append((best2, block, D))
         quadruples += count
     best2 = max((scan[0] for scan in scans), default=0)
     witness = (0, 1, 2, 3)
     if best2:
-        witness = min(tuple(block[k] for k in _first_witness(sub, best2))
-                      for b2, block, sub in scans if b2 == best2)
+        witness = min(tuple(block[k] for k in _first_witness(D, best2))
+                      for b2, block, D in scans if b2 == best2)
     return HyperbolicityReport(
         delta=best2 / 2.0,
         witness=tuple(order[i] for i in witness),

@@ -103,6 +103,13 @@ class TestExitCodes:
         assert out == ""
         assert f"unknown {command} mode 'bogus'" in err
 
+    def test_ambient_needs_open_curves(self, capsys):
+        closed = str(Path(__file__).parent / "golden" / "closed.json")
+        code, out, err = run_main(capsys, "cheeger", closed, "--mode", "ambient")
+        assert code == 3
+        assert out == ""
+        assert "the spec has no open curves, so ambient mode has no outer edge" in err
+
     def test_family_rejected_by_spec_commands(self, capsys):
         code, _, err = run_main(capsys, "net", FLUTE_FAM)
         assert code == 2

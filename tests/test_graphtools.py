@@ -12,12 +12,15 @@ import numpy as np
 import pytest
 
 from conftest import cycle_graph, random_connected_graph, random_tree
-from cheegernet import cli, families, netgraph
+from cheegernet import cli, families, graphtools, netgraph
 from cheegernet.graphtools import (
     Graph,
     PoleReport,
     UPReport,
+    _far_apart_scan,
+    _first_witness,
     _max_flow,
+    _near,
     biconnected_components,
     boundary_proxy,
     cheeger,
@@ -681,6 +684,102 @@ class TestFarApartScan:
         assert 0 < rep.quadruples < math.comb(g.n, 4)
         assert rep.delta == 1.0 and rep.base_dependence == 1.0
         assert rep.witness == (("hub", 0), ("hub", 1), ("net", 0, 1, 0), ("net", 0, 1, 2))
+
+
+def sliced_hyperbolicity(g: Graph) -> tuple:
+    """(delta, witness, quadruples) scanned on slices of the full composed
+    matrix, with the slice's neighbour lists read from the labelled graph."""
+    order = g.vertices()
+    D = g.distance_matrix()
+    scans, quadruples = [], 0
+    for block in biconnected_components(g):
+        if len(block) < 4:
+            continue
+        local = {order[i]: k for k, i in enumerate(block)}
+        nbrs = [[local[u] for u in g.neighbors(order[i]) if u in local] for i in block]
+        sub = D[np.ix_(block, block)]
+        best2, count = _far_apart_scan(nbrs, sub)
+        scans.append((best2, block, sub))
+        quadruples += count
+    best2 = max((scan[0] for scan in scans), default=0)
+    witness = (0, 1, 2, 3)
+    if best2:
+        witness = min(tuple(block[k] for k in _first_witness(sub, best2))
+                      for b2, block, sub in scans if b2 == best2)
+    return best2 / 2.0, tuple(order[i] for i in witness), quadruples
+
+
+def chained_random_graph(rng: random.Random, parts: int) -> Graph:
+    """Seeded random_connected_graphs, each glued at one vertex of the
+    graph built so far, so every part holds one or more blocks."""
+    g = Graph()
+    g.add_vertex(0)
+    for _ in range(parts):
+        part = random_connected_graph(rng, rng.randint(4, 16), rng.randint(1, 8))
+        at, base = rng.randrange(g.n), g.n - 1
+        for u, v, _ in part.edges():
+            g.add_edge(base + u if u else at, base + v if v else at)
+    return g
+
+
+def several_block_graphs() -> list:
+    rng = random.Random(1404)
+    graphs = [chained_random_graph(rng, rng.randint(2, 6)) for _ in range(60)]
+    graphs += [glued_blocks(rng, rng.randint(3, 8))[0] for _ in range(40)]
+    graphs.append(net_graph(load_spec(families.bundled_path("flute8.json"))))
+    graphs.append(net_graph(families.pants_tree(3)))
+    return graphs
+
+
+class TestBlockHyperbolicity:
+    """hyperbolicity_delta on per-block matrices against the scan of
+    slices of the whole graph's matrix."""
+
+    def test_matches_slices_of_the_full_matrix(self, monkeypatch):
+        graphs = several_block_graphs()
+        want = [sliced_hyperbolicity(g) for g in graphs]
+        assert sum(len([b for b in biconnected_components(g) if len(b) >= 4]) >= 2
+                   for g in graphs) >= 50
+        assert sum(w[0] > 0 for w in want) >= 50
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("hyperbolicity_delta built a whole-graph matrix")
+
+        monkeypatch.setattr(Graph, "distance_matrix", refuse)
+        for g, (delta, witness, quadruples) in zip(graphs, want):
+            rep = hyperbolicity_delta(g)
+            assert (rep.delta, rep.witness, rep.quadruples) == (delta, witness, quadruples)
+
+    def test_one_block_pass(self, monkeypatch):
+        calls = []
+
+        def counted(graph):
+            calls.append(graph)
+            return biconnected_components(graph)
+
+        monkeypatch.setattr(graphtools, "biconnected_components", counted)
+        for g in several_block_graphs()[::10]:
+            calls.clear()
+            hyperbolicity_delta(g)
+            assert calls == [g]
+
+    def test_disconnected_raises(self):
+        g = cycle_graph(5)
+        g.add_edge("a", "b")
+        with pytest.raises(DomainError, match="disconnected"):
+            hyperbolicity_delta(g)
+
+    def test_near_mask_matches_the_loop_form(self):
+        """Ragged neighbour lists, a hub among them, on random matrices."""
+        rng = random.Random(77)
+        for _ in range(200):
+            m = rng.randint(2, 25)
+            nbrs = [rng.sample(range(m), rng.randint(1, m)) for _ in range(m)]
+            nbrs[rng.randrange(m)] = list(range(m))
+            D = np.array([[rng.randint(0, 6) for _ in range(m)] for _ in range(m)],
+                         dtype=np.int32)
+            want = np.array([D[row].max(axis=0) <= D[x] for x, row in enumerate(nbrs)])
+            assert np.array_equal(_near(nbrs, D), want)
 
 
 def gromov_product(dmat: np.ndarray, i: int, j: int, o: int) -> float:

@@ -18,6 +18,7 @@ from cheegernet.isoperimetry import (
     is_decaying,
     lii_verdict,
     CSV_HEADER,
+    MAX_PIECES,
 )
 from cheegernet.surface import (
     boundary_length,
@@ -131,11 +132,11 @@ class TestDomainReports:
             assert repr(got) == repr(brute_domain_reports(spec, delta, cap))
             assert reg.examined == iso.examined and reg.delta == delta
 
-    def test_rejects_bad_arguments(self):
+    @pytest.mark.parametrize("delta, cap", [(0.0, MAX_PIECES), (0.5, 0), (0.5, -1)],
+                             ids=["zero_delta", "zero_cap", "negative_cap"])
+    def test_rejects_bad_arguments(self, delta, cap):
         with pytest.raises(DomainError):
-            domain_reports(families.flute(3), 0.0)
-        with pytest.raises(DomainError):
-            domain_reports(families.flute(3), 0.5, max_pieces=0)
+            domain_reports(families.flute(3), delta, max_pieces=cap)
 
 
 class TestRegularity:
@@ -162,15 +163,6 @@ class TestRegularity:
         _, rep = domain_reports(spec, 0.5, max_pieces=2)
         # full domain has empty boundary: 0 long / 0 short counts as +inf
         assert math.isinf(rep.worst_c)
-
-    def test_delta_must_be_positive(self):
-        with pytest.raises(DomainError):
-            domain_reports(families.flute(3), 0.0)
-
-    @pytest.mark.parametrize("cap", [0, -1])
-    def test_cap_must_be_positive(self, cap):
-        with pytest.raises(DomainError):
-            domain_reports(families.flute(3), 0.5, max_pieces=cap)
 
 
 class TestTrends:
