@@ -10,30 +10,33 @@ regularity are the standard obstruction to a linear isoperimetric
 inequality even when every single ratio stays positive.
 
 Both are minima over the same piece sets, so :func:`domain_reports` takes
-them from one enumeration pass.  Each set's boundary lengths are summed in
-the order of :func:`cheegernet.surface.domain_from_pieces` (cut gluings by
-index, then open curves by index), so the values are the bits that summing
-over the built domains gives; only the best domain and the witness are
-built.
+them from one pass over the bitmasks of
+:func:`cheegernet.surface.connected_piece_subsets`, read in numpy chunks
+with one bool membership row per piece.  Boundary lengths are added curve
+by curve in the order of :func:`cheegernet.surface.domain_from_pieces` (cut
+gluings by index, then open curves by index), 0.0 for a curve a set does
+not cut, so the values are the bits that summing over the built domains
+gives; only the best domain and the witness are built.
 
 Division by zero counts follows the x/0 = +inf convention.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .hypmath import DomainError, check_delta
 from .surface import (
     Family,
     GeodesicDomain,
-    PiecesIndex,
     SurfaceSpec,
     boundary_length,
     connected_piece_subsets,
     domain_from_pieces,
-    pieces_index,
     require_valid,
 )
 
@@ -54,6 +57,9 @@ __all__ = [
 
 # Default size cap of the piece-set enumeration (the CLI's --max-pieces).
 MAX_PIECES = 12
+
+# Piece sets evaluated per numpy pass of the domain scan.
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -92,44 +98,58 @@ class RegularityReport:
         }
 
 
-def _boundary_sums(index: PiecesIndex, members: tuple[int, ...], delta: float):
-    """(boundary length, length of the curves of length >= delta, count of
-    the shorter curves) of a connected piece set."""
-    inset = set(members)
-    curves = sorted([(gi, length) for p in members for q, gi, length in index.cross[p]
-                     if q not in inset])
-    curves += sorted([o for p in members for o in index.opens[p]])
-    total = long_total = 0.0
-    short_count = 0
-    for _, length in curves:
-        total += length
-        if length >= delta:
-            long_total += length
-        else:
-            short_count += 1
-    return total, long_total, short_count
+def _least(inside: np.ndarray, cols: np.ndarray) -> int:
+    """The column, among cols of a pieces x sets membership matrix, whose
+    sorted member tuple is lexicographically smallest."""
+    sub = inside[:, cols]
+    while len(cols) > 1:
+        alive = sub.any(axis=0)
+        if not alive.all():  # the set is the prefix all the others share
+            return int(cols[~alive][0])
+        first = sub.argmax(axis=0)
+        lead = first.min()
+        cols, sub = cols[first == lead], sub[lead + 1:, first == lead]
+    return int(cols[0])
 
 
 def _scan(spec: SurfaceSpec, delta: float, max_pieces: int):
-    """One pass over the connected piece sets of size <= max_pieces:
-    (least h_g ratio, its piece set, worst regularity ratio, its piece set,
-    sets examined).  Ties break to the lexicographically smallest set."""
-    index = pieces_index(spec)
-    best_ratio = worst = math.inf
-    best = witness = None
+    """One pass over the connected piece sets of size <= max_pieces, _CHUNK
+    sets per numpy pass: (least h_g ratio, its piece set, worst regularity
+    ratio, its piece set, sets examined).  Ties break to the
+    lexicographically smallest set."""
+    n = spec.pieces
+    width = (n + 7) // 8
+    curves = [(g.a[0], g.b[0], g.length) for g in spec.gluings if g.a[0] != g.b[0]]
+    curves += [(o.at[0], None, o.length) for o in spec.opens]
+    best = [(math.inf, None), (math.inf, None)]  # (h_g ratio, set), (regularity ratio, set)
     examined = 0
-    for members in connected_piece_subsets(spec, max_pieces):
-        examined += 1
-        total, long_total, short_count = _boundary_sums(index, members, delta)
-        ratio = total / (2.0 * math.pi * len(members))
-        if ratio < best_ratio or (ratio == best_ratio and members < best):
-            best_ratio = ratio
-            best = members
-        c = long_total / short_count if short_count else math.inf
-        if c < worst or (c == worst and witness is not None and members < witness):
-            worst = c
-            witness = members
-    return best_ratio, best, worst, witness, examined
+    subsets = connected_piece_subsets(spec, max_pieces)
+    while masks := list(itertools.islice(subsets, _CHUNK)):
+        rows = len(masks)
+        examined += rows
+        raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
+        inside = np.unpackbits(np.ascontiguousarray(raw.reshape(rows, width).T), axis=0,
+                               bitorder="little")[:n].view(bool)
+        total, long_total = np.zeros(rows), np.zeros(rows)
+        short_count = np.zeros(rows, dtype=np.int64)
+        for a, b, length in curves:
+            cut = inside[a] if b is None else inside[a] != inside[b]
+            step = np.where(cut, length, 0.0)
+            total += step
+            if length >= delta:
+                long_total += step
+            else:
+                short_count += cut
+        ratios = (total / ((2.0 * math.pi) * inside.sum(axis=0)),
+                  np.divide(long_total, short_count, out=np.full(rows, math.inf),
+                            where=short_count > 0))
+        for slot, vals in enumerate(ratios):
+            v = float(vals.min())
+            if v < math.inf and v <= best[slot][0]:
+                col = _least(inside, np.flatnonzero(vals == v))
+                best[slot] = min(best[slot], (v, tuple(np.flatnonzero(inside[:, col]).tolist())))
+    (best_ratio, best_set), (worst, witness) = best
+    return best_ratio, best_set, worst, witness, examined
 
 
 def domain_reports(

@@ -402,36 +402,33 @@ def boundary_length(domain: GeodesicDomain) -> float:
     return sum(c.length for c in domain.boundary)
 
 
-def connected_piece_subsets(spec: SurfaceSpec, max_size: int) -> Iterator[tuple[int, ...]]:
-    """All connected piece sets of size <= max_size, each exactly once,
-    in deterministic order."""
+def connected_piece_subsets(spec: SurfaceSpec, max_size: int) -> Iterator[int]:
+    """All connected piece sets of size <= max_size, each exactly once, as
+    int bitmasks with bit p set for piece p.
+
+    ESU (Wernicke 2006) on an explicit stack, so no depth of recursion: the
+    sets whose least piece is v0 grow from {v0} by one pending candidate at
+    a time, lowest first, and a piece above v0 becomes a candidate when it
+    first enters the closed neighbourhood of the set.
+    """
     require_valid(spec)
     max_size = min(int(max_size), spec.pieces)
     if max_size < 1:
         return
-    nbrs = pieces_index(spec).neighbours
-
-    def grow(members: list[int], frontier: list[int], banned: set[int]) -> Iterator[tuple[int, ...]]:
-        yield tuple(sorted(members))
-        if len(members) == max_size:
-            return
-        local_ban: set[int] = set()
-        for idx, u in enumerate(frontier):
-            new_frontier = frontier[idx + 1 :] + sorted(
-                w
-                for w in nbrs[u]
-                if w > members[0]
-                and w not in members
-                and w not in banned
-                and w not in local_ban
-                and w not in frontier
-            )
-            yield from grow(members + [u], new_frontier, banned | local_ban)
-            local_ban.add(u)
-
+    nbr = [sum(1 << q for q in row) for row in pieces_index(spec).neighbours]
     for v0 in range(spec.pieces):
-        start_frontier = sorted(w for w in nbrs[v0] if w > v0)
-        yield from grow([v0], start_frontier, set())
+        above = -2 << v0
+        stack = [(1 << v0, (1 << v0) | nbr[v0], nbr[v0] & above, 1)]
+        while stack:
+            members, closed, ext, size = stack.pop()
+            yield members
+            if size == max_size:
+                continue
+            while ext:
+                u = ext & -ext
+                ext ^= u
+                grown = nbr[u.bit_length() - 1]
+                stack.append((members | u, closed | grown, ext | (grown & ~closed & above), size + 1))
 
 
 # ---------------------------------------------------------------------------

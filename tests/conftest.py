@@ -1,13 +1,15 @@
 """Shared test helpers: seeded random specs and graphs, brute-force
-connectivity, the boundary-split oracle, and the acceptance-line printer."""
+connectivity, the recursive piece-set enumeration oracle, the
+boundary-split oracle, and the acceptance-line printer."""
 
 from __future__ import annotations
 
 import random
 import sys
+from typing import Iterator
 
 from cheegernet.graphtools import Graph
-from cheegernet.surface import OpenBoundary, SurfaceSpec, make_gluing
+from cheegernet.surface import OpenBoundary, SurfaceSpec, make_gluing, pieces_index, require_valid
 
 _CAPTURE_MANAGER = None
 
@@ -136,6 +138,44 @@ def pieces_connected(spec: SurfaceSpec, members) -> bool:
         seen.add(p)
         stack.extend(adj[p] - seen)
     return seen == members
+
+
+def oracle_piece_subsets(spec: SurfaceSpec, max_size: int) -> Iterator[tuple[int, ...]]:
+    """All connected piece sets of size <= max_size, each exactly once, as
+    sorted tuples, by recursive frontier growth: an enumeration independent
+    of `connected_piece_subsets` for tests to compare it against."""
+    require_valid(spec)
+    max_size = min(int(max_size), spec.pieces)
+    if max_size < 1:
+        return
+    nbrs = pieces_index(spec).neighbours
+
+    def grow(members: list[int], frontier: list[int], banned: set[int]) -> Iterator[tuple[int, ...]]:
+        yield tuple(sorted(members))
+        if len(members) == max_size:
+            return
+        local_ban: set[int] = set()
+        for idx, u in enumerate(frontier):
+            new_frontier = frontier[idx + 1 :] + sorted(
+                w
+                for w in nbrs[u]
+                if w > members[0]
+                and w not in members
+                and w not in banned
+                and w not in local_ban
+                and w not in frontier
+            )
+            yield from grow(members + [u], new_frontier, banned | local_ban)
+            local_ban.add(u)
+
+    for v0 in range(spec.pieces):
+        start_frontier = sorted(w for w in nbrs[v0] if w > v0)
+        yield from grow([v0], start_frontier, set())
+
+
+def mask_members(mask: int) -> tuple[int, ...]:
+    """The pieces of a piece-set bitmask, ascending."""
+    return tuple(p for p in range(mask.bit_length()) if mask >> p & 1)
 
 
 def boundary_split(domain, delta: float) -> tuple[float, int]:

@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from conftest import boundary_split, criterion_line, random_spec, random_connected_graph, random_tree, cycle_graph
+from conftest import boundary_split, criterion_line, mask_members, random_spec, random_connected_graph, random_tree, cycle_graph
 from cheegernet import families, graphtools, isoperimetry, netgraph, surface
 from cheegernet.hypmath import (
     ARCSINH_ONE,
@@ -118,8 +118,8 @@ def test_03_domain_area_arithmetic():
     domains = 0
     violations = 0
     for _, spec in specs:
-        for sub in surface.connected_piece_subsets(spec, 12):
-            dom = surface.domain_from_pieces(spec, sub)
+        for mask in surface.connected_piece_subsets(spec, 12):
+            dom = surface.domain_from_pieces(spec, mask_members(mask))
             domains += 1
             k = len(dom.piece_set)
             euler_pieces = dom.boundary_count + dom.cusp_count - 2 + 2 * dom.genus
@@ -172,8 +172,8 @@ def test_05_shrinking_witness_chain():
         if rep.worst_c != 0.0:
             bad.append(("worst_c", n, rep.worst_c))
         witnesses = 0
-        for sub in surface.connected_piece_subsets(spec, 12):
-            dom = surface.domain_from_pieces(spec, sub)
+        for mask in surface.connected_piece_subsets(spec, 12):
+            dom = surface.domain_from_pieces(spec, mask_members(mask))
             long_total, short_count = boundary_split(dom, delta)
             if long_total < delta * short_count:
                 witnesses += 1

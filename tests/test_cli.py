@@ -1,6 +1,8 @@
 """Command line behavior: exit codes, determinism, output formats."""
 
+import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -245,6 +247,29 @@ class TestCommands:
         assert doc["h_g"] == pytest.approx(2.0 / (16.0 * 3.141592653589793))
         assert doc["regularity"]["worst_c"] == "inf"
         assert 0.0 < doc["h_lower_bound"] < doc["h_g"]
+
+    def test_isoperimetry_deep_cap_needs_no_recursion(self, capsys, tmp_path):
+        # An enumeration that nests a frame per piece ends in RecursionError
+        # once the cap passes the recursion limit.
+        n = 400
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({
+            "pieces": n,
+            "gluings": [{"a": [i, 1], "b": [i + 1, 0], "length": 1.0} for i in range(n - 1)],
+            "cusps": [[i, 2] for i in range(n)],
+            "opens": [{"at": [0, 0], "length": 1.0}, {"at": [n - 1, 1], "length": 1.0}],
+        }))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 300)
+        try:
+            code, out, err = run_main(capsys, "isoperimetry", str(path), "--max-pieces", str(n))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["h_g"] == 1.0 / (math.pi * n)
+        assert doc["lower_bound_certified"] is True
+        assert doc["examined"] == n * (n + 1) // 2
 
     def test_isoperimetry_parametric_mode(self, capsys):
         code, out, err = run_main(capsys, "isoperimetry", FLUTE8,

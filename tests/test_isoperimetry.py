@@ -5,10 +5,11 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
-from conftest import boundary_split, pieces_connected, random_spec
-from cheegernet import families
+from conftest import boundary_split, oracle_piece_subsets, pieces_connected, random_spec
+from cheegernet import families, isoperimetry
 from cheegernet.hypmath import DomainError, delta1
 from cheegernet.isoperimetry import (
     cheeger_lower_bound,
@@ -21,7 +22,6 @@ from cheegernet.isoperimetry import (
 )
 from cheegernet.surface import (
     boundary_length,
-    connected_piece_subsets,
     domain_from_pieces,
     make_spec,
 )
@@ -98,9 +98,10 @@ class TestExact:
 
 def brute_domain_reports(spec, delta, max_pieces):
     """(h_g, best domain, worst_c, witness, examined) from a domain built
-    for every connected piece set, lengths summed in boundary order."""
+    for every connected piece set of the recursive oracle enumeration,
+    lengths summed in boundary order."""
     ratios, regularity = [], []
-    for members in connected_piece_subsets(spec, max_pieces):
+    for members in oracle_piece_subsets(spec, max_pieces):
         d = domain_from_pieces(spec, members)
         total = 0.0
         for c in d.boundary:
@@ -119,6 +120,13 @@ def brute_domain_reports(spec, delta, max_pieces):
     )
 
 
+def equal_ladder(n):
+    """genus_ladder(n) with every gluing and open curve of length 1."""
+    spec = families.genus_ladder(n)
+    return make_spec(spec.pieces, [(g.a, g.b, 1.0) for g in spec.gluings], spec.cusps,
+                     [(o.at, 1.0) for o in spec.opens])
+
+
 class TestDomainReports:
     @pytest.mark.parametrize("cap", [1, 2, 4, 12])
     def test_matches_domain_by_domain_oracle(self, cap):
@@ -130,6 +138,50 @@ class TestDomainReports:
             got = (iso.h_g, iso.best_domain, reg.worst_c, reg.witness, iso.examined)
             assert repr(got) == repr(brute_domain_reports(spec, delta, cap))
             assert reg.examined == iso.examined and reg.delta == delta
+
+    @staticmethod
+    def assert_matches_oracle(spec, delta, cap):
+        iso, reg = domain_reports(spec, delta, max_pieces=cap)
+        got = (iso.h_g, iso.best_domain, reg.worst_c, reg.witness, iso.examined)
+        assert repr(got) == repr(brute_domain_reports(spec, delta, cap))
+
+    @pytest.mark.parametrize("spec", [families.pants_tree(3), families.pants_tree(4),
+                                      equal_ladder(4), equal_ladder(6)],
+                             ids=["pants_tree3", "pants_tree4", "equal_ladder4", "equal_ladder6"])
+    @pytest.mark.parametrize("delta", [0.5, 1.5])
+    def test_tie_heavy_symmetric_specs(self, spec, delta):
+        # every length is 1: h_g and, at delta 1.5, worst_c = 0 tie on many sets
+        self.assert_matches_oracle(spec, delta, 12)
+
+    def test_ties_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(isoperimetry, "_CHUNK", 5)
+        for spec in (families.pants_tree(3), equal_ladder(4), families.flute(9)):
+            for delta in (0.5, 1.5):
+                self.assert_matches_oracle(spec, delta, 8)
+        rng = random.Random(91)
+        for _ in range(20):
+            self.assert_matches_oracle(random_spec(rng, max_pieces=9, thin_below=0.6),
+                                       rng.choice([0.3, 0.6, 1.2]), 12)
+
+    def test_least_set_in_any_column_order(self):
+        # tied sets arrive in enumeration order; the rule must not depend on
+        # it, so shuffle sets that share prefixes and compare sorted tuples
+        rng = random.Random(37)
+        subsets = [c for r in range(1, 7) for c in itertools.combinations(range(6), r)]
+        for _ in range(300):
+            sets = rng.sample(subsets, rng.randint(1, 12))
+            inside = np.zeros((6, len(sets)), dtype=bool)
+            for j, members in enumerate(sets):
+                inside[list(members), j] = True
+            cols = np.array(sorted(rng.sample(range(len(sets)), rng.randint(1, len(sets)))))
+            want = min(cols, key=lambda j: sets[j])
+            assert isoperimetry._least(inside, cols) == want
+
+    @pytest.mark.parametrize("spec, cap", [(families.pants_tree(6), 3), (families.flute(70), 4)],
+                             ids=["pants_tree6-cap3", "flute70-cap4"])
+    def test_past_64_pieces(self, spec, cap):
+        for delta in (0.5, 1.5):
+            self.assert_matches_oracle(spec, delta, cap)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):

@@ -8,7 +8,8 @@ import random
 
 import pytest
 
-from conftest import pieces_connected, random_spec
+from conftest import mask_members, oracle_piece_subsets, pieces_connected, random_spec
+from cheegernet import families
 from cheegernet.surface import (
     Gluing,
     OpenBoundary,
@@ -161,7 +162,8 @@ class TestDomains:
         rng = random.Random(21)
         for _ in range(40):
             spec = random_spec(rng, max_pieces=8)
-            for members in connected_piece_subsets(spec, spec.pieces):
+            for mask in connected_piece_subsets(spec, spec.pieces):
+                members = mask_members(mask)
                 d = domain_from_pieces(spec, members)
                 k = len(members)
                 assert d.boundary_count + d.cusp_count - 2 + 2 * d.genus == k
@@ -175,19 +177,22 @@ class TestEnumeration:
         rng = random.Random(5)
         for _ in range(25):
             spec = random_spec(rng, max_pieces=7)
-            got = set(connected_piece_subsets(spec, spec.pieces))
+            got = [mask_members(m) for m in connected_piece_subsets(spec, spec.pieces)]
             want = set()
             for r in range(1, spec.pieces + 1):
                 for combo in itertools.combinations(range(spec.pieces), r):
                     if pieces_connected(spec, combo):
                         want.add(combo)
-            assert got == want
+            assert len(got) == len(want) and set(got) == want
+            assert set(oracle_piece_subsets(spec, spec.pieces)) == want
 
     def test_subsets_respect_cap(self):
         spec = chain_spec(6)
-        got = list(connected_piece_subsets(spec, 3))
+        got = [mask_members(m) for m in connected_piece_subsets(spec, 3)]
         assert all(len(m) <= 3 for m in got)
-        assert got == sorted(got)  # emitted in sorted order
+        want = list(oracle_piece_subsets(spec, 3))
+        assert want == sorted(want)  # the oracle emits in sorted order
+        assert sorted(got) == want
 
     def test_no_duplicates(self):
         rng = random.Random(11)
@@ -195,6 +200,23 @@ class TestEnumeration:
             spec = random_spec(rng, max_pieces=8)
             seen = list(connected_piece_subsets(spec, 5))
             assert len(seen) == len(set(seen))
+
+    @pytest.mark.parametrize("spec, cap", [(families.pants_tree(6), 4), (families.flute(70), 6)],
+                             ids=["pants_tree6-cap4", "flute70-cap6"])
+    def test_matches_oracle_past_64_pieces(self, spec, cap):
+        got = [mask_members(m) for m in connected_piece_subsets(spec, cap)]
+        assert spec.pieces > 64 and max(max(m) for m in got) == spec.pieces - 1
+        assert len(got) == len(set(got))
+        assert sorted(got) == sorted(oracle_piece_subsets(spec, cap))
+
+    def test_cap_one_and_past_the_piece_count(self):
+        rng = random.Random(23)
+        for _ in range(10):
+            spec = random_spec(rng, max_pieces=8)
+            assert sorted(connected_piece_subsets(spec, 1)) == [1 << p for p in range(spec.pieces)]
+            past = list(connected_piece_subsets(spec, spec.pieces + 5))
+            assert past == list(connected_piece_subsets(spec, spec.pieces))
+            assert sorted(map(mask_members, past)) == sorted(oracle_piece_subsets(spec, spec.pieces + 5))
 
 
 class TestSeparating:
