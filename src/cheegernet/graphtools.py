@@ -218,9 +218,11 @@ class Graph:
 
 def biconnected_components(graph: Graph) -> list[list[int]]:
     """Blocks of the graph as sorted lists of vertex indices, by an
-    iterative Hopcroft-Tarjan depth-first search (CACM 1973).  Every edge
-    lies in exactly one block and two blocks share at most one vertex, a
-    cut vertex; an isolated vertex lies in none."""
+    iterative Hopcroft-Tarjan depth-first search (CACM 1973) with a stack
+    of vertices: when a child v of u has low[v] >= disc[u], the block is u
+    and the vertices pushed since v.  Every edge lies in exactly one block
+    and two blocks share at most one vertex, a cut vertex; an isolated
+    vertex lies in none."""
     index = graph._index
     nbrs = [[index[u] for u in adj] for adj in graph._adj.values()]
     n = len(nbrs)
@@ -233,33 +235,33 @@ def biconnected_components(graph: Graph) -> list[list[int]]:
             continue
         disc[root] = low[root] = clock
         clock += 1
-        stack = [(root, -1, iter(nbrs[root]))]
-        edges = []
+        visited = [root]
+        # A frame is (v, its unread neighbours, v's place on visited).  The
+        # edge to the parent may lower low[v] to disc[parent], which leaves
+        # the test low[v] >= disc[parent] as it was.
+        stack = [(root, iter(nbrs[root]), 0)]
         while stack:
-            v, parent, it = stack[-1]
+            v, it, _ = stack[-1]
             for w in it:
                 if disc[w] < 0:
-                    edges.append((v, w))
                     disc[w] = low[w] = clock
                     clock += 1
-                    stack.append((w, v, iter(nbrs[w])))
+                    stack.append((w, iter(nbrs[w]), len(visited)))
+                    visited.append(w)
                     break
-                if w != parent and disc[w] < disc[v]:
-                    edges.append((v, w))
-                    low[v] = min(low[v], disc[w])
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
             else:
-                stack.pop()
+                at = stack.pop()[2]
                 if not stack:
                     continue
                 u = stack[-1][0]
-                low[u] = min(low[u], low[v])
+                if low[v] < low[u]:
+                    low[u] = low[v]
                 if low[v] >= disc[u]:
-                    block = set()
-                    while True:
-                        edge = edges.pop()
-                        block.update(edge)
-                        if edge == (u, v):
-                            break
+                    block = visited[at:]
+                    del visited[at:]
+                    block.append(u)
                     blocks.append(sorted(block))
     return blocks
 
@@ -459,9 +461,11 @@ def _greedy_flow(adj: list, to: list, cap: list, s: int, t: int) -> None:
     """One greedy pass of flow from s to t, in place on the residual
     capacities cap: fill the arcs out of s, send the excess down the layers
     of residual distance to t, then return what got stuck the way it came,
-    layer by layer away from t, which leaves a valid flow.  Dinic needs one
-    phase per augmenting-path length, which is quadratic when s feeds every
-    vertex of a long path; this pass routes such flow at once."""
+    layer by layer away from t, which leaves a valid flow.  Flow leaves s
+    and otherwise moves only along arcs one layer closer to t, so the pass
+    opens no residual arc that shortens a path from s to t.  Dinic needs
+    one phase per augmenting-path length, which is quadratic when s feeds
+    every vertex of a long path; this pass routes such flow at once."""
     n = len(adj)
     dist = [-1] * n
     dist[t] = 0
@@ -506,61 +510,72 @@ def _greedy_flow(adj: list, to: list, cap: list, s: int, t: int) -> None:
 
 
 def _max_flow(adj: list, to: list, cap: list, s: int, t: int) -> None:
-    """Max flow from s to t, in place on the residual capacities cap: the
-    greedy pass, then Dinic's blocking flows.  Arc e runs to to[e] and its
-    reverse is e ^ 1.  The depth-first search keeps its path on an explicit
-    stack, so no recursion depth limit applies."""
-    _greedy_flow(adj, to, cap, s, t)
-    n = len(adj)
+    """Max flow from s to t, in place on the residual capacities cap:
+    Dinic's blocking flows, each phase after a greedy pass.  A blocking
+    flow lengthens the shortest residual path from s to t and a greedy
+    pass never shortens it, so there are at most n - 1 phases, as in
+    plain Dinic, and one greedy pass more.  Arc e runs to to[e] and its
+    reverse is e ^ 1."""
     while True:
-        level = [-1] * n
-        level[s] = 0
-        queue = [s]
-        for v in queue:
-            if v == t:
-                break
-            lv = level[v] + 1
-            for e in adj[v]:
-                w = to[e]
-                if cap[e] and level[w] < 0:
-                    level[w] = lv
-                    queue.append(w)
-        if level[t] < 0:
+        _greedy_flow(adj, to, cap, s, t)
+        if not _blocking_flow(adj, to, cap, s, t):
             return
-        ptr = [0] * n
-        path: list[int] = []
-        v = s
-        while True:
-            if v == t:
-                f = min(cap[e] for e in path)
-                cut_at = None
-                for k, e in enumerate(path):
-                    cap[e] -= f
-                    cap[e ^ 1] += f
-                    if cut_at is None and not cap[e]:
-                        cut_at = k
-                del path[cut_at:]
-                v = to[path[-1]] if path else s
-                continue
-            arcs = adj[v]
-            i = ptr[v]
-            nxt = level[v] + 1
-            while i < len(arcs):
-                e = arcs[i]
-                if cap[e] and level[to[e]] == nxt:
-                    break
-                i += 1
-            ptr[v] = i
-            if i < len(arcs):
-                path.append(arcs[i])
-                v = to[arcs[i]]
-            elif v == s:
+
+
+def _blocking_flow(adj: list, to: list, cap: list, s: int, t: int) -> bool:
+    """One Dinic phase, in place on cap: a blocking flow on the arcs from
+    each breadth-first level of s to the next; False, with cap unchanged,
+    when t is out of reach.  The depth-first search keeps its path on an
+    explicit stack, so no recursion depth limit applies."""
+    n = len(adj)
+    level = [-1] * n
+    level[s] = 0
+    queue = [s]
+    for v in queue:
+        if v == t:
+            break
+        lv = level[v] + 1
+        for e in adj[v]:
+            w = to[e]
+            if cap[e] and level[w] < 0:
+                level[w] = lv
+                queue.append(w)
+    if level[t] < 0:
+        return False
+    ptr = [0] * n
+    path: list[int] = []
+    v = s
+    while True:
+        if v == t:
+            f = min(cap[e] for e in path)
+            cut_at = None
+            for k, e in enumerate(path):
+                cap[e] -= f
+                cap[e ^ 1] += f
+                if cut_at is None and not cap[e]:
+                    cut_at = k
+            del path[cut_at:]
+            v = to[path[-1]] if path else s
+            continue
+        arcs = adj[v]
+        i = ptr[v]
+        nxt = level[v] + 1
+        while i < len(arcs):
+            e = arcs[i]
+            if cap[e] and level[to[e]] == nxt:
                 break
-            else:
-                level[v] = -1
-                e = path.pop()
-                v = to[e ^ 1]
-                ptr[v] += 1
+            i += 1
+        ptr[v] = i
+        if i < len(arcs):
+            path.append(arcs[i])
+            v = to[arcs[i]]
+        elif v == s:
+            return True
+        else:
+            level[v] = -1
+            e = path.pop()
+            v = to[e ^ 1]
+            ptr[v] += 1
 
 
 def _residual_reach(adj: list, to: list, cap: list, root: int, mark: list,
@@ -840,22 +855,38 @@ def boundary_proxy(graph: Graph, dmat: np.ndarray, keep=None) -> ProxyReport:
 
 
 def ultrametric_defect(dists: np.ndarray) -> float:
-    """Smallest K with d(x,z) <= K * max(d(x,y), d(y,z)) for all triples.
-    For a visual metric of a delta-hyperbolic space this is at most a^delta.
+    """Smallest K >= 1 with d(x,z) <= K * max(d(x,y), d(y,z)) for all
+    triples with x != z, skipping the y where both are 0.  For a visual
+    metric of a delta-hyperbolic space this is at most a^delta.
+
+    For a pair (x, z) the least such K is d(x,z) over the least positive
+    max(d(x,y), d(y,z)), since a float division never grows when its
+    divisor grows; so each pair divides once and the bits are those of a
+    division for every y.  The least max over y is selected on the ranks
+    of the distances among their distinct values, in the smallest
+    unsigned integer type that holds them, about 2^18 triples at a time.
+    Rank 0 is the distance 0 when one occurs, so a pair whose least max
+    is 0 looks for its least positive one on its own.
     """
     n = dists.shape[0]
     if n < 3:
         return 1.0
-    best = 1.0
-    for y in range(n):
-        m = np.maximum(dists[:, y][:, None], dists[y, :][None, :])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(m > 0.0, dists / m, 1.0)
-        np.fill_diagonal(ratio, 1.0)
-        v = float(ratio.max())
-        if v > best:
-            best = v
-    return best
+    values, ranks = np.unique(dists, return_inverse=True)
+    ranks = ranks.reshape(n, n).astype(np.min_scalar_type(len(values)))
+    least = np.empty((n, n), dtype=ranks.dtype)
+    step = max(1, (1 << 18) // (n * n))
+    for x in range(0, n, step):
+        least[x:x + step] = np.maximum(ranks[x:x + step, :, None], ranks).min(axis=1)
+    off = ~np.eye(n, dtype=bool)
+    if values[0] == 0.0:
+        for x, z in np.argwhere((least == 0) & off):
+            m = np.maximum(ranks[x], ranks[:, z])
+            m = m[m > 0]
+            if m.size:
+                least[x, z] = m.min()
+            else:
+                off[x, z] = False
+    return float(np.max(dists[off] / values[least[off]], initial=1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -385,18 +385,18 @@ class QIReport:
 
 
 def _pair_matrices(graph_a: Graph, graph_b: Graph, vmap):
-    """Distances of the mapped pairs i < j in graph_a and between their
-    images in graph_b, and the rows of graph_b's weighted distance matrix
-    at the images, one per mapped vertex.  Both graphs are asked only for
-    the rows of the mapped vertices and their images, so neither n x n
-    matrix is built; the image rows keep every column, which fullness
-    reads."""
+    """Hop counts of the mapped pairs i < j in graph_a, distances between
+    their images in graph_b, and the rows of graph_b's weighted distance
+    matrix at the images, one per mapped vertex.  Both graphs are asked
+    only for the rows of the mapped vertices and their images, so neither
+    n x n matrix is built; the image rows keep every column, which
+    fullness reads."""
     order = graph_a.vertices()
     dom = [i for i, v in enumerate(order) if v in vmap]
     if len(dom) < 2:
         raise DomainError("quasi-isometry estimate needs at least two mapped vertices")
     img = [graph_b.index_of(vmap[order[i]]) for i in dom]
-    da = graph_a.distance_matrix(rows=dom)[:, dom].astype(np.float64)
+    da = graph_a.distance_matrix(rows=dom)[:, dom]
     image_rows = graph_b.distance_matrix(weighted=True, rows=img)
     iu = np.triu_indices(len(dom), k=1)
     return da[iu], image_rows[:, img][iu], image_rows
@@ -408,20 +408,23 @@ def estimate_qi_constants(graph_a: Graph, graph_b: Graph, vmap) -> QIReport:
 
     beta(alpha) is the least beta >= 0 with da/alpha - beta <= db <=
     alpha*da + beta over the mapped pairs.  It is computed from the
-    largest and smallest db at each distinct hop distance da: rounding is
-    monotone, so db - alpha*da is largest at the largest db and
-    da/alpha - db at the smallest, and the table has the same bits as the
-    pair-by-pair maximum.  beta(alpha) is non-increasing, so the search
+    largest and smallest db at each distinct hop distance da, gathered by
+    maximum.at and minimum.at indexed by da, so no pair is sorted.
+    Rounding is monotone, so db - alpha*da is largest at the largest db
+    and da/alpha - db at the smallest, and the table has the same bits as
+    the pair-by-pair maximum.  beta(alpha) is non-increasing, so the search
     reports the knee: the smallest grid alpha whose beta comes within 0.5
     of the best beta on the grid.  Fullness is the largest distance from
     any vertex of the target to the image.
     """
     da, db, image_rows = _pair_matrices(graph_a, graph_b, vmap)
     ndom = image_rows.shape[0]
-    by_hop = np.lexsort((db, da))
-    da, db = da[by_hop], db[by_hop]
-    hops, first = np.unique(da, return_index=True)
-    db_min, db_max = db[first], db[np.append(first[1:], len(db)) - 1]
+    hops = np.flatnonzero(np.bincount(da))
+    db_max = np.full(hops[-1] + 1, -np.inf)
+    db_min = np.full(hops[-1] + 1, np.inf)
+    np.maximum.at(db_max, da, db)
+    np.minimum.at(db_min, da, db)
+    db_max, db_min, hops = db_max[hops], db_min[hops], hops.astype(np.float64)
     table = []
     for alpha in (1.0 + 0.25 * k for k in range(29)):
         over = db_max - alpha * hops

@@ -1,12 +1,15 @@
 """Shared test helpers: seeded random specs and graphs, brute-force
 connectivity, the recursive piece-set enumeration oracle, the
-boundary-split oracle, and the acceptance-line printer."""
+boundary-split oracle, the edge-stack block oracle, the per-y ultrametric
+defect oracle, and the acceptance-line printer."""
 
 from __future__ import annotations
 
 import random
 import sys
 from typing import Iterator
+
+import numpy as np
 
 from cheegernet.graphtools import Graph
 from cheegernet.surface import OpenBoundary, SurfaceSpec, make_gluing, pieces_index, require_valid
@@ -189,3 +192,70 @@ def boundary_split(domain, delta: float) -> tuple[float, int]:
         else:
             short_count += 1
     return long_total, short_count
+
+
+def oracle_blocks(graph: Graph) -> list[list[int]]:
+    """Blocks as sorted lists of vertex indices, in the order the
+    Hopcroft-Tarjan search closes them, from a stack of tree and back
+    edges: an enumeration independent of the vertex-stack
+    `biconnected_components` for tests to compare it against."""
+    index = graph._index
+    nbrs = [[index[u] for u in graph.neighbors(v)] for v in graph.vertices()]
+    n = len(nbrs)
+    disc = [-1] * n
+    low = [0] * n
+    blocks = []
+    clock = 0
+    for root in range(n):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        stack = [(root, -1, iter(nbrs[root]))]
+        edges = []
+        while stack:
+            v, parent, it = stack[-1]
+            for w in it:
+                if disc[w] < 0:
+                    edges.append((v, w))
+                    disc[w] = low[w] = clock
+                    clock += 1
+                    stack.append((w, v, iter(nbrs[w])))
+                    break
+                if w != parent and disc[w] < disc[v]:
+                    edges.append((v, w))
+                    low[v] = min(low[v], disc[w])
+            else:
+                stack.pop()
+                if not stack:
+                    continue
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= disc[u]:
+                    block = set()
+                    while True:
+                        edge = edges.pop()
+                        block.update(edge)
+                        if edge == (u, v):
+                            break
+                    blocks.append(sorted(block))
+    return blocks
+
+
+def oracle_ultrametric_defect(dists: np.ndarray) -> float:
+    """Largest d(x,z) / max(d(x,y), d(y,z)) over the triples with x != z
+    and a positive divisor, and at least 1, by one float division of the
+    whole matrix per y: the oracle for `ultrametric_defect`."""
+    n = dists.shape[0]
+    if n < 3:
+        return 1.0
+    best = 1.0
+    for y in range(n):
+        m = np.maximum(dists[:, y][:, None], dists[y, :][None, :])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(m > 0.0, dists / m, 1.0)
+        np.fill_diagonal(ratio, 1.0)
+        v = float(ratio.max())
+        if v > best:
+            best = v
+    return best

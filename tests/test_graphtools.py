@@ -1,5 +1,6 @@
 """Graph metric machinery against small brute-force oracles."""
 
+import contextlib
 import itertools
 import json
 import math
@@ -11,7 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import cycle_graph, random_connected_graph, random_tree
+from conftest import (
+    cycle_graph,
+    oracle_blocks,
+    oracle_ultrametric_defect,
+    random_connected_graph,
+    random_tree,
+)
 from cheegernet import cli, families, graphtools, netgraph
 from cheegernet.graphtools import (
     Graph,
@@ -241,6 +248,58 @@ class TestBlockComposedMatrix:
                 assert got.tobytes() == full[rows].tobytes()
 
 
+def scattered_graph(rng: random.Random) -> Graph:
+    """Several components (random connected graphs, trees and single
+    edges) and isolated vertices, with the labels inserted in shuffled
+    order and the edges added in shuffled order."""
+    parts, size = [], 0
+    for _ in range(rng.randint(1, 4)):
+        k = rng.randint(1, 9)
+        kind = rng.choice(["connected", "tree", "edge"])
+        if kind == "connected" and k >= 2:
+            part = random_connected_graph(rng, k, rng.randint(0, 2 * k))
+        elif kind == "tree":
+            part = random_tree(rng, k)
+        else:
+            part = path_graph(min(k, 2))
+        parts += [(u + size, v + size) for u, v, _ in part.edges()]
+        size += part.n
+    isolated = list(range(size, size + rng.randint(0, 3)))
+    labels = list(range(size)) + isolated
+    rng.shuffle(labels)
+    rng.shuffle(parts)
+    g = Graph()
+    for v in labels:
+        g.add_vertex(v)
+    for u, v in parts:
+        if rng.random() < 0.5:
+            u, v = v, u
+        g.add_edge(u, v)
+    return g
+
+
+class TestBlocksOracle:
+    """biconnected_components with its vertex stack against the edge-stack
+    search, block lists compared in order."""
+
+    def test_random_graphs(self):
+        rng = random.Random(1973)
+        graphs = [scattered_graph(rng) for _ in range(300)]
+        assert sum(not g.is_connected() for g in graphs) >= 100
+        assert sum(any(g.degree(v) == 0 for v in g.vertices()) for g in graphs) >= 100
+        assert sum(any(len(b) == 2 for b in oracle_blocks(g)) for g in graphs) >= 200
+        for g in graphs:
+            assert biconnected_components(g) == oracle_blocks(g)
+
+    @pytest.mark.parametrize("name", ["flute8", "gen12", "loop", "closed"])
+    def test_golden_nets_and_meshes(self, name):
+        golden = Path(__file__).resolve().parent / "golden"
+        path = families.bundled_path("flute8.json") if name == "flute8" else golden / f"{name}.json"
+        net, mesh = cli_net_and_mesh(load_spec(path))
+        for g in (net, mesh):
+            assert biconnected_components(g) == oracle_blocks(g)
+
+
 def brute_cheeger_finite_half(g: Graph):
     order = g.vertices()
     n = g.n
@@ -408,39 +467,94 @@ def brute_ratio_cut(n: int, edges, pool):
     return best, best_set
 
 
+@contextlib.contextmanager
+def counted_calls(*names):
+    """Count the calls of the named graphtools functions while the block
+    runs; the counts are yielded as a dict by name."""
+    counts = dict.fromkeys(names, 0)
+    saved = {name: getattr(graphtools, name) for name in names}
+
+    def counting(name, fn):
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+        return counted
+
+    for name, fn in saved.items():
+        setattr(graphtools, name, counting(name, fn))
+    try:
+        yield counts
+    finally:
+        for name, fn in saved.items():
+            setattr(graphtools, name, fn)
+
+
+def check_max_flow(adj: list, to: list, cap: list, s: int, t: int) -> None:
+    """Run _max_flow and check the flow against the enumeration oracle:
+    its value equals the least s-t cut over all vertex subsets, and the
+    flow is conserved at every other vertex.  Counts the phases too: a
+    greedy pass comes before each, and at most n - 1 of them reach t."""
+    n = len(adj)
+    orig = list(cap)
+    with counted_calls("_greedy_flow", "_blocking_flow") as calls:
+        _max_flow(adj, to, cap, s, t)
+    assert 1 <= calls["_greedy_flow"] == calls["_blocking_flow"] <= n
+    net = [0] * n
+    for e in range(0, len(to), 2):
+        assert cap[e] >= 0 and cap[e ^ 1] >= 0
+        f = orig[e] - cap[e]
+        assert f == cap[e ^ 1] - orig[e ^ 1]
+        net[to[e]] += f
+        net[to[e ^ 1]] -= f
+    assert all(net[v] == 0 for v in range(n) if v not in (s, t))
+    inner = [v for v in range(n) if v not in (s, t)]
+    least = min(
+        sum(orig[e] for e in range(len(to))
+            if to[e ^ 1] in side and to[e] not in side)
+        for r in range(len(inner) + 1)
+        for rest in itertools.combinations(inner, r)
+        for side in [{s, *rest}]
+    )
+    assert net[t] == least
+
+
+def add_arc_pair(adj: list, to: list, cap: list, u: int, v: int, c_uv: int, c_vu: int) -> None:
+    for x, y, c in ((u, v, c_uv), (v, u, c_vu)):
+        adj[x].append(len(to))
+        to.append(y)
+        cap.append(c)
+
+
 class TestMaxFlow:
     def test_matches_min_cut_enumeration(self):
-        """Flow value equals the least s-t cut over all vertex subsets, and
-        the flow is conserved at every other vertex."""
         rng = random.Random(1956)
         for _ in range(300):
             n = rng.randint(2, 9)
-            s, t = 0, n - 1
             adj, to, cap = [[] for _ in range(n)], [], []
             for _ in range(rng.randint(0, 3 * n)):
                 u, v = rng.sample(range(n), 2)
-                for x, y in ((u, v), (v, u)):
-                    adj[x].append(len(to))
-                    to.append(y)
-                    cap.append(rng.choice([0, 1, 2, 7, 10**15 + 3]))
-            orig = list(cap)
-            _max_flow(adj, to, cap, s, t)
-            net = [0] * n
-            for e in range(0, len(to), 2):
-                assert cap[e] >= 0 and cap[e ^ 1] >= 0
-                f = orig[e] - cap[e]
-                assert f == cap[e ^ 1] - orig[e ^ 1]
-                net[to[e]] += f
-                net[to[e ^ 1]] -= f
-            assert all(net[v] == 0 for v in range(1, n - 1))
-            least = min(
-                sum(orig[e] for e in range(len(to))
-                    if to[e ^ 1] in side and to[e] not in side)
-                for r in range(n - 1)
-                for rest in itertools.combinations(range(1, n - 1), r)
-                for side in [{s, *rest}]
-            )
-            assert net[t] == least
+                add_arc_pair(adj, to, cap, u, v, *(rng.choice([0, 1, 2, 7, 10**15 + 3])
+                                                   for _ in range(2)))
+            check_max_flow(adj, to, cap, 0, n - 1)
+
+    def test_source_feeds_every_vertex_of_a_long_path(self):
+        """s feeds each vertex of a path that ends at t, the shape that
+        needs one Dinic phase per path length; some cases add chords and
+        arcs to t, so that flow gets stuck and needs later phases."""
+        rng = random.Random(1970)
+        for trial in range(60):
+            k = rng.randint(2, 12)
+            s, t = k, k + 1
+            adj, to, cap = [[] for _ in range(k + 2)], [], []
+            for v in range(k):
+                add_arc_pair(adj, to, cap, s, v, rng.choice([0, 1, 2, 5, 10**12]), 0)
+            for v in range(k):
+                w = rng.choice([1, 2, 3, 7, 20])
+                add_arc_pair(adj, to, cap, v, v + 1 if v + 1 < k else t, w, w)
+            for _ in range(rng.randint(0, k) if trial % 2 else 0):
+                u, v = rng.sample(range(k), 2)
+                add_arc_pair(adj, to, cap, u, rng.choice([v, t]), rng.randint(1, 4), 0)
+            check_max_flow(adj, to, cap, s, t)
 
 
 class TestExactAmbientCheeger:
@@ -479,6 +593,16 @@ class TestExactAmbientCheeger:
         rep = netgraph.net_cheeger_estimate(net)
         assert rep.exact and rep.mode == "ambient"
         assert rep.value == float(value)
+
+    @pytest.mark.parametrize("n", [40, 200])
+    def test_flute_needs_few_phases(self, n):
+        """A greedy pass before every Dinic phase: with one pass before the
+        first phase only, flute(40) took 29 phases."""
+        net = build_net(families.flute(n), cli_params())
+        with counted_calls("_greedy_flow", "_blocking_flow") as calls:
+            rep = netgraph.net_cheeger_estimate(net)
+        assert rep.exact and rep.examined == 1
+        assert calls["_greedy_flow"] == calls["_blocking_flow"] <= 8
 
     def test_every_bundled_instance_is_exact(self):
         for path in families.bundled_families().values():
@@ -855,6 +979,54 @@ class TestUltrametricDefect:
         proxy = boundary_proxy(g, g.distance_matrix())
         defect = ultrametric_defect(proxy.dists)
         assert defect <= proxy.a ** rep.delta + 1e-9
+
+
+def random_metric(rng: random.Random, n: int) -> np.ndarray:
+    """A seeded distance matrix: Euclidean distances of random points
+    rounded to few digits, so distances tie and distinct points may sit at
+    distance 0, or a visual metric a^-(x|y) with integer products."""
+    if rng.random() < 0.7:
+        dim = rng.randint(1, 3)
+        pts = np.array([[rng.randint(0, 6) for _ in range(dim)] for _ in range(n)]).reshape(n, dim)
+        d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        return np.round(d, rng.choice([0, 1, 3]))
+    d = np.triu(np.array([[2.0 ** -rng.randint(0, 6) for _ in range(n)] for _ in range(n)]), k=1)
+    return d + d.T
+
+
+class TestUltrametricDefectOracle:
+    """Selection over integer ranks against one float division per y,
+    compared with ==."""
+
+    def test_random_metrics(self):
+        rng = random.Random(1806)
+        metrics = [random_metric(rng, rng.randint(3, 30)) for _ in range(400)]
+        zero_pair = [bool((m + np.eye(len(m)) == 0).any()) for m in metrics]
+        assert sum(zero_pair) >= 50 and sum(not z for z in zero_pair) >= 50
+        for d in metrics:
+            assert ultrametric_defect(d) == oracle_ultrametric_defect(d)
+
+    def test_small_sizes(self):
+        rng = random.Random(0)
+        for n in range(4):
+            for _ in range(20):
+                d = random_metric(rng, n)
+                assert ultrametric_defect(d) == oracle_ultrametric_defect(d)
+        zeros = np.zeros((5, 5))
+        assert ultrametric_defect(zeros) == oracle_ultrametric_defect(zeros) == 1.0
+
+    @pytest.mark.parametrize("name", ["flute8", "gen12", "loop", "pants_tree5"])
+    def test_net_proxies(self, name):
+        golden = Path(__file__).resolve().parent / "golden"
+        spec = {
+            "flute8": lambda: load_spec(families.bundled_path("flute8.json")),
+            "gen12": lambda: load_spec(golden / "gen12.json"),
+            "loop": lambda: load_spec(golden / "loop.json"),
+            "pants_tree5": lambda: families.pants_tree(5),
+        }[name]()
+        _, proxy = net_proxy(spec)
+        assert len(proxy.points) >= 3
+        assert ultrametric_defect(proxy.dists) == oracle_ultrametric_defect(proxy.dists)
 
 
 def geometric_points(scales):
