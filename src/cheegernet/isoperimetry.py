@@ -13,10 +13,11 @@ Both are minima over the same piece sets, so :func:`domain_reports` takes
 them from one pass over the bitmasks of
 :func:`cheegernet.surface.connected_piece_subsets`, read in numpy chunks
 with one bool membership row per piece.  Boundary lengths are added curve
-by curve in the order of :func:`cheegernet.surface.domain_from_pieces` (cut
-gluings by index, then open curves by index), 0.0 for a curve a set does
-not cut, so the values are the bits that summing over the built domains
-gives; only the best domain and the witness are built.
+by curve in the order of `PiecesIndex.curves` (cut gluings by index, then
+open curves by index), the order in which
+:func:`cheegernet.surface.domain_from_pieces` lists a boundary, 0.0 for a
+curve a set does not cut, so the values are the bits that summing over the
+built domains gives; only the best domain and the witness are built.
 
 Division by zero counts follows the x/0 = +inf convention.
 """
@@ -37,6 +38,7 @@ from .surface import (
     boundary_length,
     connected_piece_subsets,
     domain_from_pieces,
+    pieces_index,
     require_valid,
 )
 
@@ -119,8 +121,7 @@ def _scan(spec: SurfaceSpec, delta: float, max_pieces: int):
     lexicographically smallest set."""
     n = spec.pieces
     width = (n + 7) // 8
-    curves = [(g.a[0], g.b[0], g.length) for g in spec.gluings if g.a[0] != g.b[0]]
-    curves += [(o.at[0], None, o.length) for o in spec.opens]
+    curves = [(a, b, c.length) for a, b, c in pieces_index(spec).curves]
     best = [(math.inf, None), (math.inf, None)]  # (h_g ratio, set), (regularity ratio, set)
     examined = 0
     subsets = connected_piece_subsets(spec, max_pieces)

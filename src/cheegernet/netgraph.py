@@ -161,8 +161,7 @@ def build_net(spec: SurfaceSpec, params: NetBuildParams) -> NetGraph:
         for s in range(3):
             ring = ring_of_slot[(p, s)]
             for lab in ring.labels:
-                if not g.has_edge(hub, lab):
-                    g.add_edge(hub, lab)
+                g.add_edge(hub, lab)
 
     return NetGraph(
         spec=spec,
@@ -318,7 +317,7 @@ def build_quotient_mesh(spec: SurfaceSpec, params: NetBuildParams):
         vmap[hub] = hub
 
     merged_of_gluing: dict[int, tuple] = {}
-    mesh_ring_of_slot: dict = {}
+    mesh_ring_of: dict = {}  # net ring labels -> mesh ring labels
 
     def add_mesh_ring(slot, net_count, length):
         k = net_count * refinement
@@ -327,37 +326,26 @@ def build_quotient_mesh(spec: SurfaceSpec, params: NetBuildParams):
         return labels
 
     for ring in net.rings:
-        if ring.kind == "thin_side":
-            gi = ring.gluing_index
-            if gi in merged_of_gluing:
-                continue
-            gl = spec.gluings[gi]
-            owner = min(gl.a, gl.b)
-            labels = add_mesh_ring(owner, len(ring.labels), ring.length)
-            merged_of_gluing[gi] = labels
-            mesh_ring_of_slot[gl.a] = labels
-            mesh_ring_of_slot[gl.b] = labels
-        else:
+        gi = ring.gluing_index
+        if ring.kind != "thin_side":
             labels = add_mesh_ring(ring.slot, len(ring.labels), ring.length)
-            for slot, r in net.ring_of_slot.items():
-                if r is ring:
-                    mesh_ring_of_slot[slot] = labels
-
-    for ring in net.rings:
-        if ring.kind == "thin_side":
-            target = merged_of_gluing[ring.gluing_index]
+        elif gi in merged_of_gluing:
+            labels = merged_of_gluing[gi]
         else:
-            target = mesh_ring_of_slot[ring.slot]
+            gl = spec.gluings[gi]
+            labels = add_mesh_ring(min(gl.a, gl.b), len(ring.labels), ring.length)
+            merged_of_gluing[gi] = labels
+        mesh_ring_of[ring.labels] = labels
         for j, lab in enumerate(ring.labels):
-            vmap[lab] = target[j * refinement]
+            vmap[lab] = labels[j * refinement]
+    mesh_ring_of_slot = {slot: mesh_ring_of[r.labels] for slot, r in net.ring_of_slot.items()}
 
     for p, shortest in enumerate(pieces_index(spec).shortest):
         hub = ("hub", p)
         w = _piece_spoke_weight(shortest, params)
         for s in range(3):
             for lab in mesh_ring_of_slot[(p, s)]:
-                if not mesh.has_edge(hub, lab):
-                    mesh.add_edge(hub, lab, w)
+                mesh.add_edge(hub, lab, w)
 
     return mesh, vmap
 

@@ -199,45 +199,57 @@ def require_valid(spec: SurfaceSpec) -> SurfaceSpec:
 
 
 @dataclass(frozen=True)
+class BoundaryCurve:
+    kind: str  # "gluing" or "open"
+    index: int
+    length: float
+
+
+@dataclass(frozen=True)
 class PiecesIndex:
-    """Per-piece tables of the pieces multigraph of one spec."""
+    """Tables of the pieces multigraph of one spec."""
 
     neighbours: tuple[tuple[int, ...], ...]  # distinct pieces across a gluing, ascending
-    # (other piece, gluing index, length) per gluing to another piece, in
-    # gluing order.  Self-gluings are left out: both of their ends are inside
-    # any piece set that holds the piece, so they never bound a domain.
-    cross: tuple[tuple[tuple[int, int, float], ...], ...]
+    # (other piece, gluing index) per gluing to another piece, in gluing order
+    cross: tuple[tuple[tuple[int, int], ...], ...]
     cusps: tuple[int, ...]  # cusp count
-    opens: tuple[tuple[tuple[int, float], ...], ...]  # (open index, length), in open order
     shortest: tuple[float, ...]  # shortest glued or open curve at the piece; inf if none
+    # (piece, other piece or None, curve) per curve that can bound a domain:
+    # the gluings to another piece by index, then the open curves by index.
+    # Self-gluings are left out: both of their ends are inside any piece set
+    # that holds the piece.  A piece set's boundary is the curves with
+    # exactly one end inside it, in this order, which every boundary sum
+    # follows.
+    curves: tuple[tuple[int, int | None, BoundaryCurve], ...]
 
 
 @lru_cache(maxsize=256)
 def pieces_index(spec: SurfaceSpec) -> PiecesIndex:
     """The pieces-graph index of a spec whose slots are all in range."""
-    cross: list[list[tuple[int, int, float]]] = [[] for _ in range(spec.pieces)]
+    cross: list[list[tuple[int, int]]] = [[] for _ in range(spec.pieces)]
     shortest = [math.inf] * spec.pieces
+    curves: list = []
     for i, g in enumerate(spec.gluings):
         pa, pb = g.a[0], g.b[0]
         if pa != pb:
-            cross[pa].append((pb, i, g.length))
-            cross[pb].append((pa, i, g.length))
+            cross[pa].append((pb, i))
+            cross[pb].append((pa, i))
+            curves.append((pa, pb, BoundaryCurve("gluing", i, g.length)))
         for p in (pa, pb):
             shortest[p] = min(shortest[p], g.length)
     cusps = [0] * spec.pieces
     for c in spec.cusps:
         cusps[c[0]] += 1
-    opens: list[list[tuple[int, float]]] = [[] for _ in range(spec.pieces)]
     for i, o in enumerate(spec.opens):
         p = o.at[0]
-        opens[p].append((i, o.length))
+        curves.append((p, None, BoundaryCurve("open", i, o.length)))
         shortest[p] = min(shortest[p], o.length)
     return PiecesIndex(
-        neighbours=tuple(tuple(sorted({q for q, _, _ in row})) for row in cross),
+        neighbours=tuple(tuple(sorted({q for q, _ in row})) for row in cross),
         cross=tuple(tuple(row) for row in cross),
         cusps=tuple(cusps),
-        opens=tuple(tuple(row) for row in opens),
         shortest=tuple(shortest),
+        curves=tuple(curves),
     )
 
 
@@ -247,7 +259,7 @@ def _reachable(index: PiecesIndex, skip_gluing: int | None) -> set[int]:
     stack = [0]
     while stack:
         p = stack.pop()
-        for q, gi, _ in index.cross[p]:
+        for q, gi in index.cross[p]:
             if gi != skip_gluing and q not in seen:
                 seen.add(q)
                 stack.append(q)
@@ -315,13 +327,6 @@ def thick_thin(spec: SurfaceSpec, eps: float) -> ThickThin:
 
 
 @dataclass(frozen=True)
-class BoundaryCurve:
-    kind: str  # "gluing" or "open"
-    index: int
-    length: float
-
-
-@dataclass(frozen=True)
 class GeodesicDomain:
     piece_set: tuple[int, ...]
     boundary: tuple[BoundaryCurve, ...]
@@ -359,27 +364,8 @@ def domain_from_pieces(spec: SurfaceSpec, piece_set: Iterable[int]) -> GeodesicD
     if seen != inset:
         raise SpecError(f"piece set {inside} is not connected")
 
-    # Each cut gluing is discovered exactly once, from its inside endpoint;
-    # re-sorting by index reproduces the scan order over spec.gluings so the
-    # boundary tuple (and any length sum over it) is unchanged.
-    cuts: list[tuple[int, float]] = []
-    openings: list[tuple[int, float]] = []
-    p_count = 0
-    for p in inside:
-        p_count += index.cusps[p]
-        openings.extend(index.opens[p])
-        for q, gi, length in index.cross[p]:
-            if q not in inset:
-                cuts.append((gi, length))
-    cuts.sort()
-    openings.sort()
-    boundary = [
-        BoundaryCurve(kind="gluing", index=gi, length=length) for gi, length in cuts
-    ]
-    boundary.extend(
-        BoundaryCurve(kind="open", index=i, length=length) for i, length in openings
-    )
-
+    boundary = [c for a, b, c in index.curves if (a in inset) != (b in inset)]
+    p_count = sum(index.cusps[p] for p in inside)
     m = len(boundary)
     k = len(inside)
     twice_g = k - m - p_count + 2

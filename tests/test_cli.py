@@ -105,6 +105,20 @@ class TestExitCodes:
         assert out == ""
         assert f"unknown {command} mode 'bogus'" in err
 
+    @pytest.mark.parametrize("command, option", [
+        (command, option)
+        for command in ["validate", "thickthin", "isoperimetry", "net", "cheeger",
+                        "hyperbolicity", "boundary", "qi", "sweep"]
+        for option in ["--eps=1.5", "--delta=0.5", "--max-pieces=0", "--format=dot",
+                       "--mode=bogus"]
+        if (command, option) != ("net", "--format=dot")
+    ])
+    def test_parameter_error_before_input_error(self, capsys, command, option):
+        code, out, err = run_main(capsys, command, "/nonexistent/x.json", option)
+        assert code == 3
+        assert out == ""
+        assert "parameter error" in err
+
     def test_ambient_needs_open_curves(self, capsys):
         closed = str(Path(__file__).parent / "golden" / "closed.json")
         code, out, err = run_main(capsys, "cheeger", closed, "--mode", "ambient")

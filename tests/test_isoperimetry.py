@@ -21,6 +21,8 @@ from cheegernet.isoperimetry import (
     CSV_HEADER,
 )
 from cheegernet.surface import (
+    BoundaryCurve,
+    SurfaceSpec,
     boundary_length,
     domain_from_pieces,
     make_spec,
@@ -118,6 +120,32 @@ def brute_domain_reports(spec, delta, max_pieces):
         domain_from_pieces(spec, witness) if worst < math.inf else None,
         len(ratios),
     )
+
+
+def spec_boundary(spec, members):
+    """The boundary of a piece set read straight off the spec: the gluings
+    with exactly one end in the set, by index, then the open curves of its
+    pieces, by index.  It shares no table with `domain_from_pieces`, whose
+    order the domain scan follows."""
+    inset = set(members)
+    cut = [BoundaryCurve("gluing", i, g.length) for i, g in enumerate(spec.gluings)
+           if (g.a[0] in inset) != (g.b[0] in inset)]
+    opens = [BoundaryCurve("open", i, o.length) for i, o in enumerate(spec.opens)
+             if o.at[0] in inset]
+    return tuple(cut + opens)
+
+
+class TestBoundaryOrder:
+    def test_matches_the_spec_order(self):
+        # gluings and open curves are shuffled, so index order differs from
+        # piece order and from the order a piece-by-piece walk would give
+        rng = random.Random(1806)
+        for _ in range(60):
+            spec = random_spec(rng, max_pieces=9, thin_below=0.6)
+            spec = SurfaceSpec(spec.pieces, tuple(rng.sample(spec.gluings, len(spec.gluings))),
+                               spec.cusps, tuple(rng.sample(spec.opens, len(spec.opens))))
+            for members in oracle_piece_subsets(spec, 5):
+                assert domain_from_pieces(spec, members).boundary == spec_boundary(spec, members)
 
 
 def equal_ladder(n):
