@@ -138,10 +138,7 @@ def _cmd_net(args, params):
     net = netgraph.build_net(spec, params)
     g = net.graph
     if args.fmt == "csv":
-        lines = ["u,v,weight"]
-        for u, v, w in g.edges():
-            lines.append(f"{g.index_of(u)},{g.index_of(v)},{w!r}")
-        return EXIT_OK, None, "\n".join(lines) + "\n"
+        return EXIT_OK, None, "u,v,weight\n" + "".join(f"{i},{j},{w!r}\n" for i, j, w in g.edges())
     tags = netgraph.net_tags(net)
     if args.fmt == "dot":
         return EXIT_OK, None, netgraph.to_dot(g, tags)
@@ -149,11 +146,9 @@ def _cmd_net(args, params):
     return EXIT_OK, {
         "vertices": [{"index": i, "tag": tags[v]}
                      for i, v in enumerate(g.vertices())],
-        "edges": [[g.index_of(u), g.index_of(v), w]
-                  for u, v, w in g.edges()],
+        "edges": [list(e) for e in g.edges()],
         "degree_bound": netgraph.degree_bound(
-            params.eps, params.delta,
-            max_curve_length=max((c.length for c in curves), default=1.0)),
+            params, max_curve_length=max((c.length for c in curves), default=1.0)),
         "max_degree": netgraph.max_degree(g),
     }, None
 
@@ -218,8 +213,7 @@ def _cmd_sweep(args, params):
     fam = _read(args)
     if not isinstance(fam, surface.Family):
         raise SpecError(f"{args.input} is not a family file")
-    report = isoperimetry.lii_verdict(fam, params.eps, params.delta,
-                                      max_pieces=args.max_pieces)
+    report = isoperimetry.lii_verdict(fam, params.delta, max_pieces=args.max_pieces)
     return EXIT_OK, report.to_dict(), isoperimetry.family_csv(report)
 
 

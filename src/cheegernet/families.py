@@ -12,18 +12,22 @@ Each builder returns a window spec for one integer parameter value:
 * ``genus_ladder``: consecutive pieces doubly glued, one strand of each
   rung short and non-separating; parameter = number of rungs (= genus).
 
-Builder-style family files are JSON objects
-{"family": "<builder name>", "param": {"name": "n", "range": [lo, hi]}};
-fixed-topology family files with length expressions are handled by
-:func:`cheegernet.surface.family_from_dict`.
+:func:`load_family` is the one parser of family files, of both kinds.  A
+builder-style file is a JSON object
+{"family": "<builder name>", "param": {"name": "n", "range": [lo, hi]}}; a
+fixed-topology template is a spec file plus the same "param" key, whose
+gluing and open lengths may be expressions in the parameter
+(:func:`cheegernet.surface.eval_length_expr`).
 """
 
 from __future__ import annotations
 
+import json
 from importlib import resources
 from pathlib import Path
 
-from .surface import Family, SpecError, SurfaceSpec, _parse_param, family_from_dict, make_spec, read_json
+from .surface import (Family, SpecError, SurfaceSpec, _is_int, eval_length_expr, make_spec,
+                      read_json, spec_from_dict)
 
 __all__ = [
     "flute",
@@ -107,8 +111,10 @@ BUILDERS = {
 
 
 def load_family(source: str | Path | dict, name: str | None = None) -> Family:
-    """Load either style of family file (builder reference or fixed-topology
-    template with length expressions), from a path or a decoded document."""
+    """The family in a family file, from a path or a decoded document: a
+    builder reference, named by its builder, or a fixed-topology template,
+    named by `name` or the file's stem, whose gluing and open lengths may be
+    expressions in the parameter.  The one parser of family files."""
     if isinstance(source, dict):
         obj = source
         default_name = name or "family"
@@ -117,16 +123,37 @@ def load_family(source: str | Path | dict, name: str | None = None) -> Family:
         default_name = name or Path(source).stem
     if not isinstance(obj, dict):
         raise SpecError(f"family must be a JSON object, got {type(obj).__name__}")
-    if "family" in obj:
-        builder_name = obj["family"]
-        builder = BUILDERS.get(builder_name) if isinstance(builder_name, str) else None
-        if builder is None:
-            raise SpecError(
-                f"unknown family builder {builder_name!r}; known: {sorted(BUILDERS)}"
-            )
-        pname, lo, hi = _parse_param(obj, default_name)
+    builder_name = obj.get("family")
+    builder = BUILDERS.get(builder_name) if isinstance(builder_name, str) else None
+    if "family" in obj and builder is None:
+        raise SpecError(f"unknown family builder {builder_name!r}; known: {sorted(BUILDERS)}")
+    param = obj.get("param")
+    if (
+        not isinstance(param, dict)
+        or not isinstance(param.get("name"), str)
+        or not isinstance(param.get("range"), list)
+        or len(param["range"]) != 2
+        or not all(map(_is_int, param["range"]))
+    ):
+        raise SpecError(f"{default_name}: need 'param': {{'name': str, 'range': [lo, hi]}}")
+    pname, (lo, hi) = param["name"], param["range"]
+    if lo > hi:
+        raise SpecError(f"{default_name}: empty parameter range [{lo}, {hi}]")
+    if builder is not None:
         return Family(name=builder_name, param_name=pname, lo=lo, hi=hi, builder=builder)
-    return family_from_dict(obj, default_name)
+    template = {k: v for k, v in obj.items() if k != "param"}
+
+    def build(value: int) -> SurfaceSpec:
+        inst = json.loads(json.dumps(template))
+        # A key that holds no list is left for spec_from_dict to reject.
+        for key in ("gluings", "opens"):
+            items = inst.get(key)
+            for item in items if isinstance(items, list) else ():
+                if isinstance(item, dict) and "length" in item:
+                    item["length"] = eval_length_expr(item["length"], pname, value)
+        return spec_from_dict(inst)
+
+    return Family(name=default_name, param_name=pname, lo=lo, hi=hi, builder=build)
 
 
 def bundled_path(filename: str) -> Path:

@@ -99,12 +99,14 @@ class Graph:
         return self._adj[u][v]
 
     def edges(self):
-        """Each undirected edge once, ordered by (index(u), index(v))."""
-        for u in self._adj:
-            iu = self._index[u]
-            for v, w in self._adj[u].items():
-                if iu < self._index[v]:
-                    yield u, v, w
+        """Each undirected edge once, as (index(u), index(v), weight) with
+        index(u) < index(v), in the order of index(u)."""
+        index = self._index
+        for iu, adj in enumerate(self._adj.values()):
+            for v, w in adj.items():
+                iv = index[v]
+                if iu < iv:
+                    yield iu, iv, w
 
     def bfs_distances(self, source) -> dict:
         dist = {source: 0}
@@ -716,8 +718,7 @@ def cheeger(
     if not graph.is_connected():
         raise DomainError("cheeger of a disconnected graph")
     order = graph.vertices()
-    index = graph._index
-    edges = [(index[u], index[v], w) for u, v, w in graph.edges()]
+    edges = list(graph.edges())
     if mode == "ambient":
         if interior is None:
             raise DomainError("ambient mode needs an interior vertex set")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypmath import DomainError, check_delta
+from .hypmath import DomainError
 from .surface import (
     Family,
     GeodesicDomain,
@@ -266,12 +266,7 @@ class FamilyReport:
         }
 
 
-def lii_verdict(
-    family: Family,
-    eps: float,
-    delta: float,
-    max_pieces: int = MAX_PIECES,
-) -> FamilyReport:
+def lii_verdict(family: Family, delta: float, max_pieces: int = MAX_PIECES) -> FamilyReport:
     """Sweep every instance of a family, in parameter order, and decide
     whether its isoperimetric ratios decay.
 
@@ -280,7 +275,6 @@ def lii_verdict(
     otherwise the ratios stay bounded below and the report attaches the
     surface Cheeger bound h >= h_g/(1 + h_g) for the largest instance.
     """
-    check_delta(eps, delta)
     vals = list(family.values())
     reports = [domain_reports(family.instance(v), delta, max_pieces) for v in vals]
     hgs = [iso.h_g for iso, _ in reports]

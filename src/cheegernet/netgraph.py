@@ -174,8 +174,8 @@ def build_net(spec: SurfaceSpec, params: NetBuildParams) -> NetGraph:
     )
 
 
-def degree_bound(eps: float, delta: float, max_curve_length: float) -> int:
-    """Uniform degree bound for nets built at (eps, delta) from specs whose
+def degree_bound(params: NetBuildParams, max_curve_length: float) -> int:
+    """Uniform degree bound for nets built with params from specs whose
     curve lengths stay below max_curve_length.
 
     mu = 2 is the ring-per-special packing constant: a special vertex sees
@@ -183,12 +183,11 @@ def degree_bound(eps: float, delta: float, max_curve_length: float) -> int:
     Ring samples see at most mu + 3 neighbors (two ring edges, two hubs, or
     one hub and one special).
     """
-    check_delta(eps, delta)
     if max_curve_length <= 0.0:
         raise DomainError("max_curve_length must be positive")
-    dens = 1.0 / delta
+    dens = params.density
     mu = 2
-    horo = 2.0 * math.sinh(eps)
+    horo = 2.0 * math.sinh(params.eps)
     ring_cap = math.ceil(max(max_curve_length, horo) * dens)
     return max(
         mu + 3,
@@ -460,9 +459,9 @@ def to_dot(graph: Graph, tags: dict) -> str:
     lines = ["graph net {"]
     for i, v in enumerate(graph.vertices()):
         lines.append(f'  n{i} [label="{tags[v]}"];')
-    weighted = any(w != 1.0 for _, _, w in graph.edges())
-    for u, v, w in graph.edges():
-        iu, iv = graph.index_of(u), graph.index_of(v)
+    edges = list(graph.edges())
+    weighted = any(w != 1.0 for _, _, w in edges)
+    for iu, iv, w in edges:
         if weighted:
             lines.append(f'  n{iu} -- n{iv} [label="{w:.6g}"];')
         else:

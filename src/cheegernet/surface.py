@@ -19,10 +19,10 @@ File format (JSON): {"pieces": int,
                                   "length": number}, ...],
                      "cusps": [[piece, slot], ...],
                      "opens": [{"at": [piece, slot], "length": number}, ...]}
-with "opens" optional.  Family files carry the same shape plus
-{"param": {"name": "n", "range": [lo, hi]}} and may give lengths as
-expressions in the parameter (numbers, the parameter name, + - * / ^,
-exp, ln, parentheses).
+with "opens" optional.  :func:`spec_from_dict` rejects family files (a
+"family" or "param" key), which :func:`cheegernet.families.load_family`
+parses; their length expressions (numbers, the parameter name,
++ - * / ^, exp, ln, parentheses) are evaluated by :func:`eval_length_expr`.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from __future__ import annotations
 import ast
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -61,7 +62,6 @@ __all__ = [
     "spec_from_dict",
     "read_json",
     "load_spec",
-    "family_from_dict",
     "eval_length_expr",
 ]
 
@@ -137,6 +137,11 @@ def make_spec(
     )
 
 
+# The least curve length: the smallest normal float.  Below it half a length
+# can round to zero, and the collar formulas divide by it.
+_MIN_LENGTH = sys.float_info.min
+
+
 @lru_cache(maxsize=256)
 def validate(spec: SurfaceSpec) -> tuple[str, ...]:
     """All invariant violations of a spec, as precise messages.  Empty = valid."""
@@ -156,6 +161,10 @@ def validate(spec: SurfaceSpec) -> tuple[str, ...]:
             return False
         return True
 
+    def check_length(where: str, length: float) -> None:
+        if not (math.isfinite(length) and length >= _MIN_LENGTH):
+            out.append(f"{where} length must be finite and >= {_MIN_LENGTH!r}, got {length!r}")
+
     used: dict[Slot, list[str]] = {}
 
     def use(slot: Slot, where: str) -> None:
@@ -167,14 +176,12 @@ def validate(spec: SurfaceSpec) -> tuple[str, ...]:
         use(g.b, f"gluing {i}")
         if g.a == g.b:
             out.append(f"gluing {i} attaches slot {g.a} to itself")
-        if not (math.isfinite(g.length) and g.length > 0.0):
-            out.append(f"gluing {i} length must be positive, got {g.length!r}")
+        check_length(f"gluing {i}", g.length)
     for i, c in enumerate(spec.cusps):
         use(c, f"cusp {i}")
     for i, o in enumerate(spec.opens):
         use(o.at, f"open {i}")
-        if not (math.isfinite(o.length) and o.length > 0.0):
-            out.append(f"open {i} length must be positive, got {o.length!r}")
+        check_length(f"open {i}", o.length)
 
     for slot in spec.slots():
         owners = used.get(slot, [])
@@ -587,43 +594,3 @@ class Family:
                 f"family {self.name}: {self.param_name}={value} outside [{self.lo}, {self.hi}]"
             )
         return self.builder(value)
-
-
-def _parse_param(obj: dict, where: str) -> tuple[str, int, int]:
-    param = obj.get("param")
-    if (
-        not isinstance(param, dict)
-        or not isinstance(param.get("name"), str)
-        or not isinstance(param.get("range"), list)
-        or len(param["range"]) != 2
-        or not all(map(_is_int, param["range"]))
-    ):
-        raise SpecError(f"{where}: need 'param': {{'name': str, 'range': [lo, hi]}}")
-    lo, hi = param["range"]
-    if lo > hi:
-        raise SpecError(f"{where}: empty parameter range [{lo}, {hi}]")
-    return param["name"], lo, hi
-
-
-def family_from_dict(obj: dict, name: str = "family") -> Family:
-    """Family from a fixed-topology template whose lengths may be expressions
-    in the parameter.  Builder-style files ({"family": ...}) are handled by
-    :mod:`cheegernet.families`."""
-    if not isinstance(obj, dict):
-        raise SpecError(f"family must be a JSON object, got {type(obj).__name__}")
-    if "family" in obj:
-        raise SpecError("builder-style family file: use cheegernet.families.load_family")
-    pname, lo, hi = _parse_param(obj, name)
-    template = {k: v for k, v in obj.items() if k != "param"}
-
-    def build(value: int) -> SurfaceSpec:
-        inst = json.loads(json.dumps(template))
-        # A key that holds no list is left for spec_from_dict to reject.
-        for key in ("gluings", "opens"):
-            items = inst.get(key)
-            for item in items if isinstance(items, list) else ():
-                if isinstance(item, dict) and "length" in item:
-                    item["length"] = eval_length_expr(item["length"], pname, value)
-        return spec_from_dict(inst)
-
-    return Family(name=name, param_name=pname, lo=lo, hi=hi, builder=build)

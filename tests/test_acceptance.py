@@ -242,9 +242,7 @@ def test_06_net_structure_random_suite():
         if sum(len(h) for h in hoods) != len(set().union(*hoods) if hoods else set()):
             bad.append(("overlap", i))
         lengths = [gl.length for gl in spec.gluings] + [o.length for o in spec.opens]
-        bound = netgraph.degree_bound(
-            EPS, DELTA, max_curve_length=max(lengths, default=1.0)
-        )
+        bound = netgraph.degree_bound(PARAMS, max_curve_length=max(lengths, default=1.0))
         if netgraph.max_degree(g) > bound:
             bad.append(("degree", i, netgraph.max_degree(g), bound))
         for _ in range(4):
@@ -277,10 +275,8 @@ def test_06_net_structure_random_suite():
 
 def brute_cheeger_half(g) -> float:
     """Independent bit-loop sweep of all subsets up to half the vertices."""
-    order = g.vertices()
-    n = len(order)
-    idx = {v: i for i, v in enumerate(order)}
-    edges = [(idx[u], idx[v]) for u, v, _ in g.edges()]
+    n = g.n
+    edges = [(u, v) for u, v, _ in g.edges()]
     cap = n // 2
     best = math.inf
     for mask in range(1, 1 << n):

@@ -21,6 +21,18 @@ FLUTE_FAM = str(families.bundled_path("flute.family.json"))
 ONE_PIECE = {"pieces": 1, "gluings": [{"a": [0, 0], "b": [0, 1], "length": 1.0}],
              "cusps": [[0, 2]]}
 N_1_2 = {"name": "n", "range": [1, 2]}
+KNOWN_BUILDERS = "['flute', 'genus_ladder', 'pants_tree', 'shrinking_flute']"
+SPEC_COMMANDS = ["validate", "thickthin", "isoperimetry", "net", "cheeger", "hyperbolicity",
+                 "boundary", "qi"]
+
+
+def two_piece_flute(curve: str, length: float) -> dict:
+    """The spec of `flute(2)` with its gluing or its first open curve (curve
+    "gluing" or "open") of the given length."""
+    lengths = {"gluing": 1.0, "open": 1.0, curve: length}
+    return {"pieces": 2, "gluings": [{"a": [0, 1], "b": [1, 0], "length": lengths["gluing"]}],
+            "cusps": [[0, 2], [1, 2]],
+            "opens": [{"at": [0, 0], "length": lengths["open"]}, {"at": [1, 1], "length": 1.0}]}
 
 
 def run_main(capsys, *argv):
@@ -193,19 +205,59 @@ class TestExitCodes:
         assert "invalid input" in err
 
     @pytest.mark.parametrize("command", ["validate", "sweep"])
-    @pytest.mark.parametrize("doc", [
-        {"param": N_1_2, "pieces": 1, "gluings": 5, "cusps": [[0, 2]]},
-        {"param": N_1_2, **ONE_PIECE, "opens": 5},
-        {"family": ["flute"], "param": N_1_2},
-        {"family": "flute", "param": {"name": "n", "range": [True, 3]}},
-    ], ids=["gluings_not_list", "opens_not_list", "builder_not_str", "range_bool"])
-    def test_malformed_family_field(self, capsys, tmp_path, command, doc):
+    @pytest.mark.parametrize("doc, message", [
+        ({"param": N_1_2, "pieces": 1, "gluings": 5, "cusps": [[0, 2]]},
+         "spec needs a 'gluings' list"),
+        ({"param": N_1_2, **ONE_PIECE, "opens": 5}, "spec 'opens' must be a list"),
+        ({"family": ["flute"], "param": N_1_2},
+         f"unknown family builder ['flute']; known: {KNOWN_BUILDERS}"),
+        ({"family": "flute", "param": {"name": "n", "range": [True, 3]}},
+         "fam: need 'param': {'name': str, 'range': [lo, hi]}"),
+        ({"family": "flute_x", "param": {"name": "n", "range": [3]}},
+         f"unknown family builder 'flute_x'; known: {KNOWN_BUILDERS}"),
+        ({"family": "flute", "param": {"name": "n", "range": [4, 3]}},
+         "fam: empty parameter range [4, 3]"),
+        ({"param": {"name": "n", "range": [1, 3]}, **ONE_PIECE,
+          "gluings": [{"a": [0, 0], "b": [0, 1], "length": "1/(n-2)^2"}]},
+         "length expression '1/(n-2)^2' fails at n = 2: float division by zero"),
+    ], ids=["gluings_not_list", "opens_not_list", "builder_not_str", "range_bool",
+            "unknown_builder_bad_range", "empty_range", "expression_fails_at_one_value"])
+    def test_malformed_family_field(self, capsys, tmp_path, command, doc, message):
         path = tmp_path / "fam.json"
         path.write_text(json.dumps(doc))
         code, out, err = run_main(capsys, command, str(path))
         assert code == 2
         assert out == ""
-        assert "invalid input" in err
+        assert err == f"cheegernet: invalid input: {message}\n"
+
+    @pytest.mark.parametrize("command", SPEC_COMMANDS)
+    @pytest.mark.parametrize("curve", ["gluing", "open"])
+    @pytest.mark.parametrize("length", [5e-324, 1e-320])
+    def test_subnormal_length_is_invalid(self, capsys, tmp_path, command, curve, length):
+        """A curve shorter than the least normal float is invalid input:
+        half of it can round to zero in the collar formulas."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(two_piece_flute(curve, length)))
+        code, out, err = run_main(capsys, command, str(path))
+        problem = (f"{curve} 0 length must be finite and >= {sys.float_info.min!r}, "
+                   f"got {length!r}")
+        assert code == 2
+        if command == "validate":
+            assert json.loads(out) == {"valid": False, "problems": [problem]}
+        else:
+            assert out == ""
+            assert err == f"cheegernet: invalid input: invalid spec:\n{problem}\n"
+
+    @pytest.mark.parametrize("command", SPEC_COMMANDS)
+    @pytest.mark.parametrize("curve", ["gluing", "open"])
+    def test_least_normal_length_is_valid(self, capsys, tmp_path, command, curve):
+        """At the least normal float every formula is finite, so every
+        command writes strict JSON (no Infinity or NaN)."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(two_piece_flute(curve, sys.float_info.min)))
+        code, out, err = run_main(capsys, command, str(path))
+        assert (code, err) == (0, "")
+        json.loads(out, parse_constant=pytest.fail)
 
     def test_seed_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:

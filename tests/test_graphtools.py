@@ -60,7 +60,10 @@ class TestGraph:
         assert g.vertices() == ["a", "b", "c"]
         assert g.degree("b") == 2
         assert g.weight("a", "b") == 2.0
-        assert list(g.edges()) == [("a", "b", 2.0), ("b", "c", 1.0)]
+        assert list(g.edges()) == [(0, 1, 2.0), (1, 2, 1.0)]
+        order = g.vertices()
+        assert [(order[i], order[j], w) for i, j, w in g.edges()] == [
+            ("a", "b", 2.0), ("b", "c", 1.0)]
 
     def test_no_self_loops(self):
         g = Graph()
@@ -199,7 +202,8 @@ class TestBlockComposedMatrix:
             order = g.vertices()
             blocks = [frozenset(order[i] for i in b) for b in biconnected_components(g)]
             assert set(blocks) == expected and len(blocks) == len(expected)
-            for u, v, _ in g.edges():
+            for i, j, _ in g.edges():
+                u, v = order[i], order[j]
                 assert sum(u in b and v in b for b in blocks) == 1
             for b1, b2 in itertools.combinations(blocks, 2):
                 assert len(b1 & b2) <= 1

@@ -283,7 +283,7 @@ class TestTrends:
 class TestFamilySweep:
     def test_flute_no_lii_at_full_cap(self):
         fam = families.load_family(families.bundled_path("flute.family.json"))
-        rep = lii_verdict(fam, eps=0.5, delta=0.15, max_pieces=20)
+        rep = lii_verdict(fam, delta=0.15, max_pieces=20)
         assert rep.verdict == "no_LII_evidence"
         assert rep.slope == pytest.approx(-1.0, abs=1e-9)
         hg_last = rep.rows[-1].h_g
@@ -292,14 +292,14 @@ class TestFamilySweep:
     def test_tree_has_lii_at_cap(self):
         fam = families.load_family({"family": "pants_tree",
                                     "param": {"name": "depth", "range": [3, 5]}})
-        rep = lii_verdict(fam, eps=0.5, delta=0.15, max_pieces=10)
+        rep = lii_verdict(fam, delta=0.15, max_pieces=10)
         assert [r.param for r in rep.rows] == [3, 4, 5]
         assert rep.verdict == "has_LII_evidence"
         assert all(r.h_g > 0.15 for r in rep.rows)
 
     def test_csv_shape(self):
         fam = families.load_family({"family": "flute", "param": {"name": "n", "range": [2, 4]}})
-        rep = lii_verdict(fam, eps=0.5, delta=0.15, max_pieces=6)
+        rep = lii_verdict(fam, delta=0.15, max_pieces=6)
         text = family_csv(rep)
         lines = text.strip().split("\n")
         assert lines[0] == CSV_HEADER

@@ -122,22 +122,20 @@ class TestDegreeBound:
         for _ in range(40):
             spec = random_spec(rng, max_pieces=8, thin_below=2.0 * DELTA)
             net = build_net(spec, PARAMS)
-            bound = degree_bound(
-                EPS, DELTA, max_curve_length=spec_max_length(spec)
-            )
+            bound = degree_bound(PARAMS, max_curve_length=spec_max_length(spec))
             assert max_degree(net.graph) <= bound, spec
 
     def test_tight_on_uniform_chain(self):
         spec = families.flute(4)
         net = build_net(spec, PARAMS)
-        bound = degree_bound(EPS, DELTA, max_curve_length=1.0)
+        bound = degree_bound(PARAMS, max_curve_length=1.0)
         assert max_degree(net.graph) <= bound
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
-            degree_bound(0.5, delta1(0.5) * 1.1, max_curve_length=1.0)
+            degree_bound(NetBuildParams(0.5, delta1(0.5) * 1.1), max_curve_length=1.0)
         with pytest.raises(DomainError):
-            degree_bound(0.5, 0.1, max_curve_length=0.0)
+            degree_bound(NetBuildParams(0.5, 0.1), max_curve_length=0.0)
 
 
 def oracle_membership(net, pieces):
@@ -266,7 +264,9 @@ class TestQuotientMesh:
             assert sum(v[:3] == key for v in mesh.vertices()) == 3 * len(ring.labels)
         # per mesh ring: edge weights sum back to the curve length
         ring_lengths = {}
-        for u, v, w in mesh.edges():
+        order = mesh.vertices()
+        for i, j, w in mesh.edges():
+            u, v = order[i], order[j]
             if u[0] == "m" and v[0] == "m" and u[:3] == v[:3]:
                 key = u[:3]
                 ring_lengths[key] = ring_lengths.get(key, 0.0) + w
@@ -298,7 +298,9 @@ class TestQuotientMesh:
     def test_spoke_weights_clamped(self):
         spec = thin_pair_spec()
         mesh, vmap = build_quotient_mesh(spec, PARAMS)
-        for u, v, w in mesh.edges():
+        order = mesh.vertices()
+        for i, j, w in mesh.edges():
+            u, v = order[i], order[j]
             if u[0] == "hub" or v[0] == "hub":
                 assert PARAMS.delta - 1e-12 <= w <= 1.0 + 1e-12
 

@@ -19,7 +19,6 @@ from cheegernet.surface import (
     connected_piece_subsets,
     domain_from_pieces,
     eval_length_expr,
-    family_from_dict,
     make_gluing,
     make_spec,
     require_valid,
@@ -302,7 +301,7 @@ class TestLengthExpressions:
             "opens": [{"at": [1, 2], "length": "2"}],
             "name": "pinch_pair",
         }
-        fam = family_from_dict(doc)
+        fam = families.load_family(doc)
         assert list(fam.values()) == [2, 3, 4]
         spec = fam.instance(3)
         assert validate(spec) == ()
