@@ -229,12 +229,8 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
 }
 
-# Accepted --mode values per command; every command accepts "auto".
-_MODES = {
-    "isoperimetry": ("auto", "exact"),
-    "hyperbolicity": ("auto", "exact"),
-    "cheeger": ("auto", "finite_half", "ambient"),
-}
+# Accepted --mode values; every other command accepts only "auto".
+_MODES = {"cheeger": ("auto", "finite_half", "ambient")}
 
 
 def main(argv=None) -> int:

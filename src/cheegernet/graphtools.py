@@ -11,8 +11,8 @@ Dinic max flow in Python integers; ambient Cheeger constants use them,
 and so does the size-capped constant's upper bound on graphs too large to
 enumerate, over the two halves of the Fiedler order.
 The four-point hyperbolicity constant is exact at every size: the largest
-over the same blocks, each scanned by far-apart pairs on its own m x m
-matrix, so no n x n matrix is built.
+over the same blocks, each scanned once by far-apart pairs on its own
+m x m matrix, which also yields the witness, so no n x n matrix is built.
 numpy does the four-point scans, the annulus counts of the perfectness
 test and the subset enumerations of the size-capped Cheeger constant;
 single-source searches are plain BFS/Dijkstra.
@@ -315,30 +315,6 @@ class HyperbolicityReport:
         }
 
 
-def _four_point_block(D: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Doubled four-point defects for fixed i < j: entry (k, l) holds the
-    largest minus the middle pairing sum of the quadruple
-    (i, j, j+1+k, j+1+l), read for k < l."""
-    sub = D[j + 1 :, j + 1 :]
-    s1 = D[i, j] + sub
-    s2 = np.add.outer(D[i, j + 1 :], D[j, j + 1 :])
-    s3 = s2.T
-    hi = np.maximum(np.maximum(s1, s2), s3)
-    lo = np.minimum(np.minimum(s1, s2), s3)
-    return 2 * hi + lo - s1 - s2 - s3
-
-
-def _first_witness(D: np.ndarray, best2: int) -> tuple:
-    """Lexicographically first quadruple with doubled defect best2."""
-    n = D.shape[0]
-    for i in range(n - 3):
-        for j in range(i + 1, n - 2):
-            ks, ls = np.nonzero(np.triu(_four_point_block(D, i, j) == best2, k=1))
-            if ks.size:
-                return (i, j, j + 1 + int(ks[0]), j + 1 + int(ls[0]))
-    raise AssertionError("no quadruple attains the scanned delta")
-
-
 def _near(nbrs: list[list[int]], D: np.ndarray) -> np.ndarray:
     """near[x, y]: no neighbour of x is farther from y than x is.  Runs of
     neighbour rows are unpadded, so a hub widens only its own run."""
@@ -346,28 +322,34 @@ def _near(nbrs: list[list[int]], D: np.ndarray) -> np.ndarray:
     return np.maximum.reduceat(D[[u for row in nbrs for u in row]], starts) <= D
 
 
-def _far_apart_scan(nbrs: list[list[int]], D: np.ndarray) -> tuple[int, int]:
-    """Doubled delta of a connected graph and the quadruples evaluated, by
-    the far-apart-pair scan.  Far-apart pairs x < y (no neighbour of x
+def _far_apart_scan(nbrs: list[list[int]], D: np.ndarray) -> tuple[int, int, tuple | None]:
+    """Doubled delta of a connected graph, the quadruples evaluated and a
+    sorted quadruple attaining it (None when delta is 0), by the
+    far-apart-pair scan.  Far-apart pairs x < y (no neighbour of x
     farther from y, no neighbour of y farther from x) are taken by
     decreasing distance, then lexicographically; each is checked against
-    every earlier pair until its distance is at most 2*delta."""
+    every earlier pair until its distance is at most 2*delta.  A pair that
+    raises delta keeps itself and the first earlier pair attaining it."""
     near = _near(nbrs, D)
     xs, ys = np.nonzero(np.triu(near & near.T, k=1))
     keep = np.argsort(-D[xs, ys], kind="stable")
     xs, ys = xs[keep], ys[keep]
     best2 = 0
     quadruples = 0
+    witness = None
     for p in range(1, len(xs)):
         x, y = xs[p], ys[p]
         d = int(D[x, y])
         if d <= best2:
             break
         v, w = xs[:p], ys[:p]
-        mid = np.maximum(D[x, v] + D[y, w], D[x, w] + D[y, v])
-        best2 = max(best2, int((d + D[v, w] - mid).max()))
+        defect = d + D[v, w] - np.maximum(D[x, v] + D[y, w], D[x, w] + D[y, v])
+        q = int(defect.argmax())
+        if defect[q] > best2:
+            best2 = int(defect[q])
+            witness = tuple(sorted(int(k) for k in (x, y, v[q], w[q])))
         quadruples += p
-    return best2, quadruples
+    return best2, quadruples, witness
 
 
 def hyperbolicity_delta(graph: Graph) -> HyperbolicityReport:
@@ -381,11 +363,15 @@ def hyperbolicity_delta(graph: Graph) -> HyperbolicityReport:
     its own neighbour lists by the far-apart-pair method of Cohen, Coudert
     and Lancin ("On computing the
     Gromov hyperbolicity", ACM JEA 2015); quadruples is the number of
-    quadruples those scans evaluated, summed over the blocks.  The witness
-    is the lexicographically first quadruple (in canonical vertex order)
-    that lies in one block and attains delta, or the first four vertices
-    when delta is 0.  base_dependence is the largest base-point delta,
-    max over x, y, z of min((x|z)_w, (z|y)_w) - (x|y)_w at base w.  Twice
+    quadruples those scans evaluated, summed over the blocks.  Each block's
+    scan keeps the quadruple of the far-apart pair that last raised its
+    delta and the first earlier pair attaining that value; the witness is
+    the smallest of these (in canonical vertex order) among the blocks
+    attaining delta, or the first four vertices when delta is 0.  So it
+    lies in one block and attains delta, but it need not be the
+    lexicographically first such quadruple.  base_dependence is the
+    largest base-point delta, max over x, y, z of
+    min((x|z)_w, (z|y)_w) - (x|y)_w at base w.  Twice
     that difference is d(x,y) + d(z,w) - max(d(x,z) + d(y,w),
     d(x,w) + d(y,z)), so no base exceeds delta and each witness vertex
     attains it: it equals delta.
@@ -393,22 +379,19 @@ def hyperbolicity_delta(graph: Graph) -> HyperbolicityReport:
     order = graph.vertices()
     if graph.n < 4:
         return HyperbolicityReport(0.0, tuple(order), True, 0.0, 0)
-    scans = []
-    quadruples = 0
+    best2, witness, quadruples = 0, (0, 1, 2, 3), 0
     for block, sub in _block_graphs(graph):
         m = len(block)
         if m < 4:
             continue
         D = np.array([[dist[k] for k in range(m)] for dist in map(sub.bfs_distances, range(m))],
                      dtype=np.int32)
-        best2, count = _far_apart_scan([list(adj) for adj in sub._adj.values()], D)
-        scans.append((best2, block, D))
+        b2, count, local = _far_apart_scan([list(adj) for adj in sub._adj.values()], D)
         quadruples += count
-    best2 = max((scan[0] for scan in scans), default=0)
-    witness = (0, 1, 2, 3)
-    if best2:
-        witness = min(tuple(block[k] for k in _first_witness(D, best2))
-                      for b2, block, D in scans if b2 == best2)
+        if b2 and b2 >= best2:
+            found = tuple(block[k] for k in local)
+            witness = found if b2 > best2 else min(witness, found)
+            best2 = b2
     return HyperbolicityReport(
         delta=best2 / 2.0,
         witness=tuple(order[i] for i in witness),
@@ -924,13 +907,12 @@ class UPReport:
         }
 
 
-def _annulus_scales(realized: np.ndarray, a: float, radius: int, eps0: float):
+def _annulus_scales(realized: np.ndarray, a: float, floor: float, eps0: float) -> list:
     """Test scales: realized distances plus a half-octave geometric ladder
-    from eps0 down to the proxy resolution floor a^-(radius-1).  The ladder
-    is the point: scale gaps with no realized distance must still be
-    probed, otherwise a cluster-and-gap spectrum looks perfect.  realized
-    holds the sorted distinct off-diagonal distances."""
-    floor = a ** (-(radius - 1))
+    from eps0 down to the proxy resolution floor.  The ladder is the
+    point: scale gaps with no realized distance must still be probed,
+    otherwise a cluster-and-gap spectrum looks perfect.  realized holds
+    the sorted distinct off-diagonal distances."""
     dmax = float(realized.max()) if realized.size else 0.0
     scales = {float(r) for r in realized if floor <= r < dmax}
     step = a**-0.5
@@ -939,7 +921,7 @@ def _annulus_scales(realized: np.ndarray, a: float, radius: int, eps0: float):
         if e < dmax:
             scales.add(e)
         e *= step
-    return sorted(scales, reverse=True), floor
+    return sorted(scales, reverse=True)
 
 
 def uniform_perfectness(dists: np.ndarray, a: float, radius: int) -> UPReport:
@@ -948,7 +930,8 @@ def uniform_perfectness(dists: np.ndarray, a: float, radius: int) -> UPReport:
 
     A point x fails at scale eps if something lies beyond eps but the
     annulus (eps/S, eps] around x is empty.  The space passes at S when no
-    point fails at any tested scale below some starting scale eps0.
+    point fails at any tested scale below some starting scale eps0, down
+    to the proxy resolution floor a^-(radius-1).
     S runs over 1.5, 2, 3, 4, 6, 8 and eps0 over 1, 1/2 and 1/4 of the
     largest distance.  Reported: the least passing S with the largest
     passing eps0, or a failure with the obstructing scale.  The test counts, for
@@ -957,37 +940,22 @@ def uniform_perfectness(dists: np.ndarray, a: float, radius: int) -> UPReport:
     whose few distinct distances keep the thresholds few.
     """
     n = dists.shape[0]
-    if n <= 2:
-        return UPReport(
-            passed=False,
-            s_value=None,
-            eps0=None,
-            reason=f"degenerate proxy: {n} point(s)",
-            table=(),
-            n_points=n,
-            floor=math.nan,
-        )
     iu = np.triu_indices(n, k=1)
-    dmax = float(dists[iu].max())
+    dmax = float(dists[iu].max()) if n > 2 else 0.0
     if dmax == 0.0:
-        return UPReport(
-            passed=False,
-            s_value=None,
-            eps0=None,
-            reason="degenerate proxy: all points coincide",
-            table=(),
-            n_points=n,
-            floor=math.nan,
-        )
+        reason = f"degenerate proxy: {n} point(s)" if n <= 2 else "degenerate proxy: all points coincide"
+        return UPReport(passed=False, s_value=None, eps0=None, reason=reason, table=(),
+                        n_points=n, floor=math.nan)
+    floor = a ** (-(radius - 1))
     realized = np.unique(dists[iu])
     s_grid = (1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
     fracs = (1.0, 0.5, 0.25)
-    ladders = {frac: _annulus_scales(realized, a, radius, frac * dmax) for frac in fracs}
+    ladders = {frac: _annulus_scales(realized, a, floor, frac * dmax) for frac in fracs}
     # Every threshold any (S, eps0) row can test: the scales eps and the
     # inner radii eps/S.  count[x, k] is the number of entries of row x at
     # most query[k]: bincount the first query index >= each entry per row,
     # then take running sums along the row.
-    tested = {frac: [eps for eps in ladders[frac][0] if eps <= frac * dmax] for frac in fracs}
+    tested = {frac: [eps for eps in ladders[frac] if eps <= frac * dmax] for frac in fracs}
     query = np.unique([q for eps_list in tested.values() for eps in eps_list
                        for q in [eps] + [eps / s for s in s_grid]])
     first = np.searchsorted(query, dists, side="left") + (len(query) + 1) * np.arange(n)[:, None]
@@ -996,12 +964,9 @@ def uniform_perfectness(dists: np.ndarray, a: float, radius: int) -> UPReport:
     row_max = dists.max(axis=1)
     table = []
     best = None
-    floor_out = math.nan
     for s in s_grid:
         for frac in fracs:
             eps0 = frac * dmax
-            scales, floor = ladders[frac]
-            floor_out = floor
             fail_eps = None
             eps_list = tested[frac]
             if eps_list:
@@ -1014,31 +979,16 @@ def uniform_perfectness(dists: np.ndarray, a: float, radius: int) -> UPReport:
                 fails = (beyond & empty).any(axis=0)
                 if fails.any():
                     fail_eps = eps_list[int(fails.argmax())]
-            ok = fail_eps is None and bool(scales)
+            ok = fail_eps is None and bool(ladders[frac])
             table.append((s, eps0, ok, fail_eps))
             if ok and best is None:
                 best = (s, eps0)
             if ok:
                 break
-    if best is not None:
-        return UPReport(
-            passed=True,
-            s_value=best[0],
-            eps0=best[1],
-            reason="",
-            table=tuple(table),
-            n_points=n,
-            floor=floor_out,
-        )
-    return UPReport(
-        passed=False,
-        s_value=None,
-        eps0=None,
-        reason="empty annulus at every tested S",
-        table=tuple(table),
-        n_points=n,
-        floor=floor_out,
-    )
+    s_best, eps_best = best or (None, None)
+    return UPReport(passed=best is not None, s_value=s_best, eps0=eps_best,
+                    reason="" if best else "empty annulus at every tested S",
+                    table=tuple(table), n_points=n, floor=floor)
 
 
 # ---------------------------------------------------------------------------

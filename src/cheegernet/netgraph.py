@@ -15,6 +15,7 @@ compared against net distances through the inclusion map.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,8 +82,22 @@ class NetGraph:
     special_v: dict
 
 
-def _ring_count(length: float, density: float) -> int:
-    return max(1, math.ceil(length * density))
+# Most ring samples one net may hold; a pants_tree(8) net has 4,972 vertices.
+MAX_NET_SAMPLES = 10**6
+
+
+def _check_sample_budget(spec: SurfaceSpec, params: NetBuildParams) -> None:
+    """DomainError when the rings would hold over MAX_NET_SAMPLES samples; the
+    count named is exact unless it overflows a float, then the largest float."""
+    lengths = [cusp_collar(params.eps).lam] * len(spec.cusps) + [o.length for o in spec.opens]
+    for gl in spec.gluings:
+        thin = gl.length < 2.0 * params.delta
+        lengths += [thin_boundary_length(gl.length, params.eps)] * 2 if thin else [gl.length]
+    scaled = [max(1.0, length * params.density) for length in lengths]
+    count = sum(map(math.ceil, scaled)) if math.isfinite(sum(scaled)) else sys.float_info.max
+    if count > MAX_NET_SAMPLES:
+        raise DomainError(f"the net would need at least {count:.10g} ring samples, "
+                          f"more than the {MAX_NET_SAMPLES} allowed")
 
 
 def _add_ring(graph: Graph, labels, weight: float = 1.0) -> None:
@@ -103,8 +118,11 @@ def build_net(spec: SurfaceSpec, params: NetBuildParams) -> NetGraph:
     geodesic, labeled by the smaller slot; both hubs spoke into it.
     Delta-thin gluings carry one ring per side at the collar boundary
     length, joined only through the special vertex of that geodesic.
+    A net of more than MAX_NET_SAMPLES ring samples raises DomainError
+    before any vertex is placed.
     """
     require_valid(spec)
+    _check_sample_budget(spec, params)
     dens = params.density
     g = Graph()
     for p in range(spec.pieces):
@@ -116,7 +134,7 @@ def build_net(spec: SurfaceSpec, params: NetBuildParams) -> NetGraph:
     special_v: dict = {}
 
     def new_ring(kind, slot, gi, length, pieces) -> RingInfo:
-        k = _ring_count(length, dens)
+        k = max(1, math.ceil(length * dens))
         labels = tuple(("net", slot[0], slot[1], j) for j in range(k))
         _add_ring(g, labels)
         info = RingInfo(kind, slot, gi, length, labels, pieces)

@@ -259,6 +259,31 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         json.loads(out, parse_constant=pytest.fail)
 
+    @pytest.mark.parametrize("command", SPEC_COMMANDS)
+    @pytest.mark.parametrize("curve", ["gluing", "open"])
+    def test_net_sample_budget(self, capsys, tmp_path, command, curve):
+        """A curve of length 1e308 needs more ring samples than a net may
+        hold: every net command exits 3 before placing any, and the
+        commands that build no net still run."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(two_piece_flute(curve, 1e308)))
+        code, out, err = run_main(capsys, command, str(path))
+        if command in ("validate", "thickthin", "isoperimetry"):
+            assert (code, err) == (0, "")
+            json.loads(out, parse_constant=pytest.fail)
+        else:
+            assert code == 3
+            assert out == ""
+            assert err == ("cheegernet: parameter error: the net would need at least "
+                           "1.797693135e+308 ring samples, more than the 1000000 allowed\n")
+
+    @pytest.mark.parametrize("command", ["isoperimetry", "hyperbolicity"])
+    def test_exact_mode_removed(self, capsys, command):
+        code, out, err = run_main(capsys, command, FLUTE8, "--mode", "exact")
+        assert code == 3
+        assert out == ""
+        assert err == f"cheegernet: parameter error: unknown {command} mode 'exact'\n"
+
     def test_seed_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["cheeger", FLUTE8, "--seed", "3"])

@@ -35,6 +35,15 @@ witness became the first quadruple inside one block that attains delta
 (the old one spanned two blocks); every delta and base_dependence and
 the flute8 and gen12 witnesses stayed the same.
 
+The two `{closed,gen12}.hyperbolicity.json.txt` files were rewritten the
+same way by the commit that took the witness from the far-apart scan
+itself instead of a second, lexicographic pass over the block: only the
+witness changed, from `hub 0, hub 1, net 0 0 0, net 0 0 2` to
+`hub 0, hub 1, net 0 1 0, net 1 1 0` (closed) and from
+`hub 0, hub 2, hub 3, net 11 2 0` to `hub 0, hub 2, net 3 2 0, net 11 2 0`
+(gen12); each still lies in one block and attains delta, and every other
+file stayed the same.
+
 The commit "One h_g path and one sweep path" deleted the seeded
 `isoperimetry --mode parametric` search and with it the six
 `{flute8,gen12,loop}.isoperimetry-parametric.{json,csv}.txt` cases and

@@ -25,7 +25,6 @@ from cheegernet.graphtools import (
     PoleReport,
     UPReport,
     _far_apart_scan,
-    _first_witness,
     _max_flow,
     _near,
     biconnected_components,
@@ -776,23 +775,39 @@ class TestFarApartScan:
             assert rep.base_dependence == max(base_delta(D, o) for o in range(g.n))
 
     def test_glued_blocks_match_oracle(self):
-        """delta over blocks against every quadruple, and the witness against
-        the first quadruple inside one block that attains it."""
+        """delta over blocks against every quadruple, and the witness: four
+        distinct vertices of one block that attain it (the first four
+        vertices when delta is 0)."""
         rng = random.Random(1998)
+        positive = 0
         for _ in range(120):
             g, blocks = glued_blocks(rng, rng.randint(1, 6))
             rep = hyperbolicity_delta(g)
             assert rep.exact
             assert rep.delta == rep.base_dependence == brute_delta(g)
-            order = g.vertices()
+            if rep.delta == 0:
+                assert rep.witness == tuple(g.vertices()[:4])
+                continue
+            positive += 1
+            assert len(set(rep.witness)) == 4
+            assert any(b.issuperset(rep.witness) for b in blocks)
             D = g.distance_matrix()
-            want = tuple(order[:4])
-            if rep.delta > 0:
-                want = next(
-                    q for q in itertools.combinations(order, 4)
-                    if any(b.issuperset(q) for b in blocks)
-                    and four_point_defect(D, [g.index_of(v) for v in q]) == rep.delta)
-            assert rep.witness == want
+            assert four_point_defect(D, [g.index_of(v) for v in rep.witness]) == rep.delta
+        assert positive >= 30
+
+    def test_late_witness_in_a_large_block(self):
+        """A 185-vertex block whose lexicographically first attaining
+        quadruple starts at vertex 77: the scan's own witness attains
+        delta without a second pass over the block."""
+        g = random_connected_graph(random.Random(1), 200, 200)
+        blocks = biconnected_components(g)
+        assert max(len(b) for b in blocks) == 185
+        rep = hyperbolicity_delta(g)
+        assert rep.delta == rep.base_dependence == 3.0
+        idx = [g.index_of(v) for v in rep.witness]
+        assert len(set(idx)) == 4
+        assert any(set(b).issuperset(idx) for b in blocks)
+        assert four_point_defect(g.distance_matrix(), idx) == 3.0
 
     @pytest.mark.parametrize("spec", [families.flute(40), families.pants_tree(5),
                                       families.pants_tree(6)],
@@ -826,14 +841,12 @@ def sliced_hyperbolicity(g: Graph) -> tuple:
         local = {order[i]: k for k, i in enumerate(block)}
         nbrs = [[local[u] for u in g.neighbors(order[i]) if u in local] for i in block]
         sub = D[np.ix_(block, block)]
-        best2, count = _far_apart_scan(nbrs, sub)
-        scans.append((best2, block, sub))
+        best2, count, found = _far_apart_scan(nbrs, sub)
+        if best2:
+            scans.append((best2, tuple(block[k] for k in found)))
         quadruples += count
     best2 = max((scan[0] for scan in scans), default=0)
-    witness = (0, 1, 2, 3)
-    if best2:
-        witness = min(tuple(block[k] for k in _first_witness(sub, best2))
-                      for b2, block, sub in scans if b2 == best2)
+    witness = min((w for b2, w in scans if b2 == best2), default=(0, 1, 2, 3))
     return best2 / 2.0, tuple(order[i] for i in witness), quadruples
 
 

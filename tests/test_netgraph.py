@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_connected_graph, random_spec
-from cheegernet import cli, families
+from cheegernet import cli, families, netgraph
 from cheegernet.graphtools import Graph
 from cheegernet.hypmath import (
     ARCSINH_ONE,
@@ -114,6 +114,19 @@ class TestBuildNet:
         dens = PARAMS.density
         for r in net.rings:
             assert len(r.labels) == max(1, math.ceil(r.length * dens))
+
+    def test_sample_budget_is_exact(self, monkeypatch):
+        """A net of exactly MAX_NET_SAMPLES ring samples is built; one
+        sample fewer allowed raises before any vertex is placed, naming
+        the count."""
+        samples = sum(len(r.labels) for r in build_net(thin_pair_spec(), PARAMS).rings)
+        monkeypatch.setattr(netgraph, "MAX_NET_SAMPLES", samples)
+        build_net(thin_pair_spec(), PARAMS)
+        monkeypatch.setattr(netgraph, "MAX_NET_SAMPLES", samples - 1)
+        monkeypatch.setattr(netgraph, "Graph", None)  # placing a vertex would fail
+        with pytest.raises(DomainError, match=f"at least {samples} ring samples, "
+                                              f"more than the {samples - 1} allowed"):
+            build_net(thin_pair_spec(), PARAMS)
 
 
 class TestDegreeBound:
