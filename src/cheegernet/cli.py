@@ -144,8 +144,7 @@ def _cmd_net(args, params):
         return EXIT_OK, None, netgraph.to_dot(g, tags)
     curves = spec.gluings + spec.opens
     return EXIT_OK, {
-        "vertices": [{"index": i, "tag": tags[v]}
-                     for i, v in enumerate(g.vertices())],
+        "vertices": [{"index": i, "tag": tag} for i, tag in enumerate(tags)],
         "edges": [list(e) for e in g.edges()],
         "degree_bound": netgraph.degree_bound(
             params, max_curve_length=max((c.length for c in curves), default=1.0)),
@@ -178,14 +177,15 @@ def _cmd_boundary(args, params):
     spec = surface.load_spec(args.input)
     net = netgraph.build_net(spec, params)
     dmat = net.graph.distance_matrix()
-    proxy = graphtools.boundary_proxy(net.graph, dmat, keep=lambda v: v[0] == "net")
+    proxy = graphtools.boundary_proxy(net.graph, dmat, keep=netgraph.ring_samples(net))
     defect = graphtools.ultrametric_defect(proxy.dists)
     up = graphtools.uniform_perfectness(proxy.dists, a=proxy.a,
                                         radius=proxy.radius)
-    specials = sorted(net.special_w.values()) + sorted(net.special_v.values())
+    specials = [*net.special_w.values(), *net.special_v.values()]
     pole = None
     if specials:
-        pole = graphtools.has_pole(net.graph, proxy.base, specials, dmat).to_dict()
+        base = net.graph.index_of(proxy.base)
+        pole = graphtools.has_pole(net.graph, base, specials, dmat).to_dict()
     out = {
         "proxy": proxy.to_dict(),
         "ultrametric_defect": defect,

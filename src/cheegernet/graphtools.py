@@ -1,8 +1,10 @@
 """Generic graph machinery: metric, Cheeger, hyperbolicity, boundary proxies.
 
-Vertices are arbitrary hashable labels; insertion order is the canonical
-vertex order and every report breaks ties toward it, so identical inputs
-give byte-identical outputs.  All-pairs distances are composed over the
+A `Graph` is stored by vertex index, with labels kept for output only, so
+no search or algorithm hashes a label; the net builders place each ring
+as one contiguous index range.  Insertion order is the canonical vertex
+order and every report breaks ties toward it, so identical inputs give
+byte-identical outputs.  All-pairs distances are composed over the
 block-cut tree: BFS or Dijkstra runs only inside each biconnected block
 (found by an iterative Hopcroft-Tarjan search), and numpy adds the blocks'
 matrices across cut vertices.  Ratio cuts min cut(A)/|A| against a sink
@@ -15,14 +17,17 @@ over the same blocks, each scanned once by far-apart pairs on its own
 m x m matrix, which also yields the witness, so no n x n matrix is built.
 numpy does the four-point scans, the annulus counts of the perfectness
 test and the subset enumerations of the size-capped Cheeger constant;
-single-source searches are plain BFS/Dijkstra.
+single-source searches are plain BFS/Dijkstra over the int adjacency.
+Dijkstra's bits do not depend on its bookkeeping: a path's length is its
+weights added one by one outward from the source, and rounding is
+monotone and never makes a sum smaller, so any label-setting search
+settles each vertex at the least such sum over its paths.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,97 +55,143 @@ __all__ = [
 ]
 
 
+def _check_weight(weight: float) -> None:
+    if not (math.isfinite(weight) and weight > 0.0):
+        raise DomainError(f"edge weight must be positive, got {weight!r}")
+
+
 class Graph:
     """Undirected graph with optional edge weights and no self-loops.
 
-    Parallel edges collapse to the last weight written.  Vertex labels keep
-    insertion order, which all algorithms treat as the canonical order.
+    Vertices are the indices 0..n-1 in insertion order, the canonical
+    order.  The graph is a list of labels (any hashable values, read only
+    for output), a label -> index dict, and the int adjacency: `_adj[i]`
+    maps each neighbour's index to the edge weight, in the order the edges
+    were first written; a parallel edge keeps that place and takes the
+    last weight.  `add_vertex`, `add_edge` and `index_of` take labels;
+    every other method and algorithm takes and returns indices.  Builders
+    add a ring of new vertices as one index range (`add_ring`) and join
+    one vertex to many (`link`), checking the weight once per call.
+    `Graph(adj)` is the graph on an int adjacency, labelled by index.
     """
 
-    def __init__(self):
-        self._adj: dict = {}
-        self._index: dict = {}
+    def __init__(self, adj: list[dict[int, float]] | None = None):
+        self._adj = [] if adj is None else adj
+        self._labels: list = list(range(len(self._adj)))
+        self._index = dict(zip(self._labels, self._labels))
 
-    def add_vertex(self, v) -> None:
-        if v not in self._adj:
-            self._index[v] = len(self._adj)
-            self._adj[v] = {}
+    def add_vertex(self, v) -> int:
+        """The index of label v, which is added as the next index if new."""
+        i = self._index.get(v)
+        if i is None:
+            i = self._index[v] = len(self._labels)
+            self._labels.append(v)
+            self._adj.append({})
+        return i
 
     def add_edge(self, u, v, weight: float = 1.0) -> None:
         if u == v:
             raise DomainError(f"self-loop at {u!r} not allowed")
-        if not (math.isfinite(weight) and weight > 0.0):
-            raise DomainError(f"edge weight must be positive, got {weight!r}")
-        self.add_vertex(u)
-        self.add_vertex(v)
-        self._adj[u][v] = weight
-        self._adj[v][u] = weight
+        _check_weight(weight)
+        i, j = self.add_vertex(u), self.add_vertex(v)
+        self._adj[i][j] = self._adj[j][i] = weight
+
+    def add_ring(self, labels: list, weight: float = 1.0) -> range:
+        """Add the new labels at consecutive indices, each vertex joined to
+        the next and the last to the first (two vertices share one edge,
+        one has none), and return their index range."""
+        _check_weight(weight)
+        ring = range(self.n, self.n + len(labels))
+        self._labels += labels
+        self._index.update(zip(labels, ring))
+        if len(self._index) != len(self._labels):
+            raise DomainError("a ring label is already a vertex")
+        adj = self._adj
+        adj += [{} for _ in ring]
+        k = len(ring)
+        for j in range(k if k > 2 else k - 1):
+            u, v = ring[j], ring[(j + 1) % k]
+            adj[u][v] = adj[v][u] = weight
+        return ring
+
+    def link(self, i: int, targets, weight: float = 1.0) -> None:
+        """Join vertex i to each vertex of the index sequence targets, which
+        must not hold i, in order."""
+        _check_weight(weight)
+        adj = self._adj
+        row = adj[i]
+        for j in targets:
+            row[j] = adj[j][i] = weight
 
     @property
     def n(self) -> int:
-        return len(self._adj)
+        return len(self._labels)
 
     def vertices(self) -> list:
-        return list(self._adj)
+        """The labels, by index."""
+        return list(self._labels)
 
     def index_of(self, v) -> int:
         return self._index[v]
 
-    def has_edge(self, u, v) -> bool:
-        return u in self._adj and v in self._adj[u]
+    def has_edge(self, i: int, j: int) -> bool:
+        return j in self._adj[i]
 
-    def degree(self, v) -> int:
-        return len(self._adj[v])
+    def degree(self, i: int) -> int:
+        return len(self._adj[i])
 
-    def neighbors(self, v) -> list:
-        return list(self._adj[v])
+    def neighbors(self, i: int) -> list[int]:
+        return list(self._adj[i])
 
-    def weight(self, u, v) -> float:
-        return self._adj[u][v]
+    def weight(self, i: int, j: int) -> float:
+        return self._adj[i][j]
 
     def edges(self):
-        """Each undirected edge once, as (index(u), index(v), weight) with
-        index(u) < index(v), in the order of index(u)."""
-        index = self._index
-        for iu, adj in enumerate(self._adj.values()):
-            for v, w in adj.items():
-                iv = index[v]
-                if iu < iv:
-                    yield iu, iv, w
+        """Each undirected edge once, as (i, j, weight) with i < j, in the
+        order of i, then of i's neighbours."""
+        for i, row in enumerate(self._adj):
+            for j, w in row.items():
+                if i < j:
+                    yield i, j, w
 
-    def bfs_distances(self, source) -> dict:
-        dist = {source: 0}
-        q = deque([source])
-        while q:
-            u = q.popleft()
-            du = dist[u]
-            for v in self._adj[u]:
-                if v not in dist:
-                    dist[v] = du + 1
-                    q.append(v)
+    def bfs_distances(self, source: int) -> list[int]:
+        """Hop counts from vertex source, by index; -1 where unreachable."""
+        adj = self._adj
+        dist = [-1] * len(adj)
+        dist[source] = 0
+        frontier = [source]
+        for u in frontier:
+            du = dist[u] + 1
+            for v in adj[u]:
+                if dist[v] < 0:
+                    dist[v] = du
+                    frontier.append(v)
         return dist
 
-    def dijkstra(self, source) -> dict:
-        dist = {source: 0.0}
-        heap = [(0.0, self._index[source], source)]
-        done = set()
+    def dijkstra(self, source: int) -> list[float]:
+        """Weighted distances from vertex source, by index; inf where
+        unreachable.  A heap of (distance, index) entries with lazy
+        deletion skips an entry above its vertex's distance, so each vertex
+        is settled once, at the least outward sum over its paths: the bits
+        of any label-setting search (see the module docstring)."""
+        adj = self._adj
+        dist = [math.inf] * len(adj)
+        dist[source] = 0.0
+        heap = [(0.0, source)]
+        pop, push = heapq.heappop, heapq.heappush
         while heap:
-            du, _, u = heapq.heappop(heap)
-            if u in done:
+            du, u = pop(heap)
+            if du > dist[u]:
                 continue
-            done.add(u)
-            for v, w in self._adj[u].items():
+            for v, w in adj[u].items():
                 alt = du + w
-                if v not in dist or alt < dist[v]:
+                if alt < dist[v]:
                     dist[v] = alt
-                    heapq.heappush(heap, (alt, self._index[v], v))
+                    push(heap, (alt, v))
         return dist
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        first = next(iter(self._adj))
-        return len(self.bfs_distances(first)) == self.n
+        return self.n == 0 or -1 not in self.bfs_distances(0)
 
     def distance_matrix(self, weighted: bool = False, rows=None) -> np.ndarray:
         """Distances from the vertices of index `rows` (every vertex if
@@ -151,10 +202,13 @@ class Graph:
         The matrix is composed over the block-cut tree.  A shortest path
         between two vertices of one block stays in that block, so all
         searches are BFS (or Dijkstra) on the subgraph of one block, whose
-        labels are the positions in the block.
+        vertices are the positions in the block; each search returns a
+        list by position, which becomes one numpy row.
         Blocks are added in breadth-first order of the tree from the block
-        of the first vertex; a block attached at cut vertex a gets
-        D[old, new] = D[old, a] + d(a -> new) and
+        of the first vertex, each once: the first placed vertex a to reach
+        a block is its attachment, and all its other vertices are new, since
+        the tree reaches each of them through this block alone.  The block
+        gets D[old, new] = D[old, a] + d(a -> new) and
         D[new, old] = d(new -> a) + D[a, old].  Only the rows asked for,
         the cut vertices' and the first vertex's are composed, the last
         two because later blocks read them; so one block costs a search
@@ -173,10 +227,11 @@ class Graph:
         wanted = range(n) if rows is None else rows
         if n <= 1:
             return np.zeros((len(wanted), n), dtype=dtype)
-        blocks_of: list[list[tuple]] = [[] for _ in range(n)]
-        for block, sub in _block_graphs(self):
+        blocks = _block_graphs(self)
+        blocks_of: list[list[int]] = [[] for _ in range(n)]
+        for b, (block, _) in enumerate(blocks):
             for i in block:
-                blocks_of[i].append((block, sub))
+                blocks_of[i].append(b)
         keep = [len(b) > 1 for b in blocks_of]  # cut vertices
         keep[0] = True
         for i in wanted:
@@ -184,28 +239,26 @@ class Graph:
         M = np.zeros((sum(keep), n), dtype=dtype)  # kept rows x placed columns
         row = [0] * n  # row of M of a kept vertex
         pos = [0] * n  # column of M of a placed vertex
-        is_placed = [True] + [False] * (n - 1)
+        visited = [False] * len(blocks)
         kept = count = 1
-        queue = deque([0])
-        while queue:
-            a = queue.popleft()
-            for block, sub in blocks_of[a]:
-                new = [k for k, i in enumerate(block) if not is_placed[i]]
-                if not new:
+        queue = [0]
+        for a in queue:
+            for b in blocks_of[a]:
+                if visited[b]:
                     continue
+                visited[b] = True
+                block, sub = blocks[b]
                 search = sub.dijkstra if weighted else sub.bfs_distances
-                end = count + len(new)
                 at = block.index(a)
-                from_a = search(at)
-                M[:kept, count:end] = (M[:kept, pos[a], None]
-                                       + np.array([from_a[k] for k in new], dtype=dtype))
+                new = [k for k in range(len(block)) if k != at]
+                end = count + len(new)
+                from_a = np.array(search(at), dtype=dtype)
+                M[:kept, count:end] = M[:kept, pos[a], None] + from_a[new]
                 fresh = [k for k in new if keep[block[k]]]
                 if fresh:
-                    cols = [at] + new
-                    local = np.array([[dist[k] for k in cols] for dist in map(search, fresh)],
-                                     dtype=dtype)
-                    M[kept:kept + len(fresh), count:end] = local[:, 1:]
-                    M[kept:kept + len(fresh), :count] = local[:, :1] + M[row[a], :count]
+                    local = np.array([search(k) for k in fresh], dtype=dtype)
+                    M[kept:kept + len(fresh), count:end] = local[:, new]
+                    M[kept:kept + len(fresh), :count] = local[:, at, None] + M[row[a], :count]
                     for k in fresh:
                         row[block[k]] = kept
                         kept += 1
@@ -213,9 +266,8 @@ class Graph:
                     i = block[k]
                     pos[i] = count
                     count += 1
-                    is_placed[i] = True
                     queue.append(i)
-        return M[np.ix_([row[i] for i in wanted], pos)]
+        return M.take([row[i] for i in wanted], axis=0).take(pos, axis=1)
 
 
 def biconnected_components(graph: Graph) -> list[list[int]]:
@@ -225,8 +277,7 @@ def biconnected_components(graph: Graph) -> list[list[int]]:
     and the vertices pushed since v.  Every edge lies in exactly one block
     and two blocks share at most one vertex, a cut vertex; an isolated
     vertex lies in none."""
-    index = graph._index
-    nbrs = [[index[u] for u in adj] for adj in graph._adj.values()]
+    nbrs = graph._adj
     n = len(nbrs)
     disc = [-1] * n
     low = [0] * n
@@ -270,25 +321,22 @@ def biconnected_components(graph: Graph) -> list[list[int]]:
 
 def _block_graphs(graph: Graph) -> list[tuple[list[int], Graph]]:
     """Each block of a connected graph with at least two vertices, with
-    its subgraph labelled by the positions 0..m-1 in the block.  An edge
-    whose ends share a block lies in it, since two blocks share at most
-    one vertex.  Raises if the graph is disconnected: the block-cut tree
-    of c components with B blocks of total size S has S = n + B - c."""
-    index = graph._index
-    nbrs = [[(index[u], w) for u, w in adj.items()] for adj in graph._adj.values()]
-    where = [-1] * len(nbrs)  # position in the current block
+    its subgraph on the positions 0..m-1 in the block, neighbours in the
+    graph's order.  An edge whose ends share a block lies in it, since two
+    blocks share at most one vertex.  Raises if the graph is disconnected:
+    the block-cut tree of c components with B blocks of total size S has
+    S = n + B - c."""
+    adj = graph._adj
+    where = [-1] * len(adj)  # position in the current block
     out = []
     for block in biconnected_components(graph):
         for k, i in enumerate(block):
             where[i] = k
-        sub = Graph()
-        sub._index = {k: k for k in range(len(block))}
-        sub._adj = {k: {where[j]: w for j, w in nbrs[i] if where[j] >= 0}
-                    for k, i in enumerate(block)}
+        sub = Graph([{where[j]: w for j, w in adj[i].items() if where[j] >= 0} for i in block])
         for i in block:
             where[i] = -1
         out.append((block, sub))
-    if sum(len(block) for block, _ in out) - len(out) != len(nbrs) - 1:
+    if sum(len(block) for block, _ in out) - len(out) != len(adj) - 1:
         raise DomainError("distance matrix of a disconnected graph")
     return out
 
@@ -384,9 +432,8 @@ def hyperbolicity_delta(graph: Graph) -> HyperbolicityReport:
         m = len(block)
         if m < 4:
             continue
-        D = np.array([[dist[k] for k in range(m)] for dist in map(sub.bfs_distances, range(m))],
-                     dtype=np.int32)
-        b2, count, local = _far_apart_scan([list(adj) for adj in sub._adj.values()], D)
+        D = np.array([sub.bfs_distances(k) for k in range(m)], dtype=np.int32)
+        b2, count, local = _far_apart_scan([list(row) for row in sub._adj], D)
         quadruples += count
         if b2 and b2 >= best2:
             found = tuple(block[k] for k in local)
@@ -685,9 +732,10 @@ def cheeger(
     prefix of a Fiedler sweep of at most n/2 vertices lies in one pool, so
     the bound is never above the best such prefix.
 
-    ambient ranges A over subsets of a marked interior while the cut is
-    still measured in the whole graph; no size cap, matching the
-    exhaustion of a space with designated outer edge.  It is solved
+    ambient ranges A over subsets of a marked interior, given as vertex
+    indices, while the cut is still measured in the whole graph; no size
+    cap, matching the exhaustion of a space with designated outer edge.
+    It is solved
     exactly at every size by :func:`min_ratio_cut` (Dinkelbach iteration
     over s-t min cuts), with examined counting the min-cut solves; it
     ignores work_limit.
@@ -705,7 +753,7 @@ def cheeger(
     if mode == "ambient":
         if interior is None:
             raise DomainError("ambient mode needs an interior vertex set")
-        pool = {graph.index_of(v) for v in interior}
+        pool = set(interior)
         if not pool:
             raise DomainError("ambient interior is empty")
         if len(pool) == n:
@@ -794,9 +842,10 @@ class ProxyReport:
 
 
 def boundary_proxy(graph: Graph, dmat: np.ndarray, keep=None) -> ProxyReport:
-    """Sphere-at-infinity proxy: the kept vertices at graph distance exactly
-    `radius` from a base, in the visual metric a^-(x|y) with a = 2 and
-    Gromov products taken at the base.
+    """Sphere-at-infinity proxy: the kept vertices (the indices in keep,
+    every vertex if None) at graph distance exactly `radius` from a base,
+    in the visual metric a^-(x|y) with a = 2 and Gromov products taken at
+    the base.
 
     The base is the first vertex of least eccentricity; the radius is
     max(2, ecc(base) - 2), two steps inside the horizon so the sphere is
@@ -810,14 +859,16 @@ def boundary_proxy(graph: Graph, dmat: np.ndarray, keep=None) -> ProxyReport:
     order = graph.vertices()
     b = int(dmat.max(axis=1).argmin())
     base = order[b]
-    dist = dmat[b].tolist()
+    dist = dmat[b]
+    kept = np.zeros(graph.n, dtype=bool)
+    kept[list(range(graph.n) if keep is None else keep)] = True
 
     def sphere(r: int) -> list[int]:
-        return [i for i, v in enumerate(order) if dist[i] == r and (keep is None or keep(v))]
+        return np.flatnonzero((dist == r) & kept).tolist()
 
     # Kept vertices may occupy alternate layers, so walk inward to the first
     # sphere with enough of them.
-    radius = max(2, max(dist) - 2)
+    radius = max(2, int(dist.max()) - 2)
     while radius > 1 and len(sphere(radius)) < 3:
         radius -= 1
     idx = sphere(radius)
@@ -1013,30 +1064,29 @@ class PoleReport:
         }
 
 
-def geodesic_union_set(graph: Graph, base, peripheral, dmat: np.ndarray) -> set:
-    """Vertices lying on some shortest path from base to some peripheral
-    vertex: x qualifies iff d(base,x) + d(x,u) = d(base,u).  Distances are
-    read from dmat, the graph's hop-count distance matrix."""
-    order = graph.vertices()
-    b = graph.index_of(base)
+def geodesic_union_set(graph: Graph, base: int, peripheral, dmat: np.ndarray) -> set[int]:
+    """Indices of the vertices lying on some shortest path from vertex base
+    to some peripheral vertex (indices too): x qualifies iff
+    d(base,x) + d(x,u) = d(base,u).  Distances are read from dmat, the
+    graph's hop-count distance matrix."""
     on = np.zeros(graph.n, dtype=bool)
     for u in peripheral:
-        i = graph.index_of(u)
-        on |= dmat[b] + dmat[i] == dmat[b, i]
-    return {order[x] for x in np.flatnonzero(on)}
+        on |= dmat[base] + dmat[u] == dmat[base, u]
+    return set(np.flatnonzero(on).tolist())
 
 
-def has_pole(graph: Graph, base, peripheral, dmat: np.ndarray) -> PoleReport:
-    """Whether every vertex is within M of the union of geodesics from base
-    to the peripheral set, for some M of the grid 1, 2, 3, 4, 6, 8, 12.
-    Distance to the union is exact: the least entry of each row of the
-    hop-count distance matrix dmat over the union's columns."""
+def has_pole(graph: Graph, base: int, peripheral, dmat: np.ndarray) -> PoleReport:
+    """Whether every vertex is within M of the union of geodesics from
+    vertex base to the peripheral vertices (all given by index), for some
+    M of the grid 1, 2, 3, 4, 6, 8, 12.  Distance to the union is exact:
+    the least entry of each row of the hop-count distance matrix dmat over
+    the union's columns.  The report names the base by its label."""
     if not peripheral:
         raise DomainError("pole test needs a nonempty peripheral set")
-    t_set = geodesic_union_set(graph, base, peripheral, dmat)
-    cols = [graph.index_of(v) for v in t_set]
+    cols = sorted(geodesic_union_set(graph, base, peripheral, dmat))
     needed = int(dmat[:, cols].min(axis=1).max())
+    label = graph._labels[base]
     for m in (1, 2, 3, 4, 6, 8, 12):
         if m >= needed:
-            return PoleReport(True, float(m), needed, base, len(peripheral))
-    return PoleReport(False, None, needed, base, len(peripheral))
+            return PoleReport(True, float(m), needed, label, len(peripheral))
+    return PoleReport(False, None, needed, label, len(peripheral))

@@ -10,6 +10,12 @@ The quotient mesh realizes the surgery that removes thin collars: the two
 rings around a delta-thin geodesic collapse to a single ring, cusp rings
 lose their special, and everything is refined so mesh distances can be
 compared against net distances through the inclusion map.
+
+Both graphs are laid out by index: hub p is vertex p, each ring's samples
+are one contiguous index range (`RingInfo.vertices`), and the inclusion
+map and every vertex set here (specials, interior, ring samples, tags)
+are read off those indices and ranges, never off the labels, which are
+kept for output only.
 """
 
 from __future__ import annotations
@@ -37,8 +43,7 @@ __all__ = [
     "build_net",
     "degree_bound",
     "max_degree",
-    "BoundarySets",
-    "boundary_vertex_set",
+    "ring_samples",
     "interior_vertices",
     "net_cheeger_estimate",
     "build_quotient_mesh",
@@ -67,12 +72,16 @@ class RingInfo:
     slot: Slot  # owning slot; label namespace for the samples
     gluing_index: int | None
     length: float
-    labels: tuple
+    vertices: range  # the samples' vertex indices, sample j at vertices[j]
     pieces: tuple  # pieces this curve is incident to
 
 
 @dataclass(frozen=True)
 class NetGraph:
+    """A net and where its parts sit: hub p is vertex p, each ring's
+    samples are the index range of its RingInfo, and special_w (cusp slot
+    -> index) and special_v (gluing index -> index) hold the specials."""
+
     spec: SurfaceSpec
     params: NetBuildParams
     graph: Graph
@@ -100,17 +109,6 @@ def _check_sample_budget(spec: SurfaceSpec, params: NetBuildParams) -> None:
                           f"more than the {MAX_NET_SAMPLES} allowed")
 
 
-def _add_ring(graph: Graph, labels, weight: float = 1.0) -> None:
-    k = len(labels)
-    for lab in labels:
-        graph.add_vertex(lab)
-    if k == 2:
-        graph.add_edge(labels[0], labels[1], weight)
-    elif k > 2:
-        for j in range(k):
-            graph.add_edge(labels[j], labels[(j + 1) % k], weight)
-
-
 def build_net(spec: SurfaceSpec, params: NetBuildParams) -> NetGraph:
     """Net graph of a spec at scale (eps, delta).
 
@@ -120,6 +118,13 @@ def build_net(spec: SurfaceSpec, params: NetBuildParams) -> NetGraph:
     length, joined only through the special vertex of that geodesic.
     A net of more than MAX_NET_SAMPLES ring samples raises DomainError
     before any vertex is placed.
+
+    Vertices are placed in one pass: the hubs at 0..pieces-1, then each
+    ring's samples as one index range (`Graph.add_ring`), each special
+    right after its rings; ring edges, specials' edges and the spokes from
+    each hub to its three rings are written by index, so the vertex order,
+    the edge order and every neighbour order are those of adding each
+    label and edge one by one in the same sequence.
     """
     require_valid(spec)
     _check_sample_budget(spec, params)
@@ -135,61 +140,38 @@ def build_net(spec: SurfaceSpec, params: NetBuildParams) -> NetGraph:
 
     def new_ring(kind, slot, gi, length, pieces) -> RingInfo:
         k = max(1, math.ceil(length * dens))
-        labels = tuple(("net", slot[0], slot[1], j) for j in range(k))
-        _add_ring(g, labels)
-        info = RingInfo(kind, slot, gi, length, labels, pieces)
-        rings.append(info)
-        return info
+        vertices = g.add_ring([("net", slot[0], slot[1], j) for j in range(k)])
+        rings.append(RingInfo(kind, slot, gi, length, vertices, pieces))
+        return rings[-1]
 
     for gi, gl in enumerate(spec.gluings):
         pa, pb = gl.a[0], gl.b[0]
         if gl.length < 2.0 * params.delta:
             side_len = thin_boundary_length(gl.length, params.eps)
-            ra = new_ring("thin_side", gl.a, gi, side_len, (pa,))
-            rb = new_ring("thin_side", gl.b, gi, side_len, (pb,))
-            ring_of_slot[gl.a] = ra
-            ring_of_slot[gl.b] = rb
-            v_lab = ("v", gi)
-            g.add_vertex(v_lab)
-            special_v[gi] = v_lab
-            for lab in ra.labels + rb.labels:
-                g.add_edge(v_lab, lab)
+            ra = ring_of_slot[gl.a] = new_ring("thin_side", gl.a, gi, side_len, (pa,))
+            rb = ring_of_slot[gl.b] = new_ring("thin_side", gl.b, gi, side_len, (pb,))
+            v = special_v[gi] = g.add_vertex(("v", gi))
+            g.link(v, ra.vertices)
+            g.link(v, rb.vertices)
         else:
-            owner = min(gl.a, gl.b)
-            ring = new_ring("thick", owner, gi, gl.length, (pa, pb))
-            ring_of_slot[gl.a] = ring
-            ring_of_slot[gl.b] = ring
+            ring = new_ring("thick", min(gl.a, gl.b), gi, gl.length, (pa, pb))
+            ring_of_slot[gl.a] = ring_of_slot[gl.b] = ring
 
     lam = cusp_collar(params.eps).lam
     for c in spec.cusps:
-        ring = new_ring("cusp", c, None, lam, (c[0],))
-        ring_of_slot[c] = ring
-        w_lab = ("w", c[0], c[1])
-        g.add_vertex(w_lab)
-        special_w[c] = w_lab
-        for lab in ring.labels:
-            g.add_edge(w_lab, lab)
+        ring = ring_of_slot[c] = new_ring("cusp", c, None, lam, (c[0],))
+        w = special_w[c] = g.add_vertex(("w", c[0], c[1]))
+        g.link(w, ring.vertices)
 
     for o in spec.opens:
-        ring = new_ring("open", o.at, None, o.length, (o.at[0],))
-        ring_of_slot[o.at] = ring
+        ring_of_slot[o.at] = new_ring("open", o.at, None, o.length, (o.at[0],))
 
     for p in range(spec.pieces):
-        hub = ("hub", p)
         for s in range(3):
-            ring = ring_of_slot[(p, s)]
-            for lab in ring.labels:
-                g.add_edge(hub, lab)
+            g.link(p, ring_of_slot[(p, s)].vertices)
 
-    return NetGraph(
-        spec=spec,
-        params=params,
-        graph=g,
-        rings=tuple(rings),
-        ring_of_slot=ring_of_slot,
-        special_w=special_w,
-        special_v=special_v,
-    )
+    return NetGraph(spec=spec, params=params, graph=g, rings=tuple(rings),
+                    ring_of_slot=ring_of_slot, special_w=special_w, special_v=special_v)
 
 
 def degree_bound(params: NetBuildParams, max_curve_length: float) -> int:
@@ -215,78 +197,20 @@ def degree_bound(params: NetBuildParams, max_curve_length: float) -> int:
 
 
 def max_degree(graph: Graph) -> int:
-    return max(graph.degree(v) for v in graph.vertices())
+    return max(map(graph.degree, range(graph.n)))
 
 
-# ---------------------------------------------------------------------------
-# Boundary vertex sets of a domain inside the net
+def ring_samples(net: NetGraph) -> list[int]:
+    """Indices of the ring samples, ascending: the rings' index ranges."""
+    return [i for ring in net.rings for i in ring.vertices]
 
 
-@dataclass(frozen=True)
-class BoundarySets:
-    members: frozenset
-    boundary: frozenset
-    boundary_2delta: frozenset
-
-    @property
-    def boundary_deep(self) -> frozenset:
-        return self.boundary - self.boundary_2delta
-
-
-def boundary_vertex_set(net: NetGraph, piece_set) -> BoundarySets:
-    """Vertices of the net carried by a set of pieces, with its frontier.
-
-    A ring sample belongs iff every piece its curve touches is in the set,
-    so the shared ring of a cut thick gluing is left out and lands in the
-    frontier.  The 2delta part of the frontier is the portion adjacent to
-    ordinary member vertices; the rest hangs off special vertices only and
-    corresponds to collar ends beyond the 2delta horizon.
-    """
-    pieces = frozenset(piece_set)
-    if not pieces:
-        raise DomainError("boundary_vertex_set needs a nonempty piece set")
-    for p in pieces:
-        if not 0 <= p < net.spec.pieces:
-            raise DomainError(f"piece {p} out of range")
-
-    members = set()
-    for p in pieces:
-        members.add(("hub", p))
-    for ring in net.rings:
-        if all(p in pieces for p in ring.pieces):
-            members.update(ring.labels)
-    for c, lab in net.special_w.items():
-        if c[0] in pieces:
-            members.add(lab)
-    for gi, lab in net.special_v.items():
-        gl = net.spec.gluings[gi]
-        if gl.a[0] in pieces or gl.b[0] in pieces:
-            members.add(lab)
-
-    g = net.graph
-    boundary = set()
-    for v in members:
-        for u in g.neighbors(v):
-            if u not in members:
-                boundary.add(u)
-    deep = set()
-    for u in boundary:
-        for x in g.neighbors(u):
-            if x in members and x[0] in ("hub", "net"):
-                deep.add(u)
-                break
-    return BoundarySets(frozenset(members), frozenset(boundary), frozenset(deep))
-
-
-def interior_vertices(net: NetGraph) -> list:
-    """Every vertex except open-ring samples, in canonical order.  Open
+def interior_vertices(net: NetGraph) -> list[int]:
+    """Every vertex index except the open-ring samples, ascending.  Open
     rings mark the truncation edge of the window and are the designated
     exterior for ambient Cheeger estimates."""
-    open_labels = set()
-    for ring in net.rings:
-        if ring.kind == "open":
-            open_labels.update(ring.labels)
-    return [v for v in net.graph.vertices() if v not in open_labels]
+    outside = {i for ring in net.rings if ring.kind == "open" for i in ring.vertices}
+    return [i for i in range(net.graph.n) if i not in outside]
 
 
 def net_cheeger_estimate(net: NetGraph) -> CheegerReport:
@@ -316,53 +240,41 @@ def _piece_spoke_weight(shortest: float, params: NetBuildParams) -> float:
 def build_quotient_mesh(spec: SurfaceSpec, params: NetBuildParams):
     """Refined mesh of the surface after thin-collar surgery.
 
-    Returns (graph, vmap): a weighted graph and the inclusion map from net
-    vertices (specials have no image).
-    Each net ring reappears with three mesh samples per net sample, and
-    sample j of a net ring maps to mesh sample 3j; the two rings of a
-    delta-thin gluing map onto one ring, realizing the gluing of the collar
-    boundaries; cusp rings stay but their special end is removed.
+    Returns (graph, vmap): a weighted graph and the inclusion map, a dict
+    from net vertex index to mesh vertex index (specials have no image).
+    Each net ring reappears with three mesh samples per net sample, as one
+    index range, and sample j of a net ring maps to mesh sample 3j; the
+    two rings of a delta-thin gluing map onto one ring, realizing the
+    gluing of the collar boundaries; cusp rings stay but their special end
+    is removed.  Hub p is vertex p of both graphs.
     """
     refinement = 3
     net = build_net(spec, params)
     mesh = Graph()
     vmap: dict = {}
-
     for p in range(spec.pieces):
-        hub = ("hub", p)
-        mesh.add_vertex(hub)
-        vmap[hub] = hub
+        vmap[p] = mesh.add_vertex(("hub", p))
 
-    merged_of_gluing: dict[int, tuple] = {}
-    mesh_ring_of: dict = {}  # net ring labels -> mesh ring labels
-
-    def add_mesh_ring(slot, net_count, length):
-        k = net_count * refinement
-        labels = tuple(("m", slot[0], slot[1], j) for j in range(k))
-        _add_ring(mesh, labels, length / k)
-        return labels
-
+    merged: dict[int, range] = {}  # thin gluing -> its one mesh ring
+    mesh_ring = {}  # first index of a net ring -> its mesh ring
     for ring in net.rings:
         gi = ring.gluing_index
-        if ring.kind != "thin_side":
-            labels = add_mesh_ring(ring.slot, len(ring.labels), ring.length)
-        elif gi in merged_of_gluing:
-            labels = merged_of_gluing[gi]
+        thin = ring.kind == "thin_side"
+        if thin and gi in merged:
+            samples = merged[gi]
         else:
-            gl = spec.gluings[gi]
-            labels = add_mesh_ring(min(gl.a, gl.b), len(ring.labels), ring.length)
-            merged_of_gluing[gi] = labels
-        mesh_ring_of[ring.labels] = labels
-        for j, lab in enumerate(ring.labels):
-            vmap[lab] = labels[j * refinement]
-    mesh_ring_of_slot = {slot: mesh_ring_of[r.labels] for slot, r in net.ring_of_slot.items()}
+            slot = min(spec.gluings[gi].a, spec.gluings[gi].b) if thin else ring.slot
+            k = len(ring.vertices) * refinement
+            samples = mesh.add_ring([("m", slot[0], slot[1], j) for j in range(k)], ring.length / k)
+            if thin:
+                merged[gi] = samples
+        mesh_ring[ring.vertices.start] = samples
+        vmap.update(zip(ring.vertices, samples[::refinement]))
 
     for p, shortest in enumerate(pieces_index(spec).shortest):
-        hub = ("hub", p)
         w = _piece_spoke_weight(shortest, params)
         for s in range(3):
-            for lab in mesh_ring_of_slot[(p, s)]:
-                mesh.add_edge(hub, lab, w)
+            mesh.link(p, mesh_ring[net.ring_of_slot[(p, s)].vertices.start], w)
 
     return mesh, vmap
 
@@ -392,15 +304,14 @@ class QIReport:
 def _pair_matrices(graph_a: Graph, graph_b: Graph, vmap):
     """Hop counts of the mapped pairs i < j in graph_a, distances between
     their images in graph_b, and the rows of graph_b's weighted distance
-    matrix at the images, one per mapped vertex.  Both graphs are asked
-    only for the rows of the mapped vertices and their images, so neither
-    n x n matrix is built; the image rows keep every column, which
-    fullness reads."""
-    order = graph_a.vertices()
-    dom = [i for i, v in enumerate(order) if v in vmap]
+    matrix at the images, one per mapped vertex; vmap maps vertex indices
+    of graph_a to those of graph_b.  Both graphs are asked only for the
+    rows of the mapped vertices and their images, so neither n x n matrix
+    is built; the image rows keep every column, which fullness reads."""
+    dom = sorted(vmap)
     if len(dom) < 2:
         raise DomainError("quasi-isometry estimate needs at least two mapped vertices")
-    img = [graph_b.index_of(vmap[order[i]]) for i in dom]
+    img = [vmap[i] for i in dom]
     da = graph_a.distance_matrix(rows=dom)[:, dom]
     image_rows = graph_b.distance_matrix(weighted=True, rows=img)
     iu = np.triu_indices(len(dom), k=1)
@@ -455,28 +366,22 @@ def estimate_qi_constants(graph_a: Graph, graph_b: Graph, vmap) -> QIReport:
 # Vertex tags and DOT output
 
 
-def net_tags(net: NetGraph) -> dict:
-    """Tag per net vertex: its kind and label fields, and for ring samples
-    the kind of their curve."""
-    ring_kind = {lab: ring.kind for ring in net.rings for lab in ring.labels}
-    tags = {}
-    for v in net.graph.vertices():
-        if v[0] == "hub":
-            tags[v] = f"hub:{v[1]}"
-        elif v[0] == "net":
-            tags[v] = f"net:{v[1]}:{v[2]}:{v[3]}:{ring_kind[v]}"
-        elif v[0] == "w":
-            tags[v] = f"w:{v[1]}:{v[2]}"
-        else:
-            tags[v] = f"v:{v[1]}"
+def net_tags(net: NetGraph) -> list[str]:
+    """Tag per net vertex, by index: its label's fields joined by colons
+    (hub:p, w:p:s, v:g, net:p:s:j), and for ring samples the kind of their
+    curve after them."""
+    tags = [":".join(map(str, v)) for v in net.graph.vertices()]
+    for ring in net.rings:
+        for i in ring.vertices:
+            tags[i] += f":{ring.kind}"
     return tags
 
 
-def to_dot(graph: Graph, tags: dict) -> str:
-    """DOT text of a graph named net, each vertex labelled by its tag."""
+def to_dot(graph: Graph, tags: list) -> str:
+    """DOT text of a graph named net, vertex i labelled by tags[i]."""
     lines = ["graph net {"]
-    for i, v in enumerate(graph.vertices()):
-        lines.append(f'  n{i} [label="{tags[v]}"];')
+    for i, tag in enumerate(tags):
+        lines.append(f'  n{i} [label="{tag}"];')
     edges = list(graph.edges())
     weighted = any(w != 1.0 for _, _, w in edges)
     for iu, iv, w in edges:

@@ -1,17 +1,25 @@
 """Shared test helpers: seeded random specs and graphs, brute-force
 connectivity, the recursive piece-set enumeration oracle, the
 boundary-split oracle, the edge-stack block oracle, the per-y ultrametric
-defect oracle, and the acceptance-line printer."""
+defect oracle, the label-by-label net and mesh builders with the dict
+searches they were searched with, the boundary vertex sets of a piece
+set, and the acceptance-line printer."""
 
 from __future__ import annotations
 
+import heapq
+import math
 import random
 import sys
+from collections import deque
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from cheegernet.graphtools import Graph
+from cheegernet.hypmath import DomainError, cusp_collar, thin_boundary_length
+from cheegernet.netgraph import NetGraph, _check_sample_budget, _piece_spoke_weight
 from cheegernet.surface import OpenBoundary, SurfaceSpec, make_gluing, pieces_index, require_valid
 
 _CAPTURE_MANAGER = None
@@ -199,8 +207,7 @@ def oracle_blocks(graph: Graph) -> list[list[int]]:
     Hopcroft-Tarjan search closes them, from a stack of tree and back
     edges: an enumeration independent of the vertex-stack
     `biconnected_components` for tests to compare it against."""
-    index = graph._index
-    nbrs = [[index[u] for u in graph.neighbors(v)] for v in graph.vertices()]
+    nbrs = [graph.neighbors(i) for i in range(graph.n)]
     n = len(nbrs)
     disc = [-1] * n
     low = [0] * n
@@ -259,3 +266,196 @@ def oracle_ultrametric_defect(dists: np.ndarray) -> float:
         if v > best:
             best = v
     return best
+
+
+# ---------------------------------------------------------------------------
+# Nets and meshes built label by label, and the dict searches over labels
+
+
+def label_adjacency(graph: Graph) -> dict:
+    """label -> {neighbour label: weight}, in the graph's orders."""
+    order = graph.vertices()
+    return {order[i]: {order[j]: graph.weight(i, j) for j in graph.neighbors(i)}
+            for i in range(graph.n)}
+
+
+def oracle_bfs(adj: dict, source) -> dict:
+    """Hop counts from label source over a label adjacency, by label."""
+    dist = {source: 0}
+    q = deque([source])
+    while q:
+        u = q.popleft()
+        du = dist[u]
+        for v in adj[u]:
+            if v not in dist:
+                dist[v] = du + 1
+                q.append(v)
+    return dist
+
+
+def oracle_dijkstra(adj: dict, source) -> dict:
+    """Weighted distances from label source over a label adjacency, by
+    label: a heap of (distance, canonical index, label) and a settled set."""
+    index = {v: i for i, v in enumerate(adj)}
+    dist = {source: 0.0}
+    heap = [(0.0, index[source], source)]
+    done = set()
+    while heap:
+        du, _, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        for v, w in adj[u].items():
+            alt = du + w
+            if v not in dist or alt < dist[v]:
+                dist[v] = alt
+                heapq.heappush(heap, (alt, index[v], v))
+    return dist
+
+
+def _oracle_ring(graph: Graph, labels, weight: float = 1.0) -> None:
+    k = len(labels)
+    for lab in labels:
+        graph.add_vertex(lab)
+    if k == 2:
+        graph.add_edge(labels[0], labels[1], weight)
+    elif k > 2:
+        for j in range(k):
+            graph.add_edge(labels[j], labels[(j + 1) % k], weight)
+
+
+def oracle_net(spec: SurfaceSpec, params):
+    """The net graph placed one label and one edge at a time: (graph,
+    rings as (kind, slot, gluing index, length, labels) tuples, the ring
+    of each slot)."""
+    require_valid(spec)
+    _check_sample_budget(spec, params)
+    g = Graph()
+    for p in range(spec.pieces):
+        g.add_vertex(("hub", p))
+    rings = []
+    ring_of_slot = {}
+
+    def new_ring(kind, slot, gi, length):
+        k = max(1, math.ceil(length * params.density))
+        labels = tuple(("net", slot[0], slot[1], j) for j in range(k))
+        _oracle_ring(g, labels)
+        rings.append((kind, slot, gi, length, labels))
+        return rings[-1]
+
+    for gi, gl in enumerate(spec.gluings):
+        if gl.length < 2.0 * params.delta:
+            side_len = thin_boundary_length(gl.length, params.eps)
+            ra = ring_of_slot[gl.a] = new_ring("thin_side", gl.a, gi, side_len)
+            rb = ring_of_slot[gl.b] = new_ring("thin_side", gl.b, gi, side_len)
+            g.add_vertex(("v", gi))
+            for lab in ra[4] + rb[4]:
+                g.add_edge(("v", gi), lab)
+        else:
+            ring = new_ring("thick", min(gl.a, gl.b), gi, gl.length)
+            ring_of_slot[gl.a] = ring_of_slot[gl.b] = ring
+    for c in spec.cusps:
+        ring = ring_of_slot[c] = new_ring("cusp", c, None, cusp_collar(params.eps).lam)
+        g.add_vertex(("w", c[0], c[1]))
+        for lab in ring[4]:
+            g.add_edge(("w", c[0], c[1]), lab)
+    for o in spec.opens:
+        ring_of_slot[o.at] = new_ring("open", o.at, None, o.length)
+    for p in range(spec.pieces):
+        for s in range(3):
+            for lab in ring_of_slot[(p, s)][4]:
+                g.add_edge(("hub", p), lab)
+    return g, rings, ring_of_slot
+
+
+def oracle_quotient_mesh(spec: SurfaceSpec, params):
+    """The quotient mesh placed one label and one edge at a time, on the
+    rings of `oracle_net`: (mesh, vmap from net label to mesh label)."""
+    _, rings, ring_of_slot = oracle_net(spec, params)
+    mesh = Graph()
+    vmap = {}
+    for p in range(spec.pieces):
+        mesh.add_vertex(("hub", p))
+        vmap[("hub", p)] = ("hub", p)
+    merged = {}
+    mesh_ring_of = {}
+    for kind, slot, gi, length, labels in rings:
+        if kind == "thin_side" and gi in merged:
+            mesh_labels = merged[gi]
+        else:
+            if kind == "thin_side":
+                slot = min(spec.gluings[gi].a, spec.gluings[gi].b)
+            k = 3 * len(labels)
+            mesh_labels = tuple(("m", slot[0], slot[1], j) for j in range(k))
+            _oracle_ring(mesh, mesh_labels, length / k)
+            if kind == "thin_side":
+                merged[gi] = mesh_labels
+        mesh_ring_of[labels] = mesh_labels
+        for j, lab in enumerate(labels):
+            vmap[lab] = mesh_labels[3 * j]
+    for p, shortest in enumerate(pieces_index(spec).shortest):
+        w = _piece_spoke_weight(shortest, params)
+        for s in range(3):
+            for lab in mesh_ring_of[ring_of_slot[(p, s)][4]]:
+                mesh.add_edge(("hub", p), lab, w)
+    return mesh, vmap
+
+
+def same_layout(got: Graph, want: Graph) -> bool:
+    """Equal labels by index, equal edge lists (order and weights) and
+    equal neighbour order at every vertex."""
+    return (got.vertices() == want.vertices()
+            and list(got.edges()) == list(want.edges())
+            and all(got.neighbors(i) == want.neighbors(i) for i in range(got.n)))
+
+
+# ---------------------------------------------------------------------------
+# Boundary vertex sets of a domain inside the net
+
+
+@dataclass(frozen=True)
+class BoundarySets:
+    members: frozenset
+    boundary: frozenset
+    boundary_2delta: frozenset
+
+    @property
+    def boundary_deep(self) -> frozenset:
+        return self.boundary - self.boundary_2delta
+
+
+def boundary_vertex_set(net: NetGraph, piece_set) -> BoundarySets:
+    """Labels of the net vertices carried by a set of pieces, with its
+    frontier.
+
+    A ring sample belongs iff every piece its curve touches is in the set,
+    so the shared ring of a cut thick gluing is left out and lands in the
+    frontier.  The 2delta part of the frontier is the portion adjacent to
+    ordinary member vertices; the rest hangs off special vertices only and
+    corresponds to collar ends beyond the 2delta horizon.
+    """
+    pieces = frozenset(piece_set)
+    if not pieces:
+        raise DomainError("boundary_vertex_set needs a nonempty piece set")
+    for p in pieces:
+        if not 0 <= p < net.spec.pieces:
+            raise DomainError(f"piece {p} out of range")
+
+    g = net.graph
+    order = g.vertices()
+    members = set(pieces)  # hub p is vertex p
+    for ring in net.rings:
+        if all(p in pieces for p in ring.pieces):
+            members.update(ring.vertices)
+    for c, i in net.special_w.items():
+        if c[0] in pieces:
+            members.add(i)
+    for gi, i in net.special_v.items():
+        gl = net.spec.gluings[gi]
+        if gl.a[0] in pieces or gl.b[0] in pieces:
+            members.add(i)
+
+    boundary = {u for v in members for u in g.neighbors(v) if u not in members}
+    deep = {u for u in boundary
+            if any(x in members and order[x][0] in ("hub", "net") for x in g.neighbors(u))}
+    return BoundarySets(*(frozenset(order[i] for i in part) for part in (members, boundary, deep)))

@@ -15,7 +15,9 @@ import time
 
 import numpy as np
 
-from conftest import boundary_split, criterion_line, mask_members, random_spec, random_connected_graph, random_tree, cycle_graph
+from conftest import (boundary_split, boundary_vertex_set, criterion_line, cycle_graph,
+                      label_adjacency, mask_members, random_connected_graph, random_spec,
+                      random_tree)
 from cheegernet import families, graphtools, isoperimetry, netgraph, surface
 from cheegernet.hypmath import (
     ARCSINH_ONE,
@@ -245,19 +247,20 @@ def test_06_net_structure_random_suite():
         bound = netgraph.degree_bound(PARAMS, max_curve_length=max(lengths, default=1.0))
         if netgraph.max_degree(g) > bound:
             bad.append(("degree", i, netgraph.max_degree(g), bound))
+        adj = label_adjacency(g)
         for _ in range(4):
             size = rng.randint(1, spec.pieces)
             pieces = tuple(sorted(rng.sample(range(spec.pieces), size)))
-            bs = netgraph.boundary_vertex_set(net, pieces)
+            bs = boundary_vertex_set(net, pieces)
             want = oracle_net_membership(net, pieces)
             frontier = {
-                u for m in want for u in g.neighbors(m) if u not in want
+                u for m in want for u in adj[m] if u not in want
             }
             near = {
                 u
                 for u in frontier
                 if any(
-                    x in want and x[0] in ("hub", "net") for x in g.neighbors(u)
+                    x in want and x[0] in ("hub", "net") for x in adj[u]
                 )
             }
             membership_checks += 1
@@ -413,7 +416,7 @@ def test_10_qi_constants_stable():
 def _proxy_up(spec):
     net = netgraph.build_net(spec, PARAMS)
     proxy = graphtools.boundary_proxy(
-        net.graph, net.graph.distance_matrix(), keep=lambda v: v[0] == "net"
+        net.graph, net.graph.distance_matrix(), keep=netgraph.ring_samples(net)
     )
     return graphtools.uniform_perfectness(proxy.dists, a=proxy.a, radius=proxy.radius)
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 import cheegernet
 from cheegernet import families
 from cheegernet.cli import main
+from cheegernet.hypmath import DomainError
 from cheegernet.isoperimetry import CSV_HEADER
 
 FLUTE8 = str(families.bundled_path("flute8.json"))
@@ -276,6 +278,45 @@ class TestExitCodes:
             assert out == ""
             assert err == ("cheegernet: parameter error: the net would need at least "
                            "1.797693135e+308 ring samples, more than the 1000000 allowed\n")
+
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    def test_family_work_budget(self, capsys, tmp_path, command):
+        """flute over [2, 100000] holds about 5e9 pieces in all: both family
+        commands exit 3 within a second, naming the count, before building
+        any instance."""
+        path = tmp_path / "huge.family.json"
+        path.write_text(json.dumps({"family": "flute",
+                                    "param": {"name": "n", "range": [2, 100000]}}))
+        start = time.perf_counter()
+        code, out, err = run_main(capsys, command, str(path))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == ("cheegernet: parameter error: flute: the instances for n in [2, 100000] "
+                       "hold at least 100127 pieces, more than the 100000 allowed\n")
+
+    def test_family_work_budget_is_exact(self, monkeypatch):
+        """Depths 1..4 of pants_tree hold 1 + 4 + 10 + 22 = 37 pieces, and a
+        template of 5 pieces over 3 values holds 15: each loads at a limit of
+        its count and is refused one below it, naming the count."""
+        tree = {"family": "pants_tree", "param": {"name": "d", "range": [1, 4]}}
+        template = {"pieces": 5, "gluings": [], "cusps": [],
+                    "param": {"name": "n", "range": [7, 9]}}
+        for doc, count in ((tree, 37), (template, 15)):
+            monkeypatch.setattr(families, "MAX_FAMILY_PIECES", count)
+            families.load_family(doc)
+            monkeypatch.setattr(families, "MAX_FAMILY_PIECES", count - 1)
+            with pytest.raises(DomainError, match=f"hold at least {count} pieces, "
+                                                  f"more than the {count - 1} allowed"):
+                families.load_family(doc)
+
+    @pytest.mark.parametrize("name", sorted(families.BUILDERS))
+    def test_piece_counts_match_the_builders(self, name):
+        for value in range(1, 9):
+            try:
+                spec = families.BUILDERS[name](value)
+            except cheegernet.surface.SpecError:
+                continue
+            assert families.PIECES[name](value) == spec.pieces
 
     @pytest.mark.parametrize("command", ["isoperimetry", "hyperbolicity"])
     def test_exact_mode_removed(self, capsys, command):

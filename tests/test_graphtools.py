@@ -14,7 +14,10 @@ import pytest
 
 from conftest import (
     cycle_graph,
+    label_adjacency,
+    oracle_bfs,
     oracle_blocks,
+    oracle_dijkstra,
     oracle_ultrametric_defect,
     random_connected_graph,
     random_tree,
@@ -57,8 +60,8 @@ class TestGraph:
         g.add_edge("b", "c")
         assert g.n == 3
         assert g.vertices() == ["a", "b", "c"]
-        assert g.degree("b") == 2
-        assert g.weight("a", "b") == 2.0
+        assert g.degree(1) == 2 and g.neighbors(1) == [0, 2]
+        assert g.weight(0, 1) == 2.0 and g.has_edge(1, 0) and not g.has_edge(0, 2)
         assert list(g.edges()) == [(0, 1, 2.0), (1, 2, 1.0)]
         order = g.vertices()
         assert [(order[i], order[j], w) for i, j, w in g.edges()] == [
@@ -83,7 +86,7 @@ class TestGraph:
             src = rng.randrange(20)
             bd = g.bfs_distances(src)
             dd = g.dijkstra(src)
-            assert {k: float(v) for k, v in bd.items()} == dd
+            assert [float(v) for v in bd] == dd
 
     def test_distance_matrix(self):
         g = path_graph(5)
@@ -110,11 +113,48 @@ class TestGraph:
                 g.distance_matrix(weighted=weighted)
 
 
+class TestSearchOracle:
+    """The list searches on vertex indices against the dict searches over
+    labels they replaced, bit for bit, unreachable vertices included."""
+
+    @staticmethod
+    def check(g: Graph, sources):
+        adj = label_adjacency(g)
+        order = g.vertices()
+        for s in sources:
+            hops = oracle_bfs(adj, order[s])
+            assert g.bfs_distances(s) == [hops.get(v, -1) for v in order]
+            dist = oracle_dijkstra(adj, order[s])
+            want = [dist.get(v, math.inf) for v in order]
+            assert np.array(g.dijkstra(s)).tobytes() == np.array(want).tobytes()
+
+    def test_random_weighted_graphs(self):
+        """Weights spread over six orders of magnitude, so the sums round,
+        with shuffled labels and several components."""
+        rng = random.Random(1959)
+        for _ in range(120):
+            shape = scattered_graph(rng)
+            g = Graph()
+            for v in shape.vertices():
+                g.add_vertex(f"v{v}")
+            order = shape.vertices()
+            for i, j, _ in shape.edges():
+                g.add_edge(f"v{order[i]}", f"v{order[j]}", 10.0 ** rng.uniform(-3, 3))
+            self.check(g, rng.sample(range(g.n), min(g.n, 4)))
+
+    @pytest.mark.parametrize("name", ["flute8", "gen12", "loop", "closed"])
+    def test_golden_nets_and_meshes(self, name):
+        golden = Path(__file__).resolve().parent / "golden"
+        path = families.bundled_path("flute8.json") if name == "flute8" else golden / f"{name}.json"
+        for g in cli_net_and_mesh(load_spec(path)):
+            self.check(g, range(0, g.n, 7))
+
+
 def per_source_matrix(g: Graph, weighted: bool = False) -> np.ndarray:
-    """Oracle: one whole-graph BFS or Dijkstra per source vertex."""
-    order = g.vertices()
+    """Oracle: one whole-graph BFS or Dijkstra per source vertex, each
+    result read by index."""
     search = g.dijkstra if weighted else g.bfs_distances
-    return np.array([[dist[u] for u in order] for dist in map(search, order)],
+    return np.array([search(i) for i in range(g.n)],
                     dtype=np.float64 if weighted else np.int32).reshape(g.n, g.n)
 
 
@@ -206,6 +246,33 @@ class TestBlockComposedMatrix:
                 assert sum(u in b and v in b for b in blocks) == 1
             for b1, b2 in itertools.combinations(blocks, 2):
                 assert len(b1 & b2) <= 1
+
+    def test_each_block_is_walked_once(self, monkeypatch):
+        """One placement per block, whatever its size: a wheel is one
+        block, and a loop that rebuilds each block's list of unplaced
+        vertices at every vertex it pops walks the wheel once per vertex."""
+        walks = []
+
+        class Block(list):
+            def __iter__(self):
+                walks[-1][id(self)] = walks[-1].get(id(self), 0) + 1
+                return super().__iter__()
+
+        original = graphtools._block_graphs
+        monkeypatch.setattr(graphtools, "_block_graphs",
+                            lambda g: [(Block(block), sub) for block, sub in original(g)])
+        for spokes in (50, 400):
+            wheel = Graph()
+            for k in range(1, spokes + 1):
+                wheel.add_edge(0, k)
+                wheel.add_edge(k, k % spokes + 1, 0.5)
+            glued, _ = glued_blocks(random.Random(spokes), 12)
+            for g in (wheel, glued):
+                for weighted in (False, True):
+                    walks.append({})
+                    assert np.array_equal(g.distance_matrix(weighted=weighted),
+                                          per_source_matrix(g, weighted))
+                    assert set(walks[-1].values()) == {1}
 
     def test_long_path_needs_no_recursion(self):
         g = path_graph(3000)
@@ -831,15 +898,15 @@ class TestFarApartScan:
 
 def sliced_hyperbolicity(g: Graph) -> tuple:
     """(delta, witness, quadruples) scanned on slices of the full composed
-    matrix, with the slice's neighbour lists read from the labelled graph."""
+    matrix, with the slice's neighbour lists read from the whole graph's."""
     order = g.vertices()
     D = g.distance_matrix()
     scans, quadruples = [], 0
     for block in biconnected_components(g):
         if len(block) < 4:
             continue
-        local = {order[i]: k for k, i in enumerate(block)}
-        nbrs = [[local[u] for u in g.neighbors(order[i]) if u in local] for i in block]
+        local = {i: k for k, i in enumerate(block)}
+        nbrs = [[local[u] for u in g.neighbors(i) if u in local] for i in block]
         sub = D[np.ix_(block, block)]
         best2, count, found = _far_apart_scan(nbrs, sub)
         if best2:
@@ -958,7 +1025,7 @@ class TestBoundaryProxy:
         # base 4; the sphere of radius 2 holds two vertices, so the radius
         # backs off to 1, where the filter leaves 3 of {3, 5}
         g = path_graph(9)
-        rep = boundary_proxy(g, g.distance_matrix(), keep=lambda v: v != 5)
+        rep = boundary_proxy(g, g.distance_matrix(), keep=[v for v in range(9) if v != 5])
         assert (rep.base, rep.radius, rep.points) == (4, 1, (3,))
 
     def test_auto_radius_backs_off(self):
@@ -1157,7 +1224,7 @@ def loop_uniform_perfectness(dists, a=2.0, radius=8, s_grid=(1.5, 2.0, 3.0, 4.0,
 def net_proxy(spec):
     net = build_net(spec, cli_params())
     return net, boundary_proxy(net.graph, net.graph.distance_matrix(),
-                               keep=lambda v: v[0] == "net")
+                               keep=netgraph.ring_samples(net))
 
 
 class TestUniformPerfectnessOracle:
@@ -1197,7 +1264,8 @@ class TestUniformPerfectnessOracle:
 
 
 def brute_geodesic_union(g: Graph, base, peripheral):
-    """Enumerate all shortest paths explicitly via the BFS predecessor DAG."""
+    """Enumerate all shortest paths explicitly via the BFS predecessor DAG,
+    on vertex indices."""
     out = set()
     dist = g.bfs_distances(base)
     for u in peripheral:
@@ -1257,15 +1325,16 @@ class TestPole:
 
 
 def bfs_has_pole(g: Graph, base, peripheral, m_grid=(1, 2, 3, 4, 6, 8, 12)) -> PoleReport:
-    """Oracle: one BFS from the base and one per peripheral vertex for the
-    geodesic union, then a multi-source BFS from the union."""
+    """Oracle, on vertex indices: one BFS from the base and one per
+    peripheral vertex for the geodesic union, then a multi-source BFS from
+    the union."""
     dv = g.bfs_distances(base)
     union = set()
     for u in peripheral:
         du = g.bfs_distances(u)
-        union.update(x for x, dx in dv.items() if dx + du[x] == dv[u])
+        union.update(x for x, dx in enumerate(dv) if dx + du[x] == dv[u])
     dist = {x: 0 for x in union}
-    q = deque(sorted(union, key=g.index_of))
+    q = deque(sorted(union))
     while q:
         u = q.popleft()
         for v in g.neighbors(u):
@@ -1273,10 +1342,11 @@ def bfs_has_pole(g: Graph, base, peripheral, m_grid=(1, 2, 3, 4, 6, 8, 12)) -> P
                 dist[v] = dist[u] + 1
                 q.append(v)
     needed = max(dist.values())
+    label = g.vertices()[base]
     for m in m_grid:
         if m >= needed:
-            return PoleReport(True, float(m), needed, base, len(peripheral))
-    return PoleReport(False, None, needed, base, len(peripheral))
+            return PoleReport(True, float(m), needed, label, len(peripheral))
+    return PoleReport(False, None, needed, label, len(peripheral))
 
 
 class TestPoleFromMatrix:
@@ -1302,10 +1372,11 @@ class TestPoleFromMatrix:
             "flute40": lambda: families.flute(40),
         }[name]()
         net, proxy = net_proxy(spec)
-        specials = sorted(net.special_w.values()) + sorted(net.special_v.values())
+        specials = [*net.special_w.values(), *net.special_v.values()]
         assert specials
-        got = has_pole(net.graph, proxy.base, specials, dmat=net.graph.distance_matrix())
-        assert repr(got) == repr(bfs_has_pole(net.graph, proxy.base, specials))
+        base = net.graph.index_of(proxy.base)
+        got = has_pole(net.graph, base, specials, dmat=net.graph.distance_matrix())
+        assert repr(got) == repr(bfs_has_pole(net.graph, base, specials))
 
     def test_boundary_command_builds_one_matrix(self, monkeypatch, capsys):
         calls = []

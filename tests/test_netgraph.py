@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_connected_graph, random_spec
+from conftest import (boundary_vertex_set, label_adjacency, oracle_net, oracle_quotient_mesh,
+                      random_connected_graph, random_spec, same_layout)
 from cheegernet import cli, families, netgraph
 from cheegernet.graphtools import Graph
 from cheegernet.hypmath import (
@@ -19,7 +20,6 @@ from cheegernet.hypmath import (
 )
 from cheegernet.netgraph import (
     NetBuildParams,
-    boundary_vertex_set,
     build_net,
     build_quotient_mesh,
     degree_bound,
@@ -81,10 +81,10 @@ class TestBuildNet:
         assert thick.slot == (0, 1)  # canonical smaller slot owns labels
         assert net.ring_of_slot[(0, 1)] is thick
         assert net.ring_of_slot[(1, 1)] is thick
-        # both hubs spoke into every shared sample
-        for lab in thick.labels:
-            assert net.graph.has_edge(("hub", 0), lab)
-            assert net.graph.has_edge(("hub", 1), lab)
+        # both hubs (vertices 0 and 1) spoke into every shared sample
+        for i in thick.vertices:
+            assert net.graph.has_edge(0, i)
+            assert net.graph.has_edge(1, i)
 
     def test_special_structure(self):
         net = build_net(thin_pair_spec(), PARAMS)
@@ -96,11 +96,11 @@ class TestBuildNet:
             for b in specials:
                 if a != b:
                     assert not g.has_edge(a, b)
-        v_lab = net.special_v[0]
-        thin_labels = {
-            lab for r in net.rings if r.kind == "thin_side" for lab in r.labels
-        }
-        assert set(g.neighbors(v_lab)) == thin_labels
+        v = net.special_v[0]
+        assert g.vertices()[v] == ("v", 0)
+        assert g.vertices()[net.special_w[(0, 2)]] == ("w", 0, 2)
+        thin_samples = [i for r in net.rings if r.kind == "thin_side" for i in r.vertices]
+        assert g.neighbors(v) == thin_samples
 
     def test_connected_and_deterministic(self):
         spec = thin_pair_spec()
@@ -112,14 +112,17 @@ class TestBuildNet:
     def test_ring_sample_counts(self):
         net = build_net(thin_pair_spec(), PARAMS)
         dens = PARAMS.density
+        order = net.graph.vertices()
         for r in net.rings:
-            assert len(r.labels) == max(1, math.ceil(r.length * dens))
+            assert len(r.vertices) == max(1, math.ceil(r.length * dens))
+            assert [order[i] for i in r.vertices] == [
+                ("net", r.slot[0], r.slot[1], j) for j in range(len(r.vertices))]
 
     def test_sample_budget_is_exact(self, monkeypatch):
         """A net of exactly MAX_NET_SAMPLES ring samples is built; one
         sample fewer allowed raises before any vertex is placed, naming
         the count."""
-        samples = sum(len(r.labels) for r in build_net(thin_pair_spec(), PARAMS).rings)
+        samples = sum(len(r.vertices) for r in build_net(thin_pair_spec(), PARAMS).rings)
         monkeypatch.setattr(netgraph, "MAX_NET_SAMPLES", samples)
         build_net(thin_pair_spec(), PARAMS)
         monkeypatch.setattr(netgraph, "MAX_NET_SAMPLES", samples - 1)
@@ -127,6 +130,46 @@ class TestBuildNet:
         with pytest.raises(DomainError, match=f"at least {samples} ring samples, "
                                               f"more than the {samples - 1} allowed"):
             build_net(thin_pair_spec(), PARAMS)
+
+
+class TestLayoutOracle:
+    """build_net and build_quotient_mesh, which place each ring as one
+    index range and write edges by index, against the builders of conftest
+    that add one label and one edge at a time: the same labels by index,
+    the same edge list (order and weights), the same neighbour order at
+    every vertex, the same rings and specials, and the same inclusion map."""
+
+    @staticmethod
+    def check(spec, params):
+        net = build_net(spec, params)
+        want, rings, _ = oracle_net(spec, params)
+        assert same_layout(net.graph, want)
+        order = net.graph.vertices()
+        assert [(r.kind, r.slot, r.gluing_index, r.length, tuple(order[i] for i in r.vertices))
+                for r in net.rings] == rings
+        assert all(order[i] == ("v", gi) for gi, i in net.special_v.items())
+        assert all(order[i] == ("w", *c) for c, i in net.special_w.items())
+        mesh, vmap = build_quotient_mesh(spec, params)
+        want_mesh, want_vmap = oracle_quotient_mesh(spec, params)
+        assert same_layout(mesh, want_mesh)
+        assert vmap == {want.index_of(u): want_mesh.index_of(v) for u, v in want_vmap.items()}
+
+    @pytest.mark.parametrize("name", ["flute8", "gen12", "loop", "closed"])
+    def test_golden_specs(self, name):
+        path = families.bundled_path("flute8.json") if name == "flute8" else GOLDEN / f"{name}.json"
+        self.check(load_spec(path), PARAMS)
+
+    def test_random_specs(self):
+        """60 seeded specs with thin gluings, self-gluings, cusps and open
+        curves; every fourth at a finer delta, so rings are longer."""
+        rng = random.Random(2118)
+        fine = NetBuildParams(eps=EPS, delta=0.5 * DELTA)
+        kinds = set()
+        for trial in range(60):
+            spec = random_spec(rng, max_pieces=10, thin_below=2.0 * DELTA)
+            kinds.update(r.kind for r in build_net(spec, PARAMS).rings)
+            self.check(spec, fine if trial % 4 == 3 else PARAMS)
+        assert kinds == {"thick", "thin_side", "cusp", "open"}
 
 
 class TestDegreeBound:
@@ -197,12 +240,12 @@ class TestBoundarySets:
             bs = boundary_vertex_set(net, pieces)
             want_members = oracle_membership(net, pieces)
             assert bs.members == want_members
-            # frontier from adjacency
-            g = net.graph
+            # frontier from adjacency, read by label
+            adj = label_adjacency(net.graph)
             want_boundary = {
                 u
                 for m in want_members
-                for u in g.neighbors(m)
+                for u in adj[m]
                 if u not in want_members
             }
             assert bs.boundary == want_boundary
@@ -211,7 +254,7 @@ class TestBoundarySets:
                 for u in want_boundary
                 if any(
                     x in want_members and x[0] in ("hub", "net")
-                    for x in g.neighbors(u)
+                    for x in adj[u]
                 )
             }
             assert bs.boundary_2delta == want_deep
@@ -221,7 +264,8 @@ class TestBoundarySets:
         net = build_net(spec, PARAMS)
         bs = boundary_vertex_set(net, {0})
         thick = next(r for r in net.rings if r.kind == "thick")
-        for lab in thick.labels:
+        for i in thick.vertices:
+            lab = net.graph.vertices()[i]
             assert lab not in bs.members
             assert lab in bs.boundary
             assert lab in bs.boundary_2delta
@@ -231,7 +275,8 @@ class TestBoundarySets:
         net = build_net(spec, PARAMS)
         bs = boundary_vertex_set(net, {0})
         far = net.ring_of_slot[(1, 0)]  # thin side ring on the other piece
-        for lab in far.labels:
+        for i in far.vertices:
+            lab = net.graph.vertices()[i]
             assert lab not in bs.members
             assert lab in bs.boundary
             assert lab in bs.boundary_deep
@@ -247,11 +292,10 @@ class TestBoundarySets:
 class TestInterior:
     def test_excludes_open_rings(self):
         net = build_net(thin_pair_spec(), PARAMS)
-        interior = set(interior_vertices(net))
+        interior = interior_vertices(net)
         open_ring = next(r for r in net.rings if r.kind == "open")
-        for lab in open_ring.labels:
-            assert lab not in interior
-        assert ("hub", 0) in interior
+        assert interior == [i for i in range(net.graph.n) if i not in open_ring.vertices]
+        assert 0 in interior  # hub 0
 
     def test_estimate_mode_switch(self):
         windowed = net_cheeger_estimate(build_net(thin_pair_spec(), PARAMS))
@@ -273,8 +317,8 @@ class TestQuotientMesh:
         assert mesh.is_connected()
         # three mesh samples per net sample on every ring
         for ring in net.rings:
-            key = vmap[ring.labels[0]][:3]
-            assert sum(v[:3] == key for v in mesh.vertices()) == 3 * len(ring.labels)
+            key = mesh.vertices()[vmap[ring.vertices[0]]][:3]
+            assert sum(v[:3] == key for v in mesh.vertices()) == 3 * len(ring.vertices)
         # per mesh ring: edge weights sum back to the curve length
         ring_lengths = {}
         order = mesh.vertices()
@@ -295,16 +339,16 @@ class TestQuotientMesh:
         net = build_net(spec, PARAMS)
         ra = net.ring_of_slot[(0, 0)]
         rb = net.ring_of_slot[(1, 0)]
-        for j in range(len(ra.labels)):
-            assert vmap[ra.labels[j]] == vmap[rb.labels[j]]
-            assert vmap[ra.labels[j]][3] == 3 * j
+        for j in range(len(ra.vertices)):
+            assert vmap[ra.vertices[j]] == vmap[rb.vertices[j]]
+            assert mesh.vertices()[vmap[ra.vertices[j]]][3] == 3 * j
 
     def test_specials_dropped(self):
         spec = thin_pair_spec()
         mesh, vmap = build_quotient_mesh(spec, PARAMS)
         net = build_net(spec, PARAMS)
-        for lab in list(net.special_v.values()) + list(net.special_w.values()):
-            assert lab not in vmap
+        for i in list(net.special_v.values()) + list(net.special_w.values()):
+            assert i not in vmap
         for v in mesh.vertices():
             assert v[0] in ("hub", "m")
 
@@ -325,10 +369,9 @@ DEFAULT_ALPHAS = [1.0 + 0.25 * k for k in range(29)]
 def qi_oracle(graph_a, graph_b, vmap, alpha_grid, beta_tol=0.5):
     """(alpha, beta, fullness, table) pair by pair from the full distance
     matrices: beta at each alpha is the largest of 0, db - alpha*da and
-    da/alpha - db over all mapped pairs i < j."""
-    order = graph_a.vertices()
-    dom = [i for i, v in enumerate(order) if v in vmap]
-    img = [graph_b.index_of(vmap[order[i]]) for i in dom]
+    da/alpha - db over all mapped pairs i < j of vertex indices."""
+    dom = sorted(vmap)
+    img = [vmap[i] for i in dom]
     iu = np.triu_indices(len(dom), k=1)
     da = graph_a.distance_matrix()[np.ix_(dom, dom)].astype(np.float64)[iu]
     Db = graph_b.distance_matrix(weighted=True)
@@ -427,5 +470,6 @@ class TestSerialization:
     def test_tags_carry_curve_kind(self):
         net = build_net(thin_pair_spec(), PARAMS)
         tags = net_tags(net)
-        kinds = {t.split(":")[-1] for v, t in tags.items() if v[0] == "net"}
+        assert len(tags) == net.graph.n
+        kinds = {t.split(":")[-1] for t in tags if t.startswith("net:")}
         assert kinds == {"thick", "thin_side", "cusp", "open"}
