@@ -55,6 +55,9 @@ __all__ = [
 ]
 
 
+_GATHER = 1 << 16  # entries gathered at a time at the end of Graph.distance_matrix
+
+
 def _check_weight(weight: float) -> None:
     if not (math.isfinite(weight) and weight > 0.0):
         raise DomainError(f"edge weight must be positive, got {weight!r}")
@@ -193,54 +196,78 @@ class Graph:
     def is_connected(self) -> bool:
         return self.n == 0 or -1 not in self.bfs_distances(0)
 
-    def distance_matrix(self, weighted: bool = False, rows=None) -> np.ndarray:
-        """Distances from the vertices of index `rows` (every vertex if
-        None; repeats and any order allowed) to every vertex, one row each,
-        columns in canonical vertex order.  Raises if the graph is
+    def distance_matrix(self, weighted: bool = False, rows=None, cols=None,
+                        nearest: bool = False):
+        """Distances from the vertices of index `rows` to those of index
+        `cols` (every vertex if None; repeats and any order allowed), one
+        row per entry of rows and one column per entry of cols.  With
+        nearest, also each vertex's distance to its nearest row, by index,
+        as (matrix, nearest); that needs a row.  Raises if the graph is
         disconnected: every metric routine here assumes one component.
 
         The matrix is composed over the block-cut tree.  A shortest path
         between two vertices of one block stays in that block, so all
         searches are BFS (or Dijkstra) on the subgraph of one block, whose
-        vertices are the positions in the block; each search returns a
-        list by position, which becomes one numpy row.
-        Blocks are added in breadth-first order of the tree from the block
-        of the first vertex, each once: the first placed vertex a to reach
-        a block is its attachment, and all its other vertices are new, since
-        the tree reaches each of them through this block alone.  The block
-        gets D[old, new] = D[old, a] + d(a -> new) and
+        vertices are the positions in the block.  Blocks are added in
+        breadth-first order of the tree from the block of the first vertex,
+        each once: the first placed vertex a to reach a block is its
+        attachment, and all its other vertices are new, since the tree
+        reaches each of them through this block alone.  The block gets
+        D[old, new] = D[old, a] + d(a -> new) and
         D[new, old] = d(new -> a) + D[a, old].  Only the rows asked for,
-        the cut vertices' and the first vertex's are composed, the last
-        two because later blocks read them; so one block costs a search
-        from a and one from each of its new vertices whose row is kept.
-        Kept rows and all columns are stored in placement order, so each
-        block writes contiguous slices, and one gather at the end returns
-        the rows asked for in canonical column order.  A row is the same
-        bits whichever other rows are asked for.  Hop counts are exact.  A
-        weighted distance across a cut vertex is a sum of two block
-        distances, where a whole-graph Dijkstra adds the edge weights one
-        by one along the path, so on arbitrary weights the two can differ
-        by rounding.
+        the cut vertices' and the first vertex's are composed, so a block
+        costs a search from a and one from each new vertex whose row is
+        kept.  The last two keep whole rows (W), as later blocks read them;
+        the other rows asked for (R) keep only the columns asked for and
+        the cut vertices' they compose through.  Columns are stored in
+        placement order, so a block writes contiguous slices, and a gather
+        at the end puts the rows asked for in the order of cols.  The same
+        pass keeps the nearest-row distances: a new vertex's is the
+        attachment's plus d(a -> new), or less by a new row's search, and
+        an old vertex's may fall to the least d(new -> a) over the new rows
+        plus D[a, old].  Rounding is monotone, so min over r of
+        fl(x_r + c) = fl(min over r of x_r + c): these are the bits of the
+        column minimum of the composed rows.  An entry has the same bits
+        whichever other rows and columns are asked for.  Hop counts are
+        exact.  A weighted distance across a cut vertex is a sum of two
+        block distances, where a whole-graph Dijkstra adds the edge weights
+        one by one along the path, so the two can differ by rounding.
         """
         n = self.n
         dtype = np.float64 if weighted else np.int32
-        wanted = range(n) if rows is None else rows
+        rows = range(n) if rows is None else rows
+        cols = range(n) if cols is None else cols
+        if nearest and not len(rows):
+            raise DomainError("nearest-row distances need at least one row")
         if n <= 1:
-            return np.zeros((len(wanted), n), dtype=dtype)
+            out = np.zeros((len(rows), len(cols)), dtype=dtype)
+            return (out, np.zeros(n, dtype=dtype)) if nearest else out
         blocks = _block_graphs(self)
         blocks_of: list[list[int]] = [[] for _ in range(n)]
         for b, (block, _) in enumerate(blocks):
             for i in block:
                 blocks_of[i].append(b)
-        keep = [len(b) > 1 for b in blocks_of]  # cut vertices
-        keep[0] = True
-        for i in wanted:
-            keep[i] = True
-        M = np.zeros((sum(keep), n), dtype=dtype)  # kept rows x placed columns
-        row = [0] * n  # row of M of a kept vertex
-        pos = [0] * n  # column of M of a placed vertex
+        whole = [len(b) > 1 for b in blocks_of]  # cut vertices
+        whole[0] = True
+        asked, stored = [False] * n, whole[:]  # stored: the columns of R
+        for i in rows:
+            asked[i] = True
+        for j in cols:
+            stored[j] = True
+        if all(stored):  # a row asked for keeps every column anyway
+            whole = [w or q for w, q in zip(whole, asked)]
+        own = [q and not w for w, q in zip(whole, asked)]  # the rows of R
+        W = np.zeros((sum(whole), n), dtype=dtype)
+        R = np.zeros((sum(own), sum(stored)), dtype=dtype)
+        placed = np.zeros(R.shape[1], dtype=np.intp)  # placed column of a column of R
+        near = np.full(n, np.inf if weighted else n, dtype=dtype)  # above every distance
+        if asked[0]:
+            near[0] = 0
+        row = [0] * n  # row of W or of R of a kept vertex
+        pos = [0] * n  # placed column of a placed vertex
+        col = [0] * n  # column of R of a stored placed vertex
         visited = [False] * len(blocks)
-        kept = count = 1
+        wrows, rrows, count, width = 1, 0, 1, 1
         queue = [0]
         for a in queue:
             for b in blocks_of[a]:
@@ -251,23 +278,52 @@ class Graph:
                 search = sub.dijkstra if weighted else sub.bfs_distances
                 at = block.index(a)
                 new = [k for k in range(len(block)) if k != at]
-                end = count + len(new)
+                kept = [k for k in new if stored[block[k]]] if len(R) else []
+                end, stop = count + len(new), width + len(kept)
+                for j, k in enumerate(new):
+                    pos[block[k]] = count + j
                 from_a = np.array(search(at), dtype=dtype)
-                M[:kept, count:end] = M[:kept, pos[a], None] + from_a[new]
-                fresh = [k for k in new if keep[block[k]]]
+                W[:wrows, count:end] = W[:wrows, pos[a], None] + from_a[new]
+                if kept:
+                    R[:rrows, width:stop] = R[:rrows, col[a], None] + from_a[kept]
+                    placed[width:stop] = [pos[block[k]] for k in kept]
+                    for j, k in enumerate(kept):
+                        col[block[k]] = width + j
+                if nearest:
+                    near[count:end] = near[pos[a]] + from_a[new]
+                wide = [k for k in new if whole[block[k]]]
+                fresh = wide + [k for k in new if own[block[k]]] if len(R) else wide
                 if fresh:
                     local = np.array([search(k) for k in fresh], dtype=dtype)
-                    M[kept:kept + len(fresh), count:end] = local[:, new]
-                    M[kept:kept + len(fresh), :count] = local[:, at, None] + M[row[a], :count]
-                    for k in fresh:
-                        row[block[k]] = kept
-                        kept += 1
-                for k in new:
-                    i = block[k]
-                    pos[i] = count
-                    count += 1
-                    queue.append(i)
-        return M.take([row[i] for i in wanted], axis=0).take(pos, axis=1)
+                    top, cut = wrows + len(wide), len(wide)
+                    W[wrows:top, count:end] = local[:cut, new]
+                    W[wrows:top, :count] = local[:cut, at, None] + W[row[a], :count]
+                    for k in wide:
+                        row[block[k]], wrows = wrows, wrows + 1
+                    if len(fresh) > cut:
+                        top = rrows + len(fresh) - cut
+                        R[rrows:top, width:stop] = local[cut:, kept]
+                        R[rrows:top, :width] = local[cut:, at, None] + W[row[a], placed[:width]]
+                        for k in fresh[cut:]:
+                            row[block[k]], rrows = rrows, rrows + 1
+                    if nearest and (mine := [j for j, k in enumerate(fresh) if asked[block[k]]]):
+                        np.minimum(near[count:end], local[np.ix_(mine, new)].min(axis=0),
+                                   out=near[count:end])
+                        np.minimum(near[:count], local[mine, at].min() + W[row[a], :count],
+                                   out=near[:count])
+                queue += [block[k] for k in new]
+                count, width = end, stop
+        out = W.take([row[i] for i in rows if whole[i]], axis=0).take([pos[j] for j in cols], axis=1)
+        if len(R):  # the whole rows among the rows asked for, then the own rows
+            both, out = out, np.empty((len(rows), len(cols)), dtype=dtype)
+            out[[p for p, i in enumerate(rows) if whole[i]]] = both
+            at = [p for p, i in enumerate(rows) if own[i]]
+            order = np.array([col[j] for j in cols], dtype=np.intp)
+            step = max(1, _GATHER // max(1, len(order)))
+            for s in range(0, len(at), step):
+                chunk = at[s:s + step]
+                out[chunk] = R.take([row[rows[p]] for p in chunk], axis=0).take(order, axis=1)
+        return (out, near[pos]) if nearest else out
 
 
 def biconnected_components(graph: Graph) -> list[list[int]]:

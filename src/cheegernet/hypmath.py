@@ -23,9 +23,7 @@ __all__ = [
     "thin_half_width",
     "thin_boundary_length",
     "thin_collar_area",
-    "shrunk_collar_area_bound",
     "cusp_collar",
-    "thin_separation",
     "delta1",
 ]
 
@@ -135,39 +133,6 @@ def thin_collar_area(l: float, eps: float) -> float:
     return (2.0 * l / s) * math.sqrt(gap)
 
 
-def shrunk_collar_area_bound(l: float, eps: float, delta0: float) -> tuple[float, bool]:
-    """Area of the collar shrunk by delta0, plus the half-area certificate.
-
-    For delta0 <= ln(4/3) and l <= 2*arcsinh((sqrt(3)/4)*sinh(eps)) the shrunk
-    collar C(gamma, h - delta0) still holds more than half the full collar
-    area, which in turn is at least the closed-form floor
-    (2d/sinh(d)) * sqrt(sinh(eps)^2 - sinh(d)^2) at d = arcsinh((sqrt(3)/4)*sinh(eps)).
-
-    Returns (area_shrunk, holds) where holds checks both inequalities.
-    """
-    eps = check_margulis(eps)
-    l = _require_positive("l", l)
-    delta0 = _require_finite("delta0", delta0)
-    if delta0 < 0.0:
-        raise DomainError(f"delta0 must be >= 0, got {delta0!r}")
-    if delta0 > math.log(4.0 / 3.0):
-        raise DomainError(f"delta0 must be <= ln(4/3), got {delta0!r}")
-    d = math.asinh(math.sqrt(3.0) / 4.0 * math.sinh(eps))
-    if l > 2.0 * d:
-        raise DomainError(
-            f"need l <= 2*arcsinh((sqrt(3)/4)*sinh(eps)) = {2.0 * d!r}, got {l!r}"
-        )
-    h = thin_half_width(l, eps)
-    if not delta0 < h:
-        raise DomainError(f"delta0={delta0!r} does not stay below the half-width {h!r}")
-    area_shrunk = 2.0 * l * math.sinh(h - delta0)
-    floor = (2.0 * d / math.sinh(d)) * math.sqrt(
-        max(math.sinh(eps) ** 2 - math.sinh(d) ** 2, 0.0)
-    )
-    holds = area_shrunk > 0.5 * thin_collar_area(l, eps) and area_shrunk > floor
-    return area_shrunk, holds
-
-
 @dataclass(frozen=True)
 class CuspCollar:
     """Horocyclic cusp collar: boundary length and area both equal lam < 2."""
@@ -187,21 +152,6 @@ def cusp_collar(eps: float) -> CuspCollar:
     """Cusp collar with boundary horocycle of length lam = 2*sinh(eps)."""
     eps = check_margulis(eps)
     return CuspCollar(lam=2.0 * math.sinh(eps))
-
-
-def thin_separation(l: float, eps: float) -> float:
-    """Distance collar_width(l) - thin_half_width(l, eps) from the thin collar
-    boundary to the full collar boundary.
-
-    Strictly increasing in l on (0, 2*eps), always above ln(1/sinh(eps)), and
-    tending to that floor as l -> 0+.  Two distinct eps-thin collars are
-    therefore at least 2*ln(1/sinh(eps)) apart.
-    """
-    eps = check_margulis(eps)
-    l = _require_positive("l", l)
-    if l >= 2.0 * eps:
-        raise DomainError(f"need l < 2*eps, got l={l!r}, eps={eps!r}")
-    return collar_width(l) - thin_half_width(l, eps)
 
 
 def delta1(eps: float) -> float:

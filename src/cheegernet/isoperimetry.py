@@ -114,41 +114,48 @@ def _least(inside: np.ndarray, cols: np.ndarray) -> int:
     return int(cols[0])
 
 
+def _fold_chunk(subsets, n: int, curves: list, delta: float, best: list) -> int:
+    """Fold the ratios of up to _CHUNK more piece sets into best and return
+    how many it took.  Its arrays die on return, before the next chunk."""
+    masks = list(itertools.islice(subsets, _CHUNK))
+    rows, width = len(masks), (n + 7) // 8
+    if not rows:
+        return 0
+    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
+    inside = np.unpackbits(np.ascontiguousarray(raw.reshape(rows, width).T), axis=0,
+                           bitorder="little")[:n].view(bool)
+    total, long_total = np.zeros(rows), np.zeros(rows)
+    short_count = np.zeros(rows, dtype=np.int64)
+    for a, b, length in curves:
+        cut = inside[a] if b is None else inside[a] != inside[b]
+        step = np.where(cut, length, 0.0)
+        total += step
+        if length >= delta:
+            long_total += step
+        else:
+            short_count += cut
+    ratios = (total / ((2.0 * math.pi) * inside.sum(axis=0)),
+              np.divide(long_total, short_count, out=np.full(rows, math.inf),
+                        where=short_count > 0))
+    for slot, vals in enumerate(ratios):
+        v = float(vals.min())
+        if v < math.inf and v <= best[slot][0]:
+            col = _least(inside, np.flatnonzero(vals == v))
+            best[slot] = min(best[slot], (v, tuple(np.flatnonzero(inside[:, col]).tolist())))
+    return rows
+
+
 def _scan(spec: SurfaceSpec, delta: float, max_pieces: int):
     """One pass over the connected piece sets of size <= max_pieces, _CHUNK
     sets per numpy pass: (least h_g ratio, its piece set, worst regularity
     ratio, its piece set, sets examined).  Ties break to the
     lexicographically smallest set."""
-    n = spec.pieces
-    width = (n + 7) // 8
     curves = [(a, b, c.length) for a, b, c in pieces_index(spec).curves]
     best = [(math.inf, None), (math.inf, None)]  # (h_g ratio, set), (regularity ratio, set)
     examined = 0
     subsets = connected_piece_subsets(spec, max_pieces)
-    while masks := list(itertools.islice(subsets, _CHUNK)):
-        rows = len(masks)
+    while rows := _fold_chunk(subsets, spec.pieces, curves, delta, best):
         examined += rows
-        raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
-        inside = np.unpackbits(np.ascontiguousarray(raw.reshape(rows, width).T), axis=0,
-                               bitorder="little")[:n].view(bool)
-        total, long_total = np.zeros(rows), np.zeros(rows)
-        short_count = np.zeros(rows, dtype=np.int64)
-        for a, b, length in curves:
-            cut = inside[a] if b is None else inside[a] != inside[b]
-            step = np.where(cut, length, 0.0)
-            total += step
-            if length >= delta:
-                long_total += step
-            else:
-                short_count += cut
-        ratios = (total / ((2.0 * math.pi) * inside.sum(axis=0)),
-                  np.divide(long_total, short_count, out=np.full(rows, math.inf),
-                            where=short_count > 0))
-        for slot, vals in enumerate(ratios):
-            v = float(vals.min())
-            if v < math.inf and v <= best[slot][0]:
-                col = _least(inside, np.flatnonzero(vals == v))
-                best[slot] = min(best[slot], (v, tuple(np.flatnonzero(inside[:, col]).tolist())))
     (best_ratio, best_set), (worst, witness) = best
     return best_ratio, best_set, worst, witness, examined
 

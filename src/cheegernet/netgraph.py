@@ -282,6 +282,8 @@ def build_quotient_mesh(spec: SurfaceSpec, params: NetBuildParams):
 # ---------------------------------------------------------------------------
 # Quasi-isometry constant estimation
 
+_PAIR_CHUNK = 1 << 16  # mapped pairs whose per-hop extremes are gathered at a time
+
 
 @dataclass(frozen=True)
 class QIReport:
@@ -301,45 +303,39 @@ class QIReport:
         }
 
 
-def _pair_matrices(graph_a: Graph, graph_b: Graph, vmap):
-    """Hop counts of the mapped pairs i < j in graph_a, distances between
-    their images in graph_b, and the rows of graph_b's weighted distance
-    matrix at the images, one per mapped vertex; vmap maps vertex indices
-    of graph_a to those of graph_b.  Both graphs are asked only for the
-    rows of the mapped vertices and their images, so neither n x n matrix
-    is built; the image rows keep every column, which fullness reads."""
+def estimate_qi_constants(graph_a: Graph, graph_b: Graph, vmap) -> QIReport:
+    """Grid search for quasi-isometry constants of vmap, which maps vertex
+    indices of graph_a to those of graph_b, over alpha = 1.0, 1.25, ..., 8.0.
+
+    beta(alpha) is the least beta >= 0 with da/alpha - beta <= db <=
+    alpha*da + beta over the mapped pairs i < j: da is their hop count in
+    graph_a, db the distance between their images in graph_b, read from
+    the mapped x mapped and image x image distance matrices.  The largest
+    and smallest db at each distinct da are gathered a chunk of rows at a
+    time by maximum.at and minimum.at, so no pair is sorted and no index
+    vector over all pairs is held.  Rounding is monotone, so db - alpha*da
+    is largest at the largest db and da/alpha - db at the smallest, and the
+    table has the same bits as the pair-by-pair maximum.  beta(alpha) is
+    non-increasing, so the search reports the knee: the smallest grid alpha
+    whose beta comes within 0.5 of the best beta on the grid.  Fullness is
+    the largest distance from a vertex of graph_b to its nearest image,
+    kept by the same composition as the image rows.
+    """
     dom = sorted(vmap)
     if len(dom) < 2:
         raise DomainError("quasi-isometry estimate needs at least two mapped vertices")
     img = [vmap[i] for i in dom]
-    da = graph_a.distance_matrix(rows=dom)[:, dom]
-    image_rows = graph_b.distance_matrix(weighted=True, rows=img)
-    iu = np.triu_indices(len(dom), k=1)
-    return da[iu], image_rows[:, img][iu], image_rows
-
-
-def estimate_qi_constants(graph_a: Graph, graph_b: Graph, vmap) -> QIReport:
-    """Grid search for quasi-isometry constants of vmap over alpha = 1.0,
-    1.25, ..., 8.0.
-
-    beta(alpha) is the least beta >= 0 with da/alpha - beta <= db <=
-    alpha*da + beta over the mapped pairs.  It is computed from the
-    largest and smallest db at each distinct hop distance da, gathered by
-    maximum.at and minimum.at indexed by da, so no pair is sorted.
-    Rounding is monotone, so db - alpha*da is largest at the largest db
-    and da/alpha - db at the smallest, and the table has the same bits as
-    the pair-by-pair maximum.  beta(alpha) is non-increasing, so the search
-    reports the knee: the smallest grid alpha whose beta comes within 0.5
-    of the best beta on the grid.  Fullness is the largest distance from
-    any vertex of the target to the image.
-    """
-    da, db, image_rows = _pair_matrices(graph_a, graph_b, vmap)
-    ndom = image_rows.shape[0]
-    hops = np.flatnonzero(np.bincount(da))
-    db_max = np.full(hops[-1] + 1, -np.inf)
-    db_min = np.full(hops[-1] + 1, np.inf)
-    np.maximum.at(db_max, da, db)
-    np.minimum.at(db_min, da, db)
+    db, near = graph_b.distance_matrix(weighted=True, rows=img, cols=img, nearest=True)
+    da = graph_a.distance_matrix(rows=dom, cols=dom)
+    db_max = np.full(int(da.max()) + 1, -np.inf)
+    db_min = np.full(len(db_max), np.inf)
+    step = max(1, _PAIR_CHUNK // len(dom))
+    for s in range(0, len(dom), step):
+        upper = np.arange(len(dom)) > np.arange(s, min(s + step, len(dom)))[:, None]
+        hop, dist = da[s:s + step][upper], db[s:s + step][upper]
+        np.maximum.at(db_max, hop, dist)
+        np.minimum.at(db_min, hop, dist)
+    hops = np.flatnonzero(db_min <= db_max)
     db_max, db_min, hops = db_max[hops], db_min[hops], hops.astype(np.float64)
     table = []
     for alpha in (1.0 + 0.25 * k for k in range(29)):
@@ -348,18 +344,9 @@ def estimate_qi_constants(graph_a: Graph, graph_b: Graph, vmap) -> QIReport:
         beta = float(max(0.0, over.max(), under.max()))
         table.append((float(alpha), beta))
     best_beta = min(b for _, b in table)
-    alpha_star, beta_star = next(
-        (a, b) for a, b in table if b <= best_beta + 0.5
-    )
-
-    fullness = float(image_rows.min(axis=0).max())
-    return QIReport(
-        alpha=alpha_star,
-        beta=beta_star,
-        fullness=fullness,
-        pairs=ndom * (ndom - 1) // 2,
-        table=tuple(table),
-    )
+    alpha_star, beta_star = next((a, b) for a, b in table if b <= best_beta + 0.5)
+    return QIReport(alpha=alpha_star, beta=beta_star, fullness=float(near.max()),
+                    pairs=len(dom) * (len(dom) - 1) // 2, table=tuple(table))
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,8 @@ from conftest import (boundary_split, boundary_vertex_set, criterion_line, cycle
                       label_adjacency, mask_members, random_connected_graph, random_spec,
                       random_tree)
 from cheegernet import families, graphtools, isoperimetry, netgraph, surface
-from cheegernet.hypmath import (
-    ARCSINH_ONE,
-    delta1,
-    shrunk_collar_area_bound,
-    thin_boundary_length,
-    thin_collar_area,
-    thin_separation,
-)
+from cheegernet.hypmath import ARCSINH_ONE, delta1, thin_boundary_length, thin_collar_area
+from test_hypmath import shrunk_collar_area_bound, thin_separation
 
 EPS = ARCSINH_ONE / 2.0
 DELTA = 0.9 * delta1(EPS)

@@ -298,6 +298,53 @@ class TestBlockComposedMatrix:
                 assert got.dtype == full.dtype and got.shape == (len(rows), g.n)
                 assert got.tobytes() == full[rows].tobytes()
 
+    @staticmethod
+    def check_rows_and_columns(g: Graph, weighted: bool, rows, cols):
+        full = g.distance_matrix(weighted=weighted)
+        got, near = g.distance_matrix(weighted=weighted, rows=rows, cols=cols, nearest=True)
+        assert got.dtype == near.dtype == full.dtype
+        assert got.shape == (len(rows), len(cols)) and near.shape == (g.n,)
+        assert got.tobytes() == full[np.ix_(rows, cols)].tobytes()
+        assert near.tobytes() == full[rows].min(axis=0).tobytes()
+        assert g.distance_matrix(weighted=weighted, rows=rows, cols=cols).tobytes() == got.tobytes()
+
+    def test_rows_and_columns_are_entries_of_the_full_matrix(self):
+        """Any rows and columns, repeats and cut vertices among them, with
+        and without the first vertex, and the distance from every vertex
+        to its nearest row, against the full matrix byte for byte."""
+        rng = random.Random(1985)
+        for trial in range(300):
+            weighted = trial % 2 == 1
+            g, _ = glued_blocks(rng, rng.randint(1, 12), weighted=weighted)
+            cuts = [i for i in range(g.n)
+                    if sum(i in b for b in biconnected_components(g)) > 1]
+            rows = random_rows(rng, g.n) + rng.sample(cuts, rng.randint(0, len(cuts)))
+            if trial % 3:
+                rows.append(0)
+            else:
+                rows = [i for i in rows if i != 0] or [g.n - 1]
+            rng.shuffle(rows)
+            cols = random_rows(rng, g.n) + rng.sample(cuts, rng.randint(0, len(cuts)))
+            for c in (cols, [], cols[:1]):
+                self.check_rows_and_columns(g, weighted, rows, c)
+
+    def test_rows_and_columns_of_tiny_graphs(self):
+        single = Graph()
+        single.add_vertex("a")
+        edge = Graph()
+        edge.add_edge("a", "b", 2.5)
+        for weighted in (False, True):
+            self.check_rows_and_columns(single, weighted, [0, 0], [0])
+            self.check_rows_and_columns(single, weighted, [0], [])
+            for rows in ([0], [1], [1, 0, 1]):
+                for cols in ([], [1], [1, 1, 0]):
+                    self.check_rows_and_columns(edge, weighted, rows, cols)
+
+    def test_nearest_needs_a_row(self):
+        for g in (path_graph(1), path_graph(4)):
+            with pytest.raises(DomainError, match="at least one row"):
+                g.distance_matrix(rows=[], nearest=True)
+
     @pytest.mark.parametrize("name", ["flute8", "gen12", "loop", "pants_tree3"])
     def test_nets_and_meshes_bit_for_bit(self, name):
         golden = Path(__file__).resolve().parent / "golden"

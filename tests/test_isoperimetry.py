@@ -4,6 +4,7 @@ and trend classification."""
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,6 +215,23 @@ class TestDomainReports:
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
             domain_reports(families.flute(3), 0.0)
+
+    def test_chunks_do_not_overlap_in_memory(self):
+        """A 300-piece chain at cap 300 takes three chunks, at cap 60 one
+        nearly full one; each chunk's arrays must die before the next chunk
+        is built, so the three-chunk scan peaks no higher than the one-chunk
+        scan.  Keeping one chunk alive while the next is built costs about
+        5 MiB on top of the one-chunk peak of about 7 MiB."""
+        peaks = []
+        for cap in (60, 300):
+            tracemalloc.start()
+            try:
+                iso, _ = domain_reports(families.flute(300), 0.3, max_pieces=cap)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert -(-iso.examined // isoperimetry._CHUNK) == (1 if cap == 60 else 3)
+        assert peaks[1] < 1.25 * peaks[0]
 
 
 class TestRegularity:

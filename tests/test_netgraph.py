@@ -3,6 +3,7 @@ estimation."""
 
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -439,6 +440,23 @@ class TestQI:
             rep = estimate_qi_constants(a, b, vmap)
             assert (rep.alpha, rep.beta, rep.fullness, rep.table) == qi_oracle(
                 a, b, vmap, DEFAULT_ALPHAS)
+
+    def test_peak_memory_below_one_image_row_matrix(self):
+        """Only the mapped x mapped hop counts, the image x image distances,
+        the whole rows of the mesh's cut vertices and a chunk of pairs are
+        held, so the peak stays below one float64 matrix of the images'
+        rows over every mesh vertex, which the estimate once held three
+        copies of."""
+        spec = families.pants_tree(6)
+        net = build_net(spec, PARAMS)
+        mesh, vmap = build_quotient_mesh(spec, PARAMS)
+        tracemalloc.start()
+        try:
+            estimate_qi_constants(net.graph, mesh, vmap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(vmap) * mesh.n * 8
 
     def test_qi_searches_fewer_sources_than_mesh_vertices(self, monkeypatch, capsys):
         """`qi` asks the mesh only for the image rows, so it runs fewer
