@@ -10,6 +10,15 @@ JSON object otherwise or when the text is None, so `validate` writes JSON
 whatever --format says.  `net` builds only the form asked for: json, the
 csv edge list or dot; --format dot exits 3 for every other command.
 
+JSON goes through `to_json`, which returns exactly the bytes of
+`json.dumps(obj, sort_keys=True, indent=2)`: json's `NaN`, `Infinity` and
+`-Infinity`, its ASCII escapes (`\\u00e9` for é), floats as
+`float.__repr__` writes them, and TypeError wherever that call raises it.
+With `indent` the standard library leaves its C encoder for a pure-Python
+one; `to_json` writes a list of same-shape rows (the net's edge triples and
+vertex records, the `qi` table) by one `%` format over all rows, and
+everything else by a plain recursion.
+
 `isoperimetry` and `sweep` take h_g and the regularity constant of each spec
 from one enumeration pass (`isoperimetry.domain_reports`); a sweep runs it
 for the family's instances one after another.  `validate` and `sweep` look
@@ -23,8 +32,11 @@ failure (tolerance/scale arguments outside their admissible ranges).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
+from math import isfinite
+from operator import itemgetter
 from pathlib import Path
 
 from . import families, graphtools, isoperimetry, netgraph, surface
@@ -57,6 +69,107 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="json", choices=["json", "csv", "dot"],
                    dest="fmt")
     return p
+
+
+_INF = float("inf")
+# Row columns of these exact types are written by one conversion each; for
+# an exact float, %r is float.__repr__.
+_CONVERSION = {int: "%d", float: "%r", str: "%s"}
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    return "-Infinity" if x == -_INF else float.__repr__(x)
+
+
+def _key_text(k) -> str:
+    if isinstance(k, str):
+        return _quote(k)
+    if k is None or isinstance(k, (int, float)):
+        return '"' + to_json(k) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _rows(rows, pad: str):
+    """The text of a list of two or more rows of one shape, or None.
+
+    The rows must be lists or tuples of one length, or dicts with one set of
+    str keys, and every value of a column must have one exact type: int,
+    float (finite) or str.  The list is written by one `%` format over a
+    repeated row template, with one conversion per column and each str
+    column quoted by one `map`."""
+    kinds = set(map(type, rows))
+    first = rows[0]
+    if kinds <= {list, tuple}:
+        width, brackets, heads = len(first), "[]", [""] * len(first)
+        columns = list(zip(*rows))
+    elif kinds == {dict} and set(map(type, first)) == {str}:
+        keys = sorted(first)
+        width, brackets = len(keys), "{}"
+        heads = [_quote(k).replace("%", "%%") + ": " for k in keys]
+        try:
+            columns = [list(map(itemgetter(k), rows)) for k in keys]
+        except KeyError:
+            return None
+    else:
+        return None
+    if not width or set(map(len, rows)) != {width}:
+        return None
+    values = []
+    for i, column in enumerate(columns):
+        kind = type(column[0])
+        if kind not in _CONVERSION or set(map(type, column)) != {kind}:
+            return None
+        if kind is float and not all(map(isfinite, column)):
+            return None
+        heads[i] += _CONVERSION[kind]
+        values.append(list(map(_quote, column)) if kind is str else column)
+    inner, item = "\n" + pad + "  ", ",\n" + pad + "    "
+    row = brackets[0] + item[1:] + item.join(heads) + inner + brackets[1]
+    template = "[" + inner + ("," + inner).join([row] * len(rows)) + "\n" + pad + "]"
+    return template % tuple(chain.from_iterable(zip(*values)))
+
+
+def to_json(obj, pad: str = "") -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2)`, byte for byte, with each
+    line after the first indented by a further `pad`.
+
+    It raises TypeError wherever that call does.  Floats are written as
+    `float.__repr__` writes them and `NaN`, `Infinity`, `-Infinity` as json
+    does, ints by `int.__repr__`, strings with json's ASCII escapes, tuples
+    as lists and dicts in `sorted(d.items())` order with json's key
+    conversion.  A list of two or more rows of one shape goes through
+    `_rows`, one format over all rows, in place of one call per value."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float_text(obj)
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        text = _rows(obj, pad) if len(obj) > 1 else None
+        if text is not None:
+            return text
+        items = [to_json(v, inner) for v in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_key_text(k) + ": " + to_json(v, inner) for k, v in sorted(obj.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
 def _kv_csv(obj: dict) -> str:
@@ -145,7 +258,7 @@ def _cmd_net(args, params):
     curves = spec.gluings + spec.opens
     return EXIT_OK, {
         "vertices": [{"index": i, "tag": tag} for i, tag in enumerate(tags)],
-        "edges": [list(e) for e in g.edges()],
+        "edges": list(g.edges()),
         "degree_bound": netgraph.degree_bound(
             params, max_curve_length=max((c.length for c in curves), default=1.0)),
         "max_degree": netgraph.max_degree(g),
@@ -247,7 +360,7 @@ def main(argv=None) -> int:
             raise DomainError(f"unknown {args.command} mode {args.mode!r}")
         code, obj, text = _COMMANDS[args.command](args, params)
         if text is None or args.fmt == "json":
-            text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+            text = to_json(obj) + "\n"
         sys.stdout.write(text)
         return code
     except DomainError as e:

@@ -39,7 +39,6 @@ __all__ = [
     "PIECES",
     "load_family",
     "bundled_path",
-    "bundled_families",
 ]
 
 
@@ -191,13 +190,3 @@ def load_family(source: str | Path | dict, name: str | None = None) -> Family:
 def bundled_path(filename: str) -> Path:
     """Filesystem path of a bundled data file."""
     return Path(str(resources.files("cheegernet").joinpath("data", filename)))
-
-
-def bundled_families() -> dict[str, Path]:
-    """The four shipped family files, keyed by builder name."""
-    return {
-        "flute": bundled_path("flute.family.json"),
-        "shrinking_flute": bundled_path("shrinking.family.json"),
-        "pants_tree": bundled_path("tree.family.json"),
-        "genus_ladder": bundled_path("genus.family.json"),
-    }

@@ -1,9 +1,9 @@
-"""Shared test helpers: seeded random specs and graphs, brute-force
-connectivity, the recursive piece-set enumeration oracle, the
-boundary-split oracle, the edge-stack block oracle, the per-y ultrametric
-defect oracle, the label-by-label net and mesh builders with the dict
-searches they were searched with, the boundary vertex sets of a piece
-set, and the acceptance-line printer."""
+"""Shared test helpers: the shipped family files, seeded random specs and
+graphs, brute-force connectivity, the recursive piece-set enumeration
+oracle, the boundary-split oracle, the edge-stack block oracle, the per-y
+ultrametric defect oracle, the label-by-label net and mesh builders with
+the dict searches they were searched with, the boundary vertex sets of a
+piece set, and the acceptance-line printer."""
 
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
+from cheegernet.families import bundled_path
 from cheegernet.graphtools import Graph
 from cheegernet.hypmath import DomainError, cusp_collar, thin_boundary_length
 from cheegernet.netgraph import NetGraph, _check_sample_budget, _piece_spoke_weight
@@ -44,6 +45,16 @@ def criterion_line(tag: str, passed: bool, detail: str = "") -> None:
     else:
         sys.stdout.write(msg + "\n")
         sys.stdout.flush()
+
+
+def bundled_families() -> dict:
+    """The four shipped family files, keyed by builder name."""
+    return {
+        "flute": bundled_path("flute.family.json"),
+        "shrinking_flute": bundled_path("shrinking.family.json"),
+        "pants_tree": bundled_path("tree.family.json"),
+        "genus_ladder": bundled_path("genus.family.json"),
+    }
 
 
 def random_spec(

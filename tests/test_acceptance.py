@@ -15,8 +15,8 @@ import time
 
 import numpy as np
 
-from conftest import (boundary_split, boundary_vertex_set, criterion_line, cycle_graph,
-                      label_adjacency, mask_members, random_connected_graph, random_spec,
+from conftest import (boundary_split, boundary_vertex_set, bundled_families, criterion_line,
+                      cycle_graph, label_adjacency, mask_members, random_connected_graph, random_spec,
                       random_tree)
 from cheegernet import families, graphtools, isoperimetry, netgraph, surface
 from cheegernet.hypmath import ARCSINH_ONE, delta1, thin_boundary_length, thin_collar_area
@@ -31,7 +31,7 @@ TOL = 1e-9
 def bundled_specs():
     """The shipped example spec plus every instance of the shipped families."""
     out = [("flute8", surface.load_spec(families.bundled_path("flute8.json")))]
-    for name, path in sorted(families.bundled_families().items()):
+    for name, path in sorted(bundled_families().items()):
         fam = families.load_family(path)
         for v in fam.values():
             out.append((f"{name}({v})", fam.instance(v)))

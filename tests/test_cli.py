@@ -4,16 +4,18 @@ import inspect
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cheegernet
-from cheegernet import families
-from cheegernet.cli import main
+from cheegernet import cli, families
+from cheegernet.cli import main, to_json
 from cheegernet.hypmath import DomainError
 from cheegernet.isoperimetry import CSV_HEADER
 
@@ -469,6 +471,166 @@ class TestCommands:
         doc = json.loads(out)
         assert doc["family"] == "flute"
         assert len(doc["rows"]) == 4
+
+
+def json_dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+def assert_writes_like_json(obj):
+    """`to_json` gives the bytes of `json.dumps(..., sort_keys=True,
+    indent=2)`, or raises TypeError where that call does."""
+    try:
+        expected = json_dumps(obj)
+    except TypeError:
+        with pytest.raises(TypeError):
+            to_json(obj)
+    else:
+        assert to_json(obj) == expected
+
+
+NAN, INF = float("nan"), float("inf")
+TEXTS = ["", "a", "tag", "%", "%s", "%%d", '"', "\\", "é", "\u2603", "\U0001d11e", "\n\t",
+         "\x00", "net 0 1 2"]
+
+
+def random_text(rng) -> str:
+    return "".join(rng.choice(TEXTS) for _ in range(rng.randint(0, 3)))
+
+
+def random_float(rng) -> float:
+    return rng.choice([rng.uniform(-1e3, 1e3), rng.random(), 1e16, 1e-7, -0.0, 5e-324, 1e308,
+                       float(rng.randint(-5, 5)), NAN, INF, -INF, np.float64(rng.random())])
+
+
+def random_scalar(rng, kind=None):
+    kind = kind or rng.choice(["int", "float", "str", "bool", "None"])
+    if kind == "int":
+        return rng.choice([rng.randint(-9, 9), rng.randint(-10**20, 10**20)])
+    if kind == "float":
+        return random_float(rng)
+    if kind == "str":
+        return random_text(rng)
+    return None if kind == "None" else rng.random() < 0.5
+
+
+def random_key(rng):
+    return random_text(rng) if rng.random() < 0.9 else random_scalar(rng)
+
+
+def random_rows(rng, depth: int) -> list:
+    """Rows of one shape, each column of one kind, then sometimes spoilt by
+    one value of another kind, a ragged row or a different key set, or by a
+    dict row written as a list."""
+    width = rng.randint(0, 4)
+    kinds = [rng.choice(["int", "float", "str", "str", "int"]) for _ in range(width)]
+    keys = [random_text(rng) for _ in range(width)]
+    shape = rng.choice([list, tuple, dict])
+    rows = []
+    for _ in range(rng.randint(1, 5)):
+        values = [random_scalar(rng, kind) for kind in kinds]
+        rows.append(dict(zip(keys, values)) if shape is dict else shape(values))
+    spoil = rng.randrange(6)
+    i = rng.randrange(len(rows))
+    if spoil == 0 and width:
+        j = rng.randrange(width)
+        value = random_doc(rng, depth - 1)
+        if shape is dict:
+            rows[i][keys[j]] = value
+        else:
+            rows[i] = shape([*rows[i][:j], value, *rows[i][j + 1:]])
+    elif spoil == 1:
+        rows[i] = dict(rows[i], **{random_text(rng): 1}) if shape is dict else shape([*rows[i], 1])
+    elif spoil == 2:
+        rows[i] = list(rows[i].values()) if shape is dict else rows[i]
+    return rows
+
+
+def random_doc(rng, depth: int = 3):
+    pick = rng.random()
+    if depth <= 0 or pick < 0.3:
+        return random_scalar(rng)
+    if pick < 0.6:
+        return random_rows(rng, depth)
+    if pick < 0.8:
+        items = [random_doc(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+        return items if rng.random() < 0.8 else tuple(items)
+    return {random_key(rng): random_doc(rng, depth - 1) for _ in range(rng.randint(0, 4))}
+
+
+class TestJsonWriter:
+    """`cli.to_json` against the call it replaces."""
+
+    def test_random_documents(self):
+        rng = random.Random(20260)
+        for _ in range(20_000):
+            assert_writes_like_json(random_doc(rng))
+
+    @pytest.mark.parametrize("rows, fast", [
+        # edge triples, vertex records and a qi table: the fast path
+        ([(0, 1, 0.5), (1, 2, 1e16), (2, 0, 1e-7)], True),
+        ([{"index": 0, "tag": "hub 0"}, {"index": 1, "tag": "net 0 1 2"}], True),
+        ([[1.0, 4.0], [1.25, 2.0], [-0.0, 5e-324]], True),
+        ([[1, "a"], (2, "b")], True),
+        ([{"%s": "%d", 'a"b': "\\", "é": "\u2603"}, {"%s": "%", 'a"b': '"', "é": "\n"}], True),
+        ([[10**30, "%(x)s"], [-10**30, "%%"]], True),
+        # NaN and infinities
+        ([[1.0, NAN], [2.0, 3.0]], False),
+        ([[INF, 1], [2.0, 1]], False),
+        ([{"a": -INF}, {"a": 0.5}], False),
+        # bool, None and mixed columns
+        ([[True, 1], [False, 2]], False),
+        ([[1, 1], [True, 2]], False),
+        ([[None, 1.5], [None, 2.5]], False),
+        ([[1, 2.0], [2.0, 1]], False),
+        ([["a", 1], [1, "a"]], False),
+        ([[np.float64(0.1), 1], [np.float64(1e16), 2]], False),
+        ([[1.5, [1, 2]], [2.5, [3]]], False),
+        # ragged rows and different key sets
+        ([[1, 2], [1]], False),
+        ([[1, 2], [1, 2, 3]], False),
+        ([{"a": 1}, {"b": 1}], False),
+        ([{"a": 1, "b": 2}, {"a": 1}], False),
+        ([{"a": 1}, {"a": 1, "b": 2}], False),
+        ([{"a": 1}, [1]], False),
+        # empty rows, non-str keys and one-row lists
+        ([[], []], False),
+        ([{}, {}], False),
+        ([{1: 2}, {1: 3}], False),
+        ([{NAN: 1.5, "b": 1}, {NAN: 2.5, "b": 1}], False),
+        ([[1, 2]], False),
+        ([{"index": 0, "tag": "hub 0"}], False),
+    ])
+    def test_row_lists(self, rows, fast):
+        assert (len(rows) > 1 and cli._rows(rows, "") is not None) == fast
+        assert_writes_like_json(rows)
+        assert_writes_like_json({"rows": rows, "nested": [rows, tuple(rows)]})
+
+    @pytest.mark.parametrize("obj", [
+        NAN, INF, -INF, [NAN, INF, -INF], {"x": NAN},
+        np.float64(0.1), [np.float64(1e16), np.float64(NAN)], {"v": np.float64(2.5)},
+        {np.float64(0.5): 1}, (1, (2, 3)), [(1, 2.5)], [], {}, [[]], {"a": {}}, [{}],
+        {1: "a", 2: "b", 10: "c"}, {1.5: 1, -2.5: 2}, {True: 1}, {False: 0}, {None: 1},
+        {NAN: 1}, {INF: 1, -INF: 2}, {10**30: 1}, {"%": 1, '"': 2, "\\": 3, "é": 4},
+        "%s\"\\é\u2603\x7f", True, False, None, 0, -0.0, 10**40, type("S", (str,), {})("s"),
+    ])
+    def test_scalars_and_containers(self, obj):
+        assert_writes_like_json(obj)
+
+    @pytest.mark.parametrize("obj", [
+        np.int64(1), {1, 2}, object(), b"x", 1j, {(1, 2): 3}, {"a": 1, 1: 2},
+        [[1, np.int64(2)], [3, 4]], [{"a": 1, "b": {2}}], {"a": [np.bool_(True)]},
+    ])
+    def test_type_errors_where_json_raises_them(self, obj):
+        with pytest.raises(TypeError):
+            json_dumps(obj)
+        with pytest.raises(TypeError):
+            to_json(obj)
+
+    def test_net_json_is_the_json_of_its_object(self, capsys):
+        code, out, _ = run_main(capsys, "net", FLUTE8)
+        assert code == 0
+        assert out == json_dumps(json.loads(out)) + "\n"
 
 
 class TestInstalledEntryPoint:

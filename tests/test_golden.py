@@ -56,6 +56,11 @@ that commit replaced the Fiedler sweep and random blobs of the
 order, and only the JSON `examined` of `closed.cheeger.json.txt` changed
 (111 candidate sets to 4 min-cut solves); value and witness stayed the same.
 
+The commit that replaced `json.dumps(obj, sort_keys=True, indent=2)` in
+`cli.main` by `cli.to_json`, which writes same-shape rows by one format
+over all rows, rewrote no expected file: running this script on it left
+every one of them byte-identical.
+
 Re-running it rewrites every expected file; a change that is meant to keep
 the output must leave `git status` clean afterwards.
 """

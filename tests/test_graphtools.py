@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    bundled_families,
     cycle_graph,
     label_adjacency,
     oracle_bfs,
@@ -722,7 +723,7 @@ class TestExactAmbientCheeger:
         assert calls["_greedy_flow"] == calls["_blocking_flow"] <= 8
 
     def test_every_bundled_instance_is_exact(self):
-        for path in families.bundled_families().values():
+        for path in bundled_families().values():
             fam = families.load_family(path)
             for v in range(fam.lo, fam.hi + 1):
                 net = build_net(fam.builder(v), cli_params())
