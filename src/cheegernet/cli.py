@@ -23,7 +23,8 @@ everything else by a plain recursion.
 from one enumeration pass (`isoperimetry.domain_reports`); a sweep runs it
 for the family's instances one after another.  `validate` and `sweep` look
 at the document first to tell family files (an object with a "family" or
-"param" key) from spec files.
+"param" key) from spec files; the seven other commands read only specs and
+refuse a family file with exit 2 and a message naming `validate` and `sweep`.
 
 Exit codes: 0 success, 2 input or spec validation failure, 3 parameter
 failure (tolerance/scale arguments outside their admissible ranges).
@@ -177,13 +178,23 @@ def _kv_csv(obj: dict) -> str:
     return "key,value\n" + "".join(f"{k},{v}\n" for k, v in sorted(obj.items()))
 
 
+def _is_family(doc) -> bool:
+    """A family file holds an object with a "family" or "param" key."""
+    return isinstance(doc, dict) and ("family" in doc or "param" in doc)
+
+
 def _read(args):
-    """The input document, or the family it holds if it is a family file:
-    an object with a "family" or "param" key."""
+    """The input document, or the family it holds if it is a family file."""
     doc = surface.read_json(args.input)
-    if isinstance(doc, dict) and ("family" in doc or "param" in doc):
-        return families.load_family(doc, Path(args.input).stem)
-    return doc
+    return families.load_family(doc, Path(args.input).stem) if _is_family(doc) else doc
+
+
+def _spec(args) -> surface.SurfaceSpec:
+    """The spec in the input file, which must not be a family file."""
+    doc = surface.read_json(args.input)
+    if _is_family(doc):
+        raise SpecError(f"{args.input} is a family file: only validate and sweep read one")
+    return surface.spec_from_dict(doc)
 
 
 def _cmd_validate(args, params):
@@ -206,7 +217,7 @@ def _cmd_validate(args, params):
 
 
 def _cmd_thickthin(args, params):
-    spec = surface.load_spec(args.input)
+    spec = _spec(args)
     tt = surface.thick_thin(spec, params.eps)
     thin_idx = set(tt.thin_indices())
     out = {
@@ -235,7 +246,7 @@ def _cmd_thickthin(args, params):
 
 
 def _cmd_isoperimetry(args, params):
-    spec = surface.load_spec(args.input)
+    spec = _spec(args)
     iso, reg = isoperimetry.domain_reports(spec, params.delta,
                                            max_pieces=args.max_pieces)
     out = iso.to_dict()
@@ -247,7 +258,7 @@ def _cmd_isoperimetry(args, params):
 
 
 def _cmd_net(args, params):
-    spec = surface.load_spec(args.input)
+    spec = _spec(args)
     net = netgraph.build_net(spec, params)
     g = net.graph
     if args.fmt == "csv":
@@ -266,7 +277,7 @@ def _cmd_net(args, params):
 
 
 def _cmd_cheeger(args, params):
-    spec = surface.load_spec(args.input)
+    spec = _spec(args)
     if args.mode == "ambient" and not spec.opens:
         raise DomainError("the spec has no open curves, so ambient mode has no outer edge")
     net = netgraph.build_net(spec, params)
@@ -280,14 +291,14 @@ def _cmd_cheeger(args, params):
 
 
 def _cmd_hyperbolicity(args, params):
-    spec = surface.load_spec(args.input)
+    spec = _spec(args)
     rep = graphtools.hyperbolicity_delta(netgraph.build_net(spec, params).graph)
     return EXIT_OK, rep.to_dict(), _kv_csv({"delta": rep.delta, "exact": rep.exact,
                                             "base_dependence": rep.base_dependence})
 
 
 def _cmd_boundary(args, params):
-    spec = surface.load_spec(args.input)
+    spec = _spec(args)
     net = netgraph.build_net(spec, params)
     dmat = net.graph.distance_matrix()
     proxy = graphtools.boundary_proxy(net.graph, dmat, keep=netgraph.ring_samples(net))
@@ -314,7 +325,7 @@ def _cmd_boundary(args, params):
 
 
 def _cmd_qi(args, params):
-    spec = surface.load_spec(args.input)
+    spec = _spec(args)
     net = netgraph.build_net(spec, params)
     mesh, vmap = netgraph.build_quotient_mesh(spec, params)
     rep = netgraph.estimate_qi_constants(net.graph, mesh, vmap)

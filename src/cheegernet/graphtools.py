@@ -7,11 +7,16 @@ order and every report breaks ties toward it, so identical inputs give
 byte-identical outputs.  All-pairs distances are composed over the
 block-cut tree: BFS or Dijkstra runs only inside each biconnected block
 (found by an iterative Hopcroft-Tarjan search), and numpy adds the blocks'
-matrices across cut vertices.  Ratio cuts min cut(A)/|A| against a sink
-are exact, by Dinkelbach iteration over s-t min cuts from an iterative
-Dinic max flow in Python integers; ambient Cheeger constants use them,
-and so does the size-capped constant's upper bound on graphs too large to
-enumerate, over the two halves of the Fiedler order.
+matrices across cut vertices.  A net glues copies of a few gadgets, so
+most of its blocks share a shape (the same local adjacency, neighbour
+order and weights); blocks of one shape share one subgraph, and one call
+searches each shape from each position once and scans it once, while
+counts such as `quadruples` still add each block's share.  Ratio cuts
+min cut(A)/|A| against a sink are exact, by Dinkelbach iteration over s-t
+min cuts from an iterative Dinic max flow in Python integers; ambient
+Cheeger constants use them, and so does the size-capped constant's upper
+bound on graphs too large to enumerate, over the two halves of the
+Fiedler order.
 The four-point hyperbolicity constant is exact at every size: the largest
 over the same blocks, each scanned once by far-apart pairs on its own
 m x m matrix, which also yields the witness, so no n x n matrix is built.
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -208,9 +214,12 @@ class Graph:
         The matrix is composed over the block-cut tree.  A shortest path
         between two vertices of one block stays in that block, so all
         searches are BFS (or Dijkstra) on the subgraph of one block, whose
-        vertices are the positions in the block.  Blocks are added in
-        breadth-first order of the tree from the block of the first vertex,
-        each once: the first placed vertex a to reach a block is its
+        vertices are the positions in the block.  Blocks of one shape share
+        their subgraph, so the call keeps each search's row by (subgraph,
+        source position) while a block of that shape is still to come, and
+        runs each search once; the memo dies with the call.  Blocks are added
+        in breadth-first order of the tree from the block of the first
+        vertex, each once: the first placed vertex a to reach a block is its
         attachment, and all its other vertices are new, since the tree
         reaches each of them through this block alone.  The block gets
         D[old, new] = D[old, a] + d(a -> new) and
@@ -267,6 +276,17 @@ class Graph:
         pos = [0] * n  # placed column of a placed vertex
         col = [0] * n  # column of R of a stored placed vertex
         visited = [False] * len(blocks)
+        found: dict[tuple[Graph, int], np.ndarray] = {}  # (shape, source) -> its search
+        left = Counter(sub for _, sub in blocks)  # blocks of each shape not yet added
+
+        def search(sub: Graph, k: int) -> np.ndarray:
+            row = found.get((sub, k))
+            if row is None:
+                row = np.array((sub.dijkstra if weighted else sub.bfs_distances)(k), dtype=dtype)
+                if left[sub]:  # kept only for a later block of this shape
+                    found[sub, k] = row
+            return row
+
         wrows, rrows, count, width = 1, 0, 1, 1
         queue = [0]
         for a in queue:
@@ -275,14 +295,14 @@ class Graph:
                     continue
                 visited[b] = True
                 block, sub = blocks[b]
-                search = sub.dijkstra if weighted else sub.bfs_distances
+                left[sub] -= 1
                 at = block.index(a)
                 new = [k for k in range(len(block)) if k != at]
                 kept = [k for k in new if stored[block[k]]] if len(R) else []
                 end, stop = count + len(new), width + len(kept)
                 for j, k in enumerate(new):
                     pos[block[k]] = count + j
-                from_a = np.array(search(at), dtype=dtype)
+                from_a = search(sub, at)
                 W[:wrows, count:end] = W[:wrows, pos[a], None] + from_a[new]
                 if kept:
                     R[:rrows, width:stop] = R[:rrows, col[a], None] + from_a[kept]
@@ -294,7 +314,7 @@ class Graph:
                 wide = [k for k in new if whole[block[k]]]
                 fresh = wide + [k for k in new if own[block[k]]] if len(R) else wide
                 if fresh:
-                    local = np.array([search(k) for k in fresh], dtype=dtype)
+                    local = np.array([search(sub, k) for k in fresh])
                     top, cut = wrows + len(wide), len(wide)
                     W[wrows:top, count:end] = local[:cut, new]
                     W[wrows:top, :count] = local[:cut, at, None] + W[row[a], :count]
@@ -378,20 +398,26 @@ def biconnected_components(graph: Graph) -> list[list[int]]:
 def _block_graphs(graph: Graph) -> list[tuple[list[int], Graph]]:
     """Each block of a connected graph with at least two vertices, with
     its subgraph on the positions 0..m-1 in the block, neighbours in the
-    graph's order.  An edge whose ends share a block lies in it, since two
-    blocks share at most one vertex.  Raises if the graph is disconnected:
-    the block-cut tree of c components with B blocks of total size S has
-    S = n + B - c."""
+    graph's order.  Blocks of one shape, the same adjacency rows on those
+    positions with the same neighbour order and weights, get the same
+    subgraph object, so callers can search and scan a shape once.  An
+    edge whose ends share a block lies in it, since two blocks share at
+    most one vertex.  Raises if the graph is disconnected: the block-cut
+    tree of c components with B blocks of total size S has S = n + B - c."""
     adj = graph._adj
     where = [-1] * len(adj)  # position in the current block
+    shapes: dict[tuple, Graph] = {}
     out = []
     for block in biconnected_components(graph):
         for k, i in enumerate(block):
             where[i] = k
-        sub = Graph([{where[j]: w for j, w in adj[i].items() if where[j] >= 0} for i in block])
+        local = [{where[j]: w for j, w in adj[i].items() if where[j] >= 0} for i in block]
         for i in block:
             where[i] = -1
-        out.append((block, sub))
+        shape = tuple(tuple(row.items()) for row in local)
+        if shape not in shapes:
+            shapes[shape] = Graph(local)
+        out.append((block, shapes[shape]))
     if sum(len(block) for block, _ in out) - len(out) != len(adj) - 1:
         raise DomainError("distance matrix of a disconnected graph")
     return out
@@ -465,13 +491,16 @@ def hyperbolicity_delta(graph: Graph) -> HyperbolicityReport:
     block of four or more vertices fills its own m x m matrix by a BFS
     from each vertex of its subgraph, and is scanned on that matrix and
     its own neighbour lists by the far-apart-pair method of Cohen, Coudert
-    and Lancin ("On computing the
-    Gromov hyperbolicity", ACM JEA 2015); quadruples is the number of
-    quadruples those scans evaluated, summed over the blocks.  Each block's
-    scan keeps the quadruple of the far-apart pair that last raised its
-    delta and the first earlier pair attaining that value; the witness is
-    the smallest of these (in canonical vertex order) among the blocks
-    attaining delta, or the first four vertices when delta is 0.  So it
+    and Lancin ("On computing the Gromov hyperbolicity", ACM JEA 2015);
+    quadruples is the number of quadruples those scans evaluated, summed
+    over the blocks.  Blocks of one shape share their subgraph (see
+    _block_graphs), so each shape is searched and scanned once per call;
+    its local witness is mapped through each block's own vertices, and its
+    count is added once per block.  Each block's scan keeps the quadruple
+    of the far-apart pair that last raised its delta and the first earlier
+    pair attaining that value; the witness is the smallest of these (in
+    canonical vertex order) among the blocks attaining delta, or the first
+    four vertices when delta is 0.  So it
     lies in one block and attains delta, but it need not be the
     lexicographically first such quadruple.  base_dependence is the
     largest base-point delta, max over x, y, z of
@@ -484,12 +513,15 @@ def hyperbolicity_delta(graph: Graph) -> HyperbolicityReport:
     if graph.n < 4:
         return HyperbolicityReport(0.0, tuple(order), True, 0.0, 0)
     best2, witness, quadruples = 0, (0, 1, 2, 3), 0
+    scans: dict[Graph, tuple] = {}  # shape -> its scan
     for block, sub in _block_graphs(graph):
         m = len(block)
         if m < 4:
             continue
-        D = np.array([sub.bfs_distances(k) for k in range(m)], dtype=np.int32)
-        b2, count, local = _far_apart_scan([list(row) for row in sub._adj], D)
+        if sub not in scans:
+            D = np.array([sub.bfs_distances(k) for k in range(m)], dtype=np.int32)
+            scans[sub] = _far_apart_scan([list(row) for row in sub._adj], D)
+        b2, count, local = scans[sub]
         quadruples += count
         if b2 and b2 >= best2:
             found = tuple(block[k] for k in local)

@@ -147,6 +147,18 @@ class TestExitCodes:
         assert code == 2
         assert "family" in err
 
+    @pytest.mark.parametrize("command", [c for c in SPEC_COMMANDS if c != "validate"])
+    @pytest.mark.parametrize("key", ["family", "param"])
+    def test_family_file_names_the_family_commands(self, capsys, tmp_path, command, key):
+        """A spec command given a family file names the commands that read
+        one, not a Python function."""
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps({key: "flute" if key == "family" else N_1_2}))
+        code, out, err = run_main(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"cheegernet: invalid input: {path} is a family file: "
+                       "only validate and sweep read one\n")
+
     def test_spec_rejected_by_sweep(self, capsys):
         code, _, err = run_main(capsys, "sweep", FLUTE8)
         assert code == 2

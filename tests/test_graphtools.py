@@ -1038,6 +1038,132 @@ class TestBlockHyperbolicity:
             assert np.array_equal(_near(nbrs, D), want)
 
 
+NEXT_UP = 1.0 + 2.0 ** -52  # the least float above 1.0
+C5 = [(k, (k + 1) % 5) for k in range(5)]
+K4 = list(itertools.combinations(range(4), 2))
+WHEEL6 = [(0, k) for k in range(1, 7)] + [(k, k % 6 + 1) for k in range(1, 7)]
+# The cusp gadget of a net: hub 0, ring 1..6, special 7, edges in build_net's order.
+GADGET = ([(k, k % 6 + 1) for k in range(1, 7)] + [(7, k) for k in range(1, 7)]
+          + [(0, k) for k in range(1, 7)])
+
+
+def block_variants(edges) -> list:
+    """A block's edge list (u, v, weight) with unit weights, the same with
+    its first edge away from position 0 weighing NEXT_UP, and the same
+    edges written in reverse, which changes only the neighbour order."""
+    plain = [(u, v, 1.0) for u, v in edges]
+    heavier = list(plain)
+    k = next(k for k, (u, v, _) in enumerate(plain) if 0 not in (u, v))
+    heavier[k] = (plain[k][0], plain[k][1], NEXT_UP)
+    return [plain, heavier, plain[::-1]]
+
+
+def repeated_blocks(rng: random.Random, copies, chain: bool) -> Graph:
+    """One block per edge list in copies (on the positions 0..m-1), glued
+    at its position 0 to a vertex of the previous copy (chain) or of the
+    graph so far (tree), with the other positions added in order.  So
+    copies of one edge list have one local adjacency.  An end of an edge
+    weighing other than 1.0 is never a glue point: every weighted path
+    then sums to whole numbers, bar the single NEXT_UP edges, whatever the
+    order of its additions, and the composed matrix is exact."""
+    g = Graph()
+    g.add_vertex(0)
+    last, avoid = [0], set()
+    for edges in copies:
+        pool = [i for i in (last if chain else range(g.n)) if i not in avoid]
+        m = 1 + max(max(u, v) for u, v, _ in edges)
+        last = [rng.choice(pool)] + [g.add_vertex(g.n) for _ in range(m - 1)]
+        for u, v, w in edges:
+            g.add_edge(last[u], last[v], w)
+            if w != 1.0:
+                avoid |= {last[u], last[v]}
+    return g
+
+
+def shape_graphs(count: int) -> list:
+    """Chains and trees of up to 30 copies of C5, K4, a wheel and the net
+    gadget and their variants, a few of the shapes in each graph."""
+    rng = random.Random(2424)
+    variants = [block_variants(edges) for edges in (C5, K4, WHEEL6, GADGET)]
+    graphs = []
+    for trial in range(count):
+        pool = [v for kind in rng.sample(variants, rng.randint(1, 3))
+                for v in rng.sample(kind, rng.randint(1, 3))]
+        copies = [rng.choice(pool) for _ in range(rng.randint(2, 30))]
+        graphs.append((repeated_blocks(rng, copies, chain=trial % 2 == 0), copies))
+    return graphs
+
+
+def local_shape(sub: Graph) -> tuple:
+    return tuple(tuple(row.items()) for row in sub._adj)
+
+
+class TestShapeSharing:
+    """Blocks with one local adjacency share one subgraph, its searches in
+    distance_matrix and its scan in hyperbolicity_delta; blocks that differ
+    from it in one weight or only in neighbour order do not."""
+
+    def test_blocks_of_one_shape_share_one_subgraph(self):
+        for g, copies in shape_graphs(40):
+            blocks = graphtools._block_graphs(g)
+            assert len(blocks) == len(copies)
+            assert len({id(sub) for _, sub in blocks}) == len({tuple(c) for c in copies})
+            for (_, s1), (_, s2) in itertools.combinations(blocks, 2):
+                assert (s1 is s2) == (local_shape(s1) == local_shape(s2))
+
+    def test_matrices_match_per_source_searches(self):
+        """Hop counts and weighted distances, the full matrix and any rows,
+        columns and nearest-row distances, bit for bit."""
+        rng = random.Random(1952)
+        for trial, (g, copies) in enumerate(shape_graphs(80)):
+            weighted = trial % 4 >= 2
+            oracle = per_source_matrix(g, weighted)
+            if weighted and any(w != 1.0 for c in copies for _, _, w in c):
+                assert (oracle == NEXT_UP).any()
+            assert g.distance_matrix(weighted=weighted).tobytes() == oracle.tobytes()
+            rows, cols = random_rows(rng, g.n), random_rows(rng, g.n)
+            got, near = g.distance_matrix(weighted=weighted, rows=rows, cols=cols, nearest=True)
+            assert got.tobytes() == oracle[np.ix_(rows, cols)].tobytes()
+            assert near.tobytes() == oracle[rows].min(axis=0).tobytes()
+            got = g.distance_matrix(weighted=weighted, rows=rows)
+            assert got.tobytes() == oracle[rows].tobytes()
+
+    def test_hyperbolicity_matches_slices(self):
+        graphs = shape_graphs(60)
+        deltas = 0
+        for g, _ in graphs:
+            rep = hyperbolicity_delta(g)
+            assert (rep.delta, rep.witness, rep.quadruples) == sliced_hyperbolicity(g)
+            deltas += rep.delta > 0
+        assert deltas >= 30
+
+    @pytest.mark.parametrize("chain", [True, False])
+    def test_one_search_per_shape_and_source(self, monkeypatch, chain):
+        """30 copies of the 8-vertex gadget: one search from each of its
+        positions, whatever the number of copies."""
+        g = repeated_blocks(random.Random(30), [block_variants(GADGET)[0]] * 30, chain)
+        want = [per_source_matrix(g), per_source_matrix(g, True), sliced_hyperbolicity(g)]
+        calls = {"bfs_distances": 0, "dijkstra": 0}
+
+        def counting(name):
+            search = getattr(Graph, name)
+
+            def counted(self, source):
+                calls[name] += 1
+                return search(self, source)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(Graph, name, counting(name))
+        rep = hyperbolicity_delta(g)
+        assert (rep.delta, rep.witness, rep.quadruples) == want[2]
+        assert 0 < calls["bfs_distances"] <= 8
+        for weighted, name in ((False, "bfs_distances"), (True, "dijkstra")):
+            calls[name] = 0
+            assert np.array_equal(g.distance_matrix(weighted=weighted), want[weighted])
+            assert 0 < calls[name] <= 8
+
+
 def gromov_product(dmat: np.ndarray, i: int, j: int, o: int) -> float:
     """(i|j)_o from a distance matrix: the oracle for the proxy's products."""
     return (float(dmat[i, o]) + float(dmat[j, o]) - float(dmat[i, j])) / 2.0
