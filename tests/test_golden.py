@@ -63,13 +63,32 @@ every one of them byte-identical.
 
 Re-running it rewrites every expected file; a change that is meant to keep
 the output must leave `git status` clean afterwards.
+
+The large corpus pins the JSON output of the seven commands that read a
+spec and build or measure a surface on inputs far larger than the files
+above, by sha256 in `tests/golden/large.sha256`, which the same run
+writes: the family instances `pants_tree(7)`, `flute(40)`,
+`genus_ladder(10)` and `shrinking_flute(12)`, written to a temporary
+directory from `cheegernet.families`, and the three static files
+`gen40s{1,2,3}.json`, the benchmark's generated spec
+`perfbench/workloads.generated_spec(random.Random(seed), 40, 8, 12, 2)`
+for seeds 1 to 3.  Its nets have 241 to 2,476 vertices, where the order of
+weighted sums can move last bits.  `isoperimetry` on `pants_tree(7)` is
+left out: its capped domain scan takes seconds.  On a mismatch the test
+writes the output to a temporary file and names it, for a diff against
+the output of the commit that wrote the hashes.  The hashes were first
+written by the commit "Hash-pinned corpus of large outputs", which changed
+no source file.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -115,6 +134,54 @@ def _cases() -> dict:
 
 CASES = _cases()
 
+LARGE_FAMILIES = {
+    "pants_tree7": ("pants_tree", 7),
+    "flute40": ("flute", 40),
+    "genus_ladder10": ("genus_ladder", 10),
+    "shrinking_flute12": ("shrinking_flute", 12),
+}
+LARGE_FILES = {f"gen40s{seed}": GOLDEN / f"gen40s{seed}.json" for seed in (1, 2, 3)}
+LARGE_COMMANDS = ["thickthin", "isoperimetry", "net", "cheeger", "hyperbolicity", "boundary", "qi"]
+LARGE_CASES = [f"{name}.{command}.json" for name in [*LARGE_FAMILIES, *LARGE_FILES]
+               for command in LARGE_COMMANDS if (name, command) != ("pants_tree7", "isoperimetry")]
+LARGE_HASHES = GOLDEN / "large.sha256"
+
+
+def large_inputs(folder: Path) -> dict:
+    """Large-corpus input name -> spec path; the family instances are
+    written to folder, as documents that spec_from_dict reads back to the
+    builder's spec."""
+    paths = dict(LARGE_FILES)
+    for name, (builder, value) in LARGE_FAMILIES.items():
+        spec = families.BUILDERS[builder](value)
+        doc = {
+            "pieces": spec.pieces,
+            "gluings": [{"a": list(g.a), "b": list(g.b), "length": g.length} for g in spec.gluings],
+            "cusps": [list(c) for c in spec.cusps],
+            "opens": [{"at": list(o.at), "length": o.length} for o in spec.opens],
+        }
+        paths[name] = folder / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    return paths
+
+
+def large_output(case: str, paths: dict) -> str:
+    name, command, fmt = case.split(".")
+    code, out = run_cli([command, str(paths[name]), "--format", fmt])
+    if code != cli.EXIT_OK:
+        raise AssertionError(f"{case}: exit code {code}")
+    return out
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def read_large_hashes() -> dict:
+    """Case -> pinned sha256, from lines in the format of sha256sum."""
+    return {case: digest for digest, case in
+            (line.split() for line in LARGE_HASHES.read_text().splitlines())}
+
 
 def run_cli(argv: list) -> tuple[int, str]:
     out = io.StringIO()
@@ -136,6 +203,26 @@ def test_every_golden_file_has_a_case():
     assert on_disk == {f"{case}.txt" for case in CASES}
 
 
+@pytest.fixture(scope="module")
+def large_paths(tmp_path_factory):
+    return large_inputs(tmp_path_factory.mktemp("large"))
+
+
+@pytest.mark.parametrize("case", LARGE_CASES)
+def test_large(case, large_paths):
+    out = large_output(case, large_paths)
+    pinned = read_large_hashes()[case]
+    if sha256(out) != pinned:
+        with tempfile.NamedTemporaryFile("w", prefix=f"{case}.", suffix=".txt", delete=False) as f:
+            f.write(out)
+        pytest.fail(f"{case}: output sha256 {sha256(out)} is not the pinned {pinned}; "
+                    f"the output is in {f.name}")
+
+
+def test_every_large_hash_has_a_case():
+    assert sorted(read_large_hashes()) == sorted(LARGE_CASES)
+
+
 if __name__ == "__main__":
     for case, argv in sorted(CASES.items()):
         code, out = run_cli(argv)
@@ -143,3 +230,8 @@ if __name__ == "__main__":
             sys.exit(f"{case}: exit code {code}")
         (GOLDEN / f"{case}.txt").write_text(out)
     print(f"wrote {len(CASES)} golden files to {GOLDEN}")
+    with tempfile.TemporaryDirectory() as folder:
+        paths = large_inputs(Path(folder))
+        lines = [f"{sha256(large_output(case, paths))}  {case}\n" for case in sorted(LARGE_CASES)]
+    LARGE_HASHES.write_text("".join(lines))
+    print(f"wrote {len(lines)} hashes to {LARGE_HASHES}")
