@@ -108,19 +108,21 @@ class Graph:
     def add_ring(self, labels: list, weight: float = 1.0) -> range:
         """Add the new labels at consecutive indices, each vertex joined to
         the next and the last to the first (two vertices share one edge,
-        one has none), and return their index range."""
+        one has none), and return their index range.  The rows are written
+        at once, in the neighbour order of adding those edges one by one."""
         _check_weight(weight)
-        ring = range(self.n, self.n + len(labels))
+        first, last = self.n, self.n + len(labels) - 1
+        ring = range(first, last + 1)
         self._labels += labels
         self._index.update(zip(labels, ring))
         if len(self._index) != len(self._labels):
             raise DomainError("a ring label is already a vertex")
-        adj = self._adj
-        adj += [{} for _ in ring]
-        k = len(ring)
-        for j in range(k if k > 2 else k - 1):
-            u, v = ring[j], ring[(j + 1) % k]
-            adj[u][v] = adj[v][u] = weight
+        if first == last:
+            self._adj.append({})
+        elif first < last:
+            self._adj += ([{first + 1: weight, last: weight}]
+                          + [{i - 1: weight, i + 1: weight} for i in range(first + 1, last)]
+                          + [{last - 1: weight, first: weight}])
         return ring
 
     def link(self, i: int, targets, weight: float = 1.0) -> None:
@@ -333,7 +335,9 @@ class Graph:
                                    out=near[:count])
                 queue += [block[k] for k in new]
                 count, width = end, stop
-        out = W.take([row[i] for i in rows if whole[i]], axis=0).take([pos[j] for j in cols], axis=1)
+        out = W.take([row[i] for i in rows if whole[i]], axis=0)
+        del W  # so a full matrix peaks at two n x n copies, not three
+        out = out.take([pos[j] for j in cols], axis=1)
         if len(R):  # the whole rows among the rows asked for, then the own rows
             both, out = out, np.empty((len(rows), len(cols)), dtype=dtype)
             out[[p for p, i in enumerate(rows) if whole[i]]] = both
@@ -395,15 +399,15 @@ def biconnected_components(graph: Graph) -> list[list[int]]:
     return blocks
 
 
-def _block_graphs(graph: Graph) -> list[tuple[list[int], Graph]]:
+def _block_graphs(graph: Graph, task: str = "distance matrix") -> list[tuple[list[int], Graph]]:
     """Each block of a connected graph with at least two vertices, with
     its subgraph on the positions 0..m-1 in the block, neighbours in the
-    graph's order.  Blocks of one shape, the same adjacency rows on those
-    positions with the same neighbour order and weights, get the same
-    subgraph object, so callers can search and scan a shape once.  An
-    edge whose ends share a block lies in it, since two blocks share at
-    most one vertex.  Raises if the graph is disconnected: the block-cut
-    tree of c components with B blocks of total size S has S = n + B - c."""
+    graph's order.  Blocks of one shape, the same rows of (position,
+    weight) pairs, share one subgraph, built at the shape's first block, so
+    callers can search and scan a shape once.  An edge whose ends share a
+    block lies in it, since two blocks share at most one vertex.  Raises
+    "<task> of a disconnected graph" if the graph is: the block-cut tree
+    of c components with B blocks of total size S has S = n + B - c."""
     adj = graph._adj
     where = [-1] * len(adj)  # position in the current block
     shapes: dict[tuple, Graph] = {}
@@ -411,15 +415,16 @@ def _block_graphs(graph: Graph) -> list[tuple[list[int], Graph]]:
     for block in biconnected_components(graph):
         for k, i in enumerate(block):
             where[i] = k
-        local = [{where[j]: w for j, w in adj[i].items() if where[j] >= 0} for i in block]
+        shape = tuple([tuple([(where[j], w) for j, w in adj[i].items() if where[j] >= 0])
+                       for i in block])
         for i in block:
             where[i] = -1
-        shape = tuple(tuple(row.items()) for row in local)
-        if shape not in shapes:
-            shapes[shape] = Graph(local)
-        out.append((block, shapes[shape]))
+        sub = shapes.get(shape)
+        if sub is None:
+            sub = shapes[shape] = Graph([dict(row) for row in shape])
+        out.append((block, sub))
     if sum(len(block) for block, _ in out) - len(out) != len(adj) - 1:
-        raise DomainError("distance matrix of a disconnected graph")
+        raise DomainError(f"{task} of a disconnected graph")
     return out
 
 
@@ -459,21 +464,25 @@ def _far_apart_scan(nbrs: list[list[int]], D: np.ndarray) -> tuple[int, int, tup
     farther from y, no neighbour of y farther from x) are taken by
     decreasing distance, then lexicographically; each is checked against
     every earlier pair until its distance is at most 2*delta.  A pair that
-    raises delta keeps itself and the first earlier pair attaining it."""
+    raises delta keeps itself and the first earlier pair attaining it.
+    Pair distances are read once; each defect reads the rows D[x], D[y]."""
     near = _near(nbrs, D)
-    xs, ys = np.nonzero(np.triu(near & near.T, k=1))
-    keep = np.argsort(-D[xs, ys], kind="stable")
-    xs, ys = xs[keep], ys[keep]
+    xs, ys = np.nonzero(near & near.T)
+    upper = xs < ys
+    xs, ys = xs[upper], ys[upper]
+    dist = D[xs, ys]
+    keep = np.argsort(-dist, kind="stable")
+    xs, ys, dist = xs[keep], ys[keep], dist[keep]
     best2 = 0
     quadruples = 0
     witness = None
-    for p in range(1, len(xs)):
+    for p, d in enumerate(dist.tolist()[1:], 1):
         x, y = xs[p], ys[p]
-        d = int(D[x, y])
         if d <= best2:
             break
         v, w = xs[:p], ys[:p]
-        defect = d + D[v, w] - np.maximum(D[x, v] + D[y, w], D[x, w] + D[y, v])
+        dx, dy = D[x], D[y]
+        defect = d + dist[:p] - np.maximum(dx[v] + dy[w], dx[w] + dy[v])
         q = int(defect.argmax())
         if defect[q] > best2:
             best2 = int(defect[q])
@@ -500,21 +509,23 @@ def hyperbolicity_delta(graph: Graph) -> HyperbolicityReport:
     of the far-apart pair that last raised its delta and the first earlier
     pair attaining that value; the witness is the smallest of these (in
     canonical vertex order) among the blocks attaining delta, or the first
-    four vertices when delta is 0.  So it
-    lies in one block and attains delta, but it need not be the
-    lexicographically first such quadruple.  base_dependence is the
-    largest base-point delta, max over x, y, z of
-    min((x|z)_w, (z|y)_w) - (x|y)_w at base w.  Twice
-    that difference is d(x,y) + d(z,w) - max(d(x,z) + d(y,w),
-    d(x,w) + d(y,z)), so no base exceeds delta and each witness vertex
-    attains it: it equals delta.
+    four vertices when delta is 0.  So it lies in one block and attains
+    delta, but it need not be the lexicographically first such quadruple.
+    base_dependence is the largest base-point delta, max over x, y, z of
+    min((x|z)_w, (z|y)_w) - (x|y)_w at base w.  Twice that difference is
+    d(x,y) + d(z,w) - max(d(x,z) + d(y,w), d(x,w) + d(y,z)), so no base
+    exceeds delta and each witness vertex attains it: it equals delta.  A
+    disconnected graph raises DomainError at every size (from four
+    vertices up, by the block count).
     """
     order = graph.vertices()
     if graph.n < 4:
+        if not graph.is_connected():
+            raise DomainError("hyperbolicity of a disconnected graph")
         return HyperbolicityReport(0.0, tuple(order), True, 0.0, 0)
     best2, witness, quadruples = 0, (0, 1, 2, 3), 0
     scans: dict[Graph, tuple] = {}  # shape -> its scan
-    for block, sub in _block_graphs(graph):
+    for block, sub in _block_graphs(graph, "hyperbolicity"):
         m = len(block)
         if m < 4:
             continue
@@ -736,7 +747,8 @@ def min_ratio_cut(n: int, edges, pool) -> RatioCut:
     Math. Programming Study 1980).  Among them the lexicographically
     smallest sorted tuple is built greedily: the closure of the first
     vertex whose closure avoids t, then the closure of each later such
-    vertex below the current maximum.
+    vertex below the current maximum.  Arcs 2e and 2e + 1 run a -> b and
+    back for the e-th edge a < b kept, then s -> a and back per pool vertex.
     """
     pool = sorted(set(pool))
     if not pool:
@@ -751,24 +763,22 @@ def min_ratio_cut(n: int, edges, pool) -> RatioCut:
     adj: list[list[int]] = [[] for _ in range(k + 2)]
     to: list[int] = []
     base: list[int] = []  # integer weight of each arc, 0 if it leaves t or s
-
-    def arc_pair(u, v, w_uv, w_vu):
-        adj[u].append(len(to))
-        to.append(v)
-        base.append(w_uv)
-        adj[v].append(len(to))
-        to.append(u)
-        base.append(w_vu)
-
     for i, j, w in edges:
-        a, b = sorted((local[i], local[j]))
+        a, b = local[i], local[j]
         if a != b:
+            a, b = (a, b) if a < b else (b, a)
             num, den = w.as_integer_ratio()
             weight = num * (scale // den)
-            arc_pair(a, b, weight, 0 if b == t else weight)
+            adj[a].append(len(to))
+            adj[b].append(len(to) + 1)
+            to += (b, a)
+            base += (weight, 0 if b == t else weight)
     first_source = len(to)
     for a in range(k):
-        arc_pair(s, a, 0, 0)
+        adj[s].append(len(to))
+        adj[a].append(len(to) + 1)
+        to += (a, s)
+    base += [0] * (2 * k)
 
     ratio = Fraction(sum(base[e ^ 1] for e in adj[t]), k)
     solves = 0

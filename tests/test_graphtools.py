@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 from pathlib import Path
@@ -22,6 +23,7 @@ from conftest import (
     oracle_ultrametric_defect,
     random_connected_graph,
     random_tree,
+    same_layout,
 )
 from cheegernet import cli, families, graphtools, netgraph
 from cheegernet.graphtools import (
@@ -95,6 +97,34 @@ class TestGraph:
         assert D[0, 4] == 4
         assert (D == D.T).all()
         assert (np.diag(D) == 0).all()
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_add_ring_matches_edges_one_by_one(self, k):
+        """The rows written at once: the same labels, edges, weights and
+        neighbour order as joining each vertex to the next by add_edge."""
+        got, want = Graph(), Graph()
+        for g in (got, want):
+            g.add_edge("hub", "other", 2.0)
+        assert got.add_ring([("r", j) for j in range(k)], 0.5) == range(2, 2 + k)
+        for j in range(k):
+            want.add_vertex(("r", j))
+        for j in range(k if k > 2 else k - 1):
+            want.add_edge(("r", j), ("r", (j + 1) % k), 0.5)
+        assert same_layout(got, want)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_full_matrix_peaks_at_two_copies(self, weighted):
+        """The whole-row matrix W is dropped after the row gather, so the
+        column gather does not hold a third n x n copy."""
+        g = net_graph(families.pants_tree(5))
+        tracemalloc.start()
+        try:
+            D = g.distance_matrix(weighted=weighted)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert D.shape == (604, 604)
+        assert peak < 2.5 * D.nbytes
 
     def test_disconnected_raises(self):
         g = Graph()
@@ -821,6 +851,19 @@ class TestHyperbolicity:
         g = path_graph(3)
         rep = hyperbolicity_delta(g)
         assert rep.delta == 0.0 and rep.exact
+
+    def test_disconnected_raises_at_every_size(self):
+        """Below four vertices, where no block is scanned, and above."""
+        small = Graph()
+        for v in "abc":
+            small.add_vertex(v)
+        pair = path_graph(2)
+        pair.add_vertex(2)
+        large = cycle_graph(5)
+        large.add_vertex("x")
+        for g in (small, pair, large):
+            with pytest.raises(DomainError, match="^hyperbolicity of a disconnected graph$"):
+                hyperbolicity_delta(g)
 
 
 def four_point_defect(D: np.ndarray, q) -> float:
