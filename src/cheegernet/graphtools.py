@@ -20,7 +20,7 @@ Fiedler order.
 The four-point hyperbolicity constant is exact at every size: the largest
 over the same blocks, each scanned once by far-apart pairs on its own
 m x m matrix, which also yields the witness, so no n x n matrix is built.
-numpy does the four-point scans, the annulus counts of the perfectness
+numpy does the four-point scans, the one sort per row of the perfectness
 test and the subset enumerations of the size-capped Cheeger constant;
 single-source searches are plain BFS/Dijkstra over the int adjacency.
 Dijkstra's bits do not depend on its bookkeeping: a path's length is its
@@ -1023,16 +1023,18 @@ def ultrametric_defect(dists: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Uniform perfectness
+# Uniform perfectness and poles
+
+UP_PASS_S = 8.0  # uniform_perfectness passes at S <= UP_PASS_S
+POLE_MAX_MARGIN = 12  # has_pole holds when no vertex is farther from the geodesics
 
 
 @dataclass(frozen=True)
 class UPReport:
     passed: bool
     s_value: float | None
-    eps0: float | None
+    gap: tuple[float, float] | None
     reason: str
-    table: tuple
     n_points: int
     floor: float
 
@@ -1040,114 +1042,60 @@ class UPReport:
         return {
             "passed": self.passed,
             "s_value": self.s_value,
-            "eps0": self.eps0,
+            "gap": None if self.gap is None else list(self.gap),
             "reason": self.reason,
             "n_points": self.n_points,
             "floor": self.floor,
-            "table": [
-                {
-                    "s": s,
-                    "eps0": e0,
-                    "ok": ok,
-                    "fail_scale": fail_eps,
-                }
-                for s, e0, ok, fail_eps in self.table
-            ],
         }
 
 
-def _annulus_scales(realized: np.ndarray, a: float, floor: float, eps0: float) -> list:
-    """Test scales: realized distances plus a half-octave geometric ladder
-    from eps0 down to the proxy resolution floor.  The ladder is the
-    point: scale gaps with no realized distance must still be probed,
-    otherwise a cluster-and-gap spectrum looks perfect.  realized holds
-    the sorted distinct off-diagonal distances."""
-    dmax = float(realized.max()) if realized.size else 0.0
-    scales = {float(r) for r in realized if floor <= r < dmax}
-    step = a**-0.5
-    e = eps0
-    while e >= floor:
-        if e < dmax:
-            scales.add(e)
-        e *= step
-    return sorted(scales, reverse=True)
-
-
 def uniform_perfectness(dists: np.ndarray, a: float, radius: int) -> UPReport:
-    """Annulus test for S-uniform perfectness of a finite metric sample
-    taken in the visual metric of base `a` on the sphere of `radius`.
+    """The least S at which a finite metric sample, taken in the visual
+    metric of base `a` on the sphere of `radius`, is S-uniformly perfect
+    at every scale from the proxy resolution floor a^-(radius-1) up to its
+    diameter.
 
     A point x fails at scale eps if something lies beyond eps but the
-    annulus (eps/S, eps] around x is empty.  The space passes at S when no
-    point fails at any tested scale below some starting scale eps0, down
-    to the proxy resolution floor a^-(radius-1).
-    S runs over 1.5, 2, 3, 4, 6, 8 and eps0 over 1, 1/2 and 1/4 of the
-    largest distance.  Reported: the least passing S with the largest
-    passing eps0, or a failure with the obstructing scale.  The test counts, for
-    every point and every threshold any row can test, the entries at most
-    that threshold: one n x (thresholds + 1) table, small on proxies,
-    whose few distinct distances keep the thresholds few.
+    annulus (eps/S, eps] around x is empty.  With x's row sorted,
+    0 = r_0 <= r_1 <= ..., x fails exactly at the eps in [S r_j, r_{j+1})
+    of each gap r_j < r_{j+1}.  So no point fails in the window iff
+    S >= r_{j+1}/r_j for every gap with r_{j+1} > floor: S is the largest
+    such ratio, and none passes (s_value null) when such a gap starts at 0,
+    a point with nothing else within the floor.  S is the quotient rounded
+    up to the next float when it rounds below the ratio, so the S reported
+    always passes.  `gap` is the first gap of largest ratio in row-major
+    order, and the test passes at S <= UP_PASS_S.
     """
     n = dists.shape[0]
-    iu = np.triu_indices(n, k=1)
-    dmax = float(dists[iu].max()) if n > 2 else 0.0
-    if dmax == 0.0:
-        reason = f"degenerate proxy: {n} point(s)" if n <= 2 else "degenerate proxy: all points coincide"
-        return UPReport(passed=False, s_value=None, eps0=None, reason=reason, table=(),
-                        n_points=n, floor=math.nan)
-    floor = a ** (-(radius - 1))
-    realized = np.unique(dists[iu])
-    s_grid = (1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
-    fracs = (1.0, 0.5, 0.25)
-    ladders = {frac: _annulus_scales(realized, a, floor, frac * dmax) for frac in fracs}
-    # Every threshold any (S, eps0) row can test: the scales eps and the
-    # inner radii eps/S.  count[x, k] is the number of entries of row x at
-    # most query[k]: bincount the first query index >= each entry per row,
-    # then take running sums along the row.
-    tested = {frac: [eps for eps in ladders[frac] if eps <= frac * dmax] for frac in fracs}
-    query = np.unique([q for eps_list in tested.values() for eps in eps_list
-                       for q in [eps] + [eps / s for s in s_grid]])
-    first = np.searchsorted(query, dists, side="left") + (len(query) + 1) * np.arange(n)[:, None]
-    count = np.bincount(first.ravel(), minlength=n * (len(query) + 1))
-    count = count.reshape(n, len(query) + 1).cumsum(axis=1)
-    row_max = dists.max(axis=1)
-    table = []
-    best = None
-    for s in s_grid:
-        for frac in fracs:
-            eps0 = frac * dmax
-            fail_eps = None
-            eps_list = tested[frac]
-            if eps_list:
-                # x fails at eps when something lies beyond eps but no entry
-                # of its row lies in (eps/S, eps].
-                hi = np.searchsorted(query, eps_list)
-                lo = np.searchsorted(query, [eps / s for eps in eps_list])
-                beyond = row_max[:, None] > np.array(eps_list)[None, :]
-                empty = count[:, hi] == count[:, lo]
-                fails = (beyond & empty).any(axis=0)
-                if fails.any():
-                    fail_eps = eps_list[int(fails.argmax())]
-            ok = fail_eps is None and bool(ladders[frac])
-            table.append((s, eps0, ok, fail_eps))
-            if ok and best is None:
-                best = (s, eps0)
-            if ok:
-                break
-    s_best, eps_best = best or (None, None)
-    return UPReport(passed=best is not None, s_value=s_best, eps0=eps_best,
-                    reason="" if best else "empty annulus at every tested S",
-                    table=tuple(table), n_points=n, floor=floor)
-
-
-# ---------------------------------------------------------------------------
-# Poles
+    floor = a ** -(radius - 1)
+    dmax = float(dists.max(initial=0.0))
+    if dmax <= floor:
+        return UPReport(passed=False, s_value=None, gap=None, n_points=n, floor=floor,
+                        reason=f"degenerate proxy: no scale between the floor {floor!r} "
+                               f"and the diameter {dmax!r}")
+    r = np.sort(dists, axis=1)
+    lo, hi = r[:, :-1], r[:, 1:]
+    with np.errstate(divide="ignore"):
+        ratio = np.divide(hi, lo, out=np.zeros_like(hi), where=hi > floor)
+    k = int(ratio.argmax())
+    s = float(ratio.flat[k])
+    if s == math.inf:
+        return UPReport(passed=False, s_value=None, gap=(0.0, float(hi.flat[k])), n_points=n,
+                        floor=floor, reason="a point has nothing else within the floor")
+    # Every gap whose quotient rounds to s may hold the largest ratio.
+    tied = ratio == s
+    gap = max(dict.fromkeys(zip(lo[tied].tolist(), hi[tied].tolist())),
+              key=lambda g: Fraction(g[1]) / Fraction(g[0]))
+    if Fraction(s) * Fraction(gap[0]) < Fraction(gap[1]):
+        s = math.nextafter(s, math.inf)
+    passed = s <= UP_PASS_S
+    return UPReport(passed=passed, s_value=s, gap=gap, n_points=n, floor=floor,
+                    reason="" if passed else f"S = {s!r} exceeds {UP_PASS_S!r}")
 
 
 @dataclass(frozen=True)
 class PoleReport:
     has_pole: bool
-    m_value: float | None
     needed: int
     base: object
     peripheral_count: int
@@ -1155,7 +1103,6 @@ class PoleReport:
     def to_dict(self) -> dict:
         return {
             "has_pole": self.has_pole,
-            "m_value": self.m_value,
             "needed": self.needed,
             "base": str(self.base),
             "peripheral_count": self.peripheral_count,
@@ -1174,17 +1121,13 @@ def geodesic_union_set(graph: Graph, base: int, peripheral, dmat: np.ndarray) ->
 
 
 def has_pole(graph: Graph, base: int, peripheral, dmat: np.ndarray) -> PoleReport:
-    """Whether every vertex is within M of the union of geodesics from
-    vertex base to the peripheral vertices (all given by index), for some
-    M of the grid 1, 2, 3, 4, 6, 8, 12.  Distance to the union is exact:
-    the least entry of each row of the hop-count distance matrix dmat over
-    the union's columns.  The report names the base by its label."""
+    """Whether every vertex is within POLE_MAX_MARGIN of the union of
+    geodesics from vertex base to the peripheral vertices (all given by
+    index).  `needed` is the exact least such margin: the largest over the
+    rows of the hop-count distance matrix dmat of the row's least entry
+    over the union's columns.  The report names the base by its label."""
     if not peripheral:
         raise DomainError("pole test needs a nonempty peripheral set")
     cols = sorted(geodesic_union_set(graph, base, peripheral, dmat))
     needed = int(dmat[:, cols].min(axis=1).max())
-    label = graph._labels[base]
-    for m in (1, 2, 3, 4, 6, 8, 12):
-        if m >= needed:
-            return PoleReport(True, float(m), needed, label, len(peripheral))
-    return PoleReport(False, None, needed, label, len(peripheral))
+    return PoleReport(needed <= POLE_MAX_MARGIN, needed, graph._labels[base], len(peripheral))

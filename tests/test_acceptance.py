@@ -416,10 +416,14 @@ def _proxy_up(spec):
 
 
 def test_11_perfectness_vs_decay():
-    """Decaying family: boundary proxies fail uniform perfectness at every
-    tested scale ratio.  Bounded family: proxies pass at some S <= 8.  Each
-    verdict must agree with the family's best-ratio trend."""
-    flute_fail = all(not _proxy_up(families.flute(n)).passed for n in (10, 14, 18))
+    """Decaying family: boundary proxies are not uniformly perfect at any
+    S <= 8, and their exact constant S grows strictly with the flute's
+    length.  Bounded family: proxies pass at some S <= 8.  Each verdict
+    must agree with the family's best-ratio trend."""
+    flute_ups = [_proxy_up(families.flute(n)) for n in (10, 14, 18)]
+    flute_fail = not any(up.passed for up in flute_ups)
+    flute_s = [up.s_value for up in flute_ups]
+    flute_grows = None not in flute_s and flute_s == sorted(set(flute_s))
     flute_vals = [
         isoperimetry.domain_reports(families.flute(n), DELTA, max_pieces=n)[0].h_g
         for n in (4, 8, 12, 16, 20)
@@ -434,12 +438,13 @@ def test_11_perfectness_vs_decay():
     ]
     tree_decays, _, _ = isoperimetry.is_decaying((3, 4, 5, 6), tree_vals)
 
-    ok = flute_fail and flute_decays and tree_pass and not tree_decays
+    ok = flute_fail and flute_grows and flute_decays and tree_pass and not tree_decays
     criterion_line(
         "11 perfectness-decay", ok,
-        f"flute: up_fail={flute_fail} decays={flute_decays}; "
+        f"flute: up_fail={flute_fail} s={flute_s!r} decays={flute_decays}; "
         f"tree: up_pass={tree_pass} s={[u.s_value for u in tree_ups]!r} "
         f"decays={tree_decays}",
     )
     assert flute_fail and flute_decays
+    assert flute_grows
     assert tree_pass and not tree_decays

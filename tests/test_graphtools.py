@@ -1274,12 +1274,19 @@ class TestUltrametricDefect:
         assert ultrametric_defect(d) == pytest.approx(2.0)
 
     def test_proxy_defect_bounded_by_visual_base(self):
-        rng = random.Random(19)
-        g = random_connected_graph(rng, 20, 10)
-        rep = hyperbolicity_delta(g)
-        proxy = boundary_proxy(g, g.distance_matrix())
-        defect = ultrametric_defect(proxy.dists)
-        assert defect <= proxy.a ** rep.delta + 1e-9
+        # the boundary command's proxy against the hyperbolicity command's
+        # delta, on a random graph and on the golden and one family net
+        golden = Path(__file__).resolve().parent / "golden"
+        g = random_connected_graph(random.Random(19), 20, 10)
+        proxies = [(g, boundary_proxy(g, g.distance_matrix()))]
+        for spec in (load_spec(families.bundled_path("flute8.json")),
+                     *(load_spec(golden / f"{name}.json") for name in ("gen12", "loop", "closed")),
+                     families.pants_tree(5)):
+            net, proxy = net_proxy(spec)
+            proxies.append((net.graph, proxy))
+        for graph, proxy in proxies:
+            delta = hyperbolicity_delta(graph).delta
+            assert ultrametric_defect(proxy.dists) <= proxy.a ** delta + 1e-9
 
 
 def random_metric(rng: random.Random, n: int) -> np.ndarray:
@@ -1357,85 +1364,88 @@ class TestUniformPerfectness:
         d = geometric_points(pts)
         rep = uniform_perfectness(d, a=2.0, radius=12)
         assert not rep.passed
-        assert rep.table  # every S row recorded
+        # below the floor 2^-11 each point is alone in its cluster
+        assert rep.s_value is None
+        assert rep.gap == (0.0, 1e-3)
+        # with the clusters under the floor, the gap between them is the
+        # obstruction
+        rep = uniform_perfectness(d, a=2.0, radius=8)
+        assert not rep.passed
+        assert rep.s_value >= 499.0
+        assert rep.gap[0] <= 2e-3 + 1e-12 and rep.gap[1] >= 1.0 - 2e-3 - 1e-12
 
     def test_monotone_in_s(self):
-        pts = [0.0, 0.05, 0.1, 0.4, 1.0]
+        # the reported S passes, so does every larger S, and every smaller
+        # one fails; the gap is the one its ratio comes from
+        pts = [0.0, 0.05, 0.1, 0.4, 0.9, 1.0]
         d = geometric_points(pts)
-        rep = uniform_perfectness(d, a=2.0, radius=6)
-        if rep.passed:
-            oks = {}
-            for s, e0, ok, _ in rep.table:
-                oks.setdefault(s, False)
-                oks[s] = oks[s] or ok
-            passing = [s for s, ok in sorted(oks.items()) if ok]
-            # once a scale passes, larger tested scales were not needed
-            assert passing
-            assert rep.s_value == passing[0]
+        rep = uniform_perfectness(d, a=2.0, radius=2)
+        assert rep.passed
+        assert rep.s_value == pytest.approx(6.0)
+        assert rep.gap == pytest.approx((0.1, 0.6))
+        for s in (rep.s_value, 2.0 * rep.s_value, 100.0):
+            assert not brute_up_fails(d, s, 0.5)
+        for s in (math.nextafter(rep.s_value, 0.0), 0.5 * rep.s_value, 1.5):
+            assert brute_up_fails(d, s, 0.5)
+
+    def test_pants_tree_needs_four(self):
+        # S = 3 fails at the scales in [3/16, 1/4), which a half-octave
+        # ladder of test scales from the diameter never reaches
+        _, proxy = net_proxy(families.pants_tree(4))
+        rep = uniform_perfectness(proxy.dists, a=proxy.a, radius=proxy.radius)
+        assert rep.s_value == 4.0
+        assert rep.passed
+        floor = proxy.a ** -(proxy.radius - 1)
+        assert brute_up_fails(proxy.dists, 3.0, floor)
+        assert not brute_up_fails(proxy.dists, 4.0, floor)
 
 
-def loop_annulus_scales(dists, a, radius, eps0):
-    """The scale list of the per-point loop below."""
-    floor = a ** (-(radius - 1))
-    n = dists.shape[0]
-    iu = np.triu_indices(n, k=1)
-    realized = np.unique(dists[iu])
-    dmax = float(realized.max()) if realized.size else 0.0
-    scales = {float(r) for r in realized if floor <= r < dmax}
-    step = a**-0.5
-    e = eps0
-    while e >= floor:
-        if e < dmax:
-            scales.add(e)
-        e *= step
-    return sorted(scales, reverse=True), floor
+def brute_up_fails(dists, s, floor):
+    """Oracle: whether some point fails the annulus test at S = s at some
+    scale eps in [floor, diameter], in exact rationals.  A point x fails at
+    eps when something lies beyond eps but no entry of its row lies in
+    (eps/s, eps].  Each point's failing scales are half-open intervals
+    whose left ends are the floor or s times an entry of its row, so
+    testing every point at each scale in ({r} | {s r} | {floor}) within
+    the window, over its row's entries r, finds every failure."""
+    s, floor = Fraction(s), Fraction(floor)
+    rows = [sorted({Fraction(v) for v in row}) for row in dists.tolist()]
+    diameter = max(vals[-1] for vals in rows)
+    for vals in rows:
+        for eps in {floor, *vals, *(s * r for r in vals)}:
+            if not floor <= eps <= diameter or vals[-1] <= eps:
+                continue
+            if not any(eps < s * r and r <= eps for r in vals):
+                return True
+    return False
 
 
-def loop_uniform_perfectness(dists, a=2.0, radius=8, s_grid=(1.5, 2.0, 3.0, 4.0, 6.0, 8.0),
-                             eps0_fractions=(1.0, 0.5, 0.25)):
-    """Oracle: the annulus test point by point and scale by scale, two
-    ndarray.any calls per point."""
-    n = dists.shape[0]
-    iu = np.triu_indices(n, k=1)
-    dmax = float(dists[iu].max())
-    table = []
-    best = None
-    floor_out = math.nan
-    for s in s_grid:
-        for frac in sorted(eps0_fractions, reverse=True):
-            eps0 = frac * dmax
-            scales, floor = loop_annulus_scales(dists, a, radius, eps0)
-            floor_out = floor
-            fail_eps = None
-            for eps in scales:
-                if eps > eps0:
-                    continue
-                lo = eps / s
-                for x in range(n):
-                    row = dists[x]
-                    if not bool((row > eps).any()):
-                        continue
-                    if not bool(((row > lo) & (row <= eps)).any()):
-                        fail_eps = eps
-                        break
-                if fail_eps is not None:
-                    break
-            ok = fail_eps is None and bool(scales)
-            table.append((s, eps0, ok, fail_eps))
-            if ok and best is None:
-                best = (s, eps0)
-            if ok:
-                break
-    passed = best is not None
-    return UPReport(
-        passed=passed,
-        s_value=best[0] if passed else None,
-        eps0=best[1] if passed else None,
-        reason="" if passed else "empty annulus at every tested S",
-        table=tuple(table),
-        n_points=n,
-        floor=floor_out,
-    )
+def check_uniform_perfectness(dists, a, radius) -> UPReport:
+    """uniform_perfectness against brute_up_fails: the reported S passes,
+    the float below it and the next smaller gap ratio fail, and the gap
+    is two consecutive distinct values of a row."""
+    rep = uniform_perfectness(dists, a=a, radius=radius)
+    floor = a ** -(radius - 1)
+    assert rep.floor == floor and rep.n_points == len(dists)
+    if rep.gap is None:
+        assert rep.s_value is None and not rep.passed
+        assert float(dists.max(initial=0.0)) <= floor
+        return rep
+    gaps = {g for row in dists.tolist() for g in itertools.pairwise(sorted(set(row)))}
+    assert rep.gap in gaps and rep.gap[1] > floor
+    assert rep.passed == (rep.s_value is not None and rep.s_value <= 8.0)
+    if rep.s_value is None:
+        assert rep.gap[0] == 0.0
+        assert brute_up_fails(dists, np.finfo(float).max, floor)
+        return rep
+    ratio = rep.gap[1] / rep.gap[0]
+    assert rep.s_value in (ratio, math.nextafter(ratio, math.inf))
+    assert not brute_up_fails(dists, rep.s_value, floor)
+    assert brute_up_fails(dists, math.nextafter(rep.s_value, 0.0), floor)
+    below = [hi / lo for lo, hi in gaps if lo > 0.0 and hi / lo < rep.s_value]
+    if below:
+        assert brute_up_fails(dists, max(below), floor)
+    return rep
 
 
 def net_proxy(spec):
@@ -1445,11 +1455,12 @@ def net_proxy(spec):
 
 
 class TestUniformPerfectnessOracle:
-    """The counting form of the annulus test against the per-point loop,
-    field for field and float for float."""
+    """The exact constant from sorted rows against the brute-force annulus
+    scan in rationals."""
 
     def test_random_matrices(self):
         rng = random.Random(1806)
+        finite = 0
         for _ in range(100):
             n = rng.randint(3, 20)
             a = rng.choice([1.5, 2.0, 3.0])
@@ -1460,9 +1471,8 @@ class TestUniformPerfectnessOracle:
             d = np.triu(vals, k=1)
             d = d + d.T
             radius = rng.randint(3, 12)
-            got = uniform_perfectness(d, a=a, radius=radius)
-            want = loop_uniform_perfectness(d, a=a, radius=radius)
-            assert repr(got) == repr(want)
+            finite += check_uniform_perfectness(d, a, radius).s_value is not None
+        assert finite >= 20
 
     @pytest.mark.parametrize("name", ["flute8", "gen12", "loop", "flute40", "pants_tree5"])
     def test_net_proxies(self, name):
@@ -1475,9 +1485,8 @@ class TestUniformPerfectnessOracle:
             "pants_tree5": lambda: families.pants_tree(5),
         }[name]()
         _, proxy = net_proxy(spec)
-        got = uniform_perfectness(proxy.dists, a=proxy.a, radius=proxy.radius)
-        want = loop_uniform_perfectness(proxy.dists, a=proxy.a, radius=proxy.radius)
-        assert repr(got) == repr(want)
+        rep = check_uniform_perfectness(proxy.dists, proxy.a, proxy.radius)
+        assert rep.s_value is not None
 
 
 def brute_geodesic_union(g: Graph, base, peripheral):
@@ -1515,7 +1524,6 @@ class TestPole:
         rep = has_pole(g, 0, [7], g.distance_matrix())
         assert rep.has_pole
         assert rep.needed == 0
-        assert rep.m_value == 1.0
 
     def test_offshoot_needs_margin(self):
         g = path_graph(6)
@@ -1525,7 +1533,6 @@ class TestPole:
         g.add_edge("p2", "p3")
         rep = has_pole(g, 0, [5], g.distance_matrix())
         assert rep.needed == 3
-        assert rep.m_value == 3.0
 
     def test_fail_beyond_grid(self):
         g = path_graph(4)
@@ -1533,7 +1540,6 @@ class TestPole:
             g.add_edge(1 if k == 0 else f"t{k - 1}", f"t{k}")
         rep = has_pole(g, 0, [3], g.distance_matrix())
         assert not rep.has_pole
-        assert rep.m_value is None
         assert rep.needed == 20
 
     def test_empty_peripheral_rejected(self):
@@ -1541,7 +1547,7 @@ class TestPole:
             has_pole(path_graph(3), 0, [], path_graph(3).distance_matrix())
 
 
-def bfs_has_pole(g: Graph, base, peripheral, m_grid=(1, 2, 3, 4, 6, 8, 12)) -> PoleReport:
+def bfs_has_pole(g: Graph, base, peripheral, max_margin=12) -> PoleReport:
     """Oracle, on vertex indices: one BFS from the base and one per
     peripheral vertex for the geodesic union, then a multi-source BFS from
     the union."""
@@ -1559,11 +1565,7 @@ def bfs_has_pole(g: Graph, base, peripheral, m_grid=(1, 2, 3, 4, 6, 8, 12)) -> P
                 dist[v] = dist[u] + 1
                 q.append(v)
     needed = max(dist.values())
-    label = g.vertices()[base]
-    for m in m_grid:
-        if m >= needed:
-            return PoleReport(True, float(m), needed, label, len(peripheral))
-    return PoleReport(False, None, needed, label, len(peripheral))
+    return PoleReport(needed <= max_margin, needed, g.vertices()[base], len(peripheral))
 
 
 class TestPoleFromMatrix:
