@@ -16,7 +16,7 @@ JSON goes through `to_json`, which returns exactly the bytes of
 `float.__repr__` writes them, and TypeError wherever that call raises it.
 With `indent` the standard library leaves its C encoder for a pure-Python
 one; `to_json` writes a list of same-shape rows (the net's edge triples and
-vertex records, the `qi` table) by one `%` format over all rows, and
+vertex records, the `qi` hop rows) by one `%` format over all rows, and
 everything else by a plain recursion.
 
 `isoperimetry` and `sweep` take h_g and the regularity constant of each spec
@@ -328,9 +328,8 @@ def _cmd_qi(args, params):
     spec = _spec(args)
     net = netgraph.build_net(spec, params)
     mesh, vmap = netgraph.build_quotient_mesh(spec, params)
-    rep = netgraph.estimate_qi_constants(net.graph, mesh, vmap)
-    return EXIT_OK, rep.to_dict(), _kv_csv({"alpha": rep.alpha, "beta": rep.beta,
-                                            "fullness": rep.fullness, "pairs": rep.pairs})
+    doc = netgraph.estimate_qi_constants(net.graph, mesh, vmap).to_dict()
+    return EXIT_OK, doc, _kv_csv({k: v for k, v in doc.items() if k != "hops"})
 
 
 def _cmd_sweep(args, params):

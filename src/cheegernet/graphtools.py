@@ -179,16 +179,19 @@ class Graph:
                     frontier.append(v)
         return dist
 
-    def dijkstra(self, source: int) -> list[float]:
-        """Weighted distances from vertex source, by index; inf where
-        unreachable.  A heap of (distance, index) entries with lazy
-        deletion skips an entry above its vertex's distance, so each vertex
-        is settled once, at the least outward sum over its paths: the bits
-        of any label-setting search (see the module docstring)."""
+    def dijkstra(self, *sources: int) -> list[float]:
+        """Weighted distances from the nearest of the vertices `sources`, by
+        index; inf where unreachable.  A heap of (distance, index) entries,
+        seeded with every source, with lazy deletion skips an entry above
+        its vertex's distance, so each vertex is settled once, at the least
+        outward sum over its paths from any source: the bits of any
+        label-setting search (see the module docstring), and so the
+        elementwise minimum of the one-source searches."""
         adj = self._adj
         dist = [math.inf] * len(adj)
-        dist[source] = 0.0
-        heap = [(0.0, source)]
+        for s in sources:
+            dist[s] = 0.0
+        heap = [(0.0, s) for s in sorted(set(sources))]
         pop, push = heapq.heappop, heapq.heappush
         while heap:
             du, u = pop(heap)
@@ -204,14 +207,12 @@ class Graph:
     def is_connected(self) -> bool:
         return self.n == 0 or -1 not in self.bfs_distances(0)
 
-    def distance_matrix(self, weighted: bool = False, rows=None, cols=None,
-                        nearest: bool = False):
+    def distance_matrix(self, weighted: bool = False, rows=None, cols=None):
         """Distances from the vertices of index `rows` to those of index
         `cols` (every vertex if None; repeats and any order allowed), one
-        row per entry of rows and one column per entry of cols.  With
-        nearest, also each vertex's distance to its nearest row, by index,
-        as (matrix, nearest); that needs a row.  Raises if the graph is
-        disconnected: every metric routine here assumes one component.
+        row per entry of rows and one column per entry of cols.  Raises if
+        the graph is disconnected: every metric routine here assumes one
+        component.
 
         The matrix is composed over the block-cut tree.  A shortest path
         between two vertices of one block stays in that block, so all
@@ -232,27 +233,19 @@ class Graph:
         the other rows asked for (R) keep only the columns asked for and
         the cut vertices' they compose through.  Columns are stored in
         placement order, so a block writes contiguous slices, and a gather
-        at the end puts the rows asked for in the order of cols.  The same
-        pass keeps the nearest-row distances: a new vertex's is the
-        attachment's plus d(a -> new), or less by a new row's search, and
-        an old vertex's may fall to the least d(new -> a) over the new rows
-        plus D[a, old].  Rounding is monotone, so min over r of
-        fl(x_r + c) = fl(min over r of x_r + c): these are the bits of the
-        column minimum of the composed rows.  An entry has the same bits
-        whichever other rows and columns are asked for.  Hop counts are
-        exact.  A weighted distance across a cut vertex is a sum of two
-        block distances, where a whole-graph Dijkstra adds the edge weights
-        one by one along the path, so the two can differ by rounding.
+        at the end puts the rows asked for in the order of cols.  An entry
+        has the same bits whichever other rows and columns are asked for.
+        Hop counts are exact.  A weighted distance across a cut vertex is a
+        sum of two block distances, where a whole-graph Dijkstra adds the
+        edge weights one by one along the path, so the two can differ by
+        rounding.
         """
         n = self.n
         dtype = np.float64 if weighted else np.int32
         rows = range(n) if rows is None else rows
         cols = range(n) if cols is None else cols
-        if nearest and not len(rows):
-            raise DomainError("nearest-row distances need at least one row")
         if n <= 1:
-            out = np.zeros((len(rows), len(cols)), dtype=dtype)
-            return (out, np.zeros(n, dtype=dtype)) if nearest else out
+            return np.zeros((len(rows), len(cols)), dtype=dtype)
         blocks = _block_graphs(self)
         blocks_of: list[list[int]] = [[] for _ in range(n)]
         for b, (block, _) in enumerate(blocks):
@@ -271,9 +264,6 @@ class Graph:
         W = np.zeros((sum(whole), n), dtype=dtype)
         R = np.zeros((sum(own), sum(stored)), dtype=dtype)
         placed = np.zeros(R.shape[1], dtype=np.intp)  # placed column of a column of R
-        near = np.full(n, np.inf if weighted else n, dtype=dtype)  # above every distance
-        if asked[0]:
-            near[0] = 0
         row = [0] * n  # row of W or of R of a kept vertex
         pos = [0] * n  # placed column of a placed vertex
         col = [0] * n  # column of R of a stored placed vertex
@@ -311,8 +301,6 @@ class Graph:
                     placed[width:stop] = [pos[block[k]] for k in kept]
                     for j, k in enumerate(kept):
                         col[block[k]] = width + j
-                if nearest:
-                    near[count:end] = near[pos[a]] + from_a[new]
                 wide = [k for k in new if whole[block[k]]]
                 fresh = wide + [k for k in new if own[block[k]]] if len(R) else wide
                 if fresh:
@@ -328,11 +316,6 @@ class Graph:
                         R[rrows:top, :width] = local[cut:, at, None] + W[row[a], placed[:width]]
                         for k in fresh[cut:]:
                             row[block[k]], rrows = rrows, rrows + 1
-                    if nearest and (mine := [j for j, k in enumerate(fresh) if asked[block[k]]]):
-                        np.minimum(near[count:end], local[np.ix_(mine, new)].min(axis=0),
-                                   out=near[count:end])
-                        np.minimum(near[:count], local[mine, at].min() + W[row[a], :count],
-                                   out=near[:count])
                 queue += [block[k] for k in new]
                 count, width = end, stop
         out = W.take([row[i] for i in rows if whole[i]], axis=0)
@@ -347,7 +330,7 @@ class Graph:
             for s in range(0, len(at), step):
                 chunk = at[s:s + step]
                 out[chunk] = R.take([row[rows[p]] for p in chunk], axis=0).take(order, axis=1)
-        return (out, near[pos]) if nearest else out
+        return out
 
 
 def biconnected_components(graph: Graph) -> list[list[int]]:

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -291,41 +292,36 @@ class QIReport:
     beta: float
     fullness: float
     pairs: int
-    table: tuple  # ((alpha, beta), ...)
+    hops: list  # [[hop count, least image distance, greatest image distance], ...]
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "fullness": self.fullness,
-            "pairs": self.pairs,
-            "table": [[a, b] for a, b in self.table],
-        }
+        return asdict(self)
 
 
 def estimate_qi_constants(graph_a: Graph, graph_b: Graph, vmap) -> QIReport:
-    """Grid search for quasi-isometry constants of vmap, which maps vertex
-    indices of graph_a to those of graph_b, over alpha = 1.0, 1.25, ..., 8.0.
+    """Quasi-isometry constant of vmap, which maps vertex indices of
+    graph_a to those of graph_b: the least float K >= 1 with
+    da/K - K <= db <= K*da + K, in exact rationals, over the mapped pairs
+    i < j, where da is their hop count in graph_a and db the distance
+    between their images in graph_b, read from the mapped x mapped and
+    image x image distance matrices.
 
-    beta(alpha) is the least beta >= 0 with da/alpha - beta <= db <=
-    alpha*da + beta over the mapped pairs i < j: da is their hop count in
-    graph_a, db the distance between their images in graph_b, read from
-    the mapped x mapped and image x image distance matrices.  The largest
-    and smallest db at each distinct da are gathered a chunk of rows at a
-    time by maximum.at and minimum.at, so no pair is sorted and no index
-    vector over all pairs is held.  Rounding is monotone, so db - alpha*da
-    is largest at the largest db and da/alpha - db at the smallest, and the
-    table has the same bits as the pair-by-pair maximum.  beta(alpha) is
-    non-increasing, so the search reports the knee: the smallest grid alpha
-    whose beta comes within 0.5 of the best beta on the grid.  Fullness is
-    the largest distance from a vertex of graph_b to its nearest image,
-    kept by the same composition as the image rows.
+    m[h] and M[h], the least and greatest db over the pairs with da = h
+    (the rows of `hops`), decide every pair.  They are gathered a chunk of
+    rows at a time by minimum.at and maximum.at, so no pair is sorted and
+    no index vector over all pairs is held.  K is the largest of 1,
+    M[h]/(h+1) and the root 2h/(sqrt(m[h]^2 + 4h) + m[h]) of
+    K^2 + m[h]*K = h, stepped by ulps to the least float that passes.
+    alpha is K, and beta is K when K > 1, else the least float at or above
+    beta(1) = max(0, M[h] - h, h - m[h]).  Fullness is the largest distance
+    from a vertex of graph_b to its nearest image, by one Dijkstra from all
+    the images.
     """
     dom = sorted(vmap)
     if len(dom) < 2:
         raise DomainError("quasi-isometry estimate needs at least two mapped vertices")
     img = [vmap[i] for i in dom]
-    db, near = graph_b.distance_matrix(weighted=True, rows=img, cols=img, nearest=True)
+    db = graph_b.distance_matrix(weighted=True, rows=img, cols=img)
     da = graph_a.distance_matrix(rows=dom, cols=dom)
     db_max = np.full(int(da.max()) + 1, -np.inf)
     db_min = np.full(len(db_max), np.inf)
@@ -335,18 +331,24 @@ def estimate_qi_constants(graph_a: Graph, graph_b: Graph, vmap) -> QIReport:
         hop, dist = da[s:s + step][upper], db[s:s + step][upper]
         np.maximum.at(db_max, hop, dist)
         np.minimum.at(db_min, hop, dist)
-    hops = np.flatnonzero(db_min <= db_max)
-    db_max, db_min, hops = db_max[hops], db_min[hops], hops.astype(np.float64)
-    table = []
-    for alpha in (1.0 + 0.25 * k for k in range(29)):
-        over = db_max - alpha * hops
-        under = hops / alpha - db_min
-        beta = float(max(0.0, over.max(), under.max()))
-        table.append((float(alpha), beta))
-    best_beta = min(b for _, b in table)
-    alpha_star, beta_star = next((a, b) for a, b in table if b <= best_beta + 0.5)
-    return QIReport(alpha=alpha_star, beta=beta_star, fullness=float(near.max()),
-                    pairs=len(dom) * (len(dom) - 1) // 2, table=tuple(table))
+    seen = np.flatnonzero(db_min <= db_max)
+    hops = list(map(list, zip(seen.tolist(), db_min[seen].tolist(), db_max[seen].tolist())))
+    exact = [(h, Fraction(lo), Fraction(hi)) for h, lo, hi in hops]
+
+    def holds(k: float) -> bool:
+        q = Fraction(k)
+        return all(q * (h + 1) >= hi and q * (q + lo) >= h for h, lo, hi in exact)
+
+    k = max([1.0] + [max(hi / (h + 1), 2 * h / (math.sqrt(lo * lo + 4 * h) + lo))
+                     for h, lo, hi in hops])
+    while not holds(k):
+        k = math.nextafter(k, math.inf)
+    while k > 1.0 and holds(math.nextafter(k, 0.0)):
+        k = math.nextafter(k, 0.0)
+    b = Fraction(k) if k > 1.0 else max([Fraction(0)] + [max(hi - h, h - lo) for h, lo, hi in exact])
+    beta = float(b) if Fraction(float(b)) >= b else math.nextafter(float(b), math.inf)
+    return QIReport(alpha=k, beta=beta, fullness=float(max(graph_b.dijkstra(*img))),
+                    pairs=len(dom) * (len(dom) - 1) // 2, hops=hops)
 
 
 # ---------------------------------------------------------------------------

@@ -382,29 +382,19 @@ def test_09_family_trend_agreement():
 
 
 def test_10_qi_constants_stable():
-    """The fitted (alpha, beta, fullness) between a net and its quotient mesh
-    move by at most one alpha-grid step across flute sizes 5, 10, 20."""
-    alphas, betas, fulls = [], [], []
+    """The quasi-isometry constant (alpha, beta) and the fullness between a
+    net and its quotient mesh are the same floats across flute sizes 5,
+    10 and 20."""
+    reps = []
     for n in (5, 10, 20):
         spec = families.flute(n)
         net = netgraph.build_net(spec, PARAMS)
         mesh, vmap = netgraph.build_quotient_mesh(spec, PARAMS)
         rep = netgraph.estimate_qi_constants(net.graph, mesh, vmap)
-        alphas.append(rep.alpha)
-        betas.append(rep.beta)
-        fulls.append(rep.fullness)
-    step = 0.25 + 1e-12
-    spreads = (
-        max(alphas) - min(alphas),
-        max(betas) - min(betas),
-        max(fulls) - min(fulls),
-    )
-    ok = all(s <= step for s in spreads)
-    criterion_line(
-        "10 qi-stability", ok,
-        f"alpha={alphas!r} spreads=({spreads[0]:.3g},{spreads[1]:.3g},{spreads[2]:.3g})",
-    )
-    assert all(s <= step for s in spreads)
+        reps.append((rep.alpha, rep.beta, rep.fullness))
+    ok = len(set(reps)) == 1
+    criterion_line("10 qi-stability", ok, f"(alpha, beta, fullness)={reps!r}")
+    assert ok
 
 
 def _proxy_up(spec):

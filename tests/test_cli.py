@@ -579,10 +579,10 @@ class TestJsonWriter:
             assert_writes_like_json(random_doc(rng))
 
     @pytest.mark.parametrize("rows, fast", [
-        # edge triples, vertex records and a qi table: the fast path
+        # edge triples, vertex records and qi hop rows: the fast path
         ([(0, 1, 0.5), (1, 2, 1e16), (2, 0, 1e-7)], True),
         ([{"index": 0, "tag": "hub 0"}, {"index": 1, "tag": "net 0 1 2"}], True),
-        ([[1.0, 4.0], [1.25, 2.0], [-0.0, 5e-324]], True),
+        ([[1, 0.25, 4.0], [2, -0.0, 2.0], [3, 5e-324, 1e16]], True),
         ([[1, "a"], (2, "b")], True),
         ([{"%s": "%d", 'a"b': "\\", "é": "\u2603"}, {"%s": "%", 'a"b': '"', "é": "\n"}], True),
         ([[10**30, "%(x)s"], [-10**30, "%%"]], True),

@@ -61,6 +61,14 @@ The commit that replaced `json.dumps(obj, sort_keys=True, indent=2)` in
 over all rows, rewrote no expected file: running this script on it left
 every one of them byte-identical.
 
+The eight `{flute8,gen12,loop,closed}.qi.{json,csv}.txt` files and the
+seven `*.qi.json` hashes of the large corpus below were rewritten the same
+way by the commit that replaced the alpha grid's knee with the exact
+quasi-isometry constant: `alpha` and `beta` changed (for example from
+2.75 and 0.7272727272727273 to 1.4142135623730951 twice on `gen12`) and
+the JSON `table` became `hops`; `fullness` and `pairs` kept their bytes,
+and every other file and hash stayed the same.
+
 Re-running it rewrites every expected file; a change that is meant to keep
 the output must leave `git status` clean afterwards.
 

@@ -173,6 +173,24 @@ class TestSearchOracle:
                 g.add_edge(f"v{order[i]}", f"v{order[j]}", 10.0 ** rng.uniform(-3, 3))
             self.check(g, rng.sample(range(g.n), min(g.n, 4)))
 
+    def test_many_sources_are_the_least_of_one_source_searches(self):
+        """dijkstra(*sources) against the elementwise minimum of the
+        one-source searches, bit for bit, on graphs drawn as above: sources
+        with repeats in any order, in every component or only some."""
+        rng = random.Random(1959)
+        for _ in range(120):
+            shape = scattered_graph(rng)
+            g = Graph()
+            for v in shape.vertices():
+                g.add_vertex(f"v{v}")
+            order = shape.vertices()
+            for i, j, _ in shape.edges():
+                g.add_edge(f"v{order[i]}", f"v{order[j]}", 10.0 ** rng.uniform(-3, 3))
+            sources = [rng.randrange(g.n) for _ in range(rng.randint(1, 6))]
+            want = np.min([g.dijkstra(s) for s in sources], axis=0)
+            assert np.array(g.dijkstra(*sources)).tobytes() == want.tobytes()
+        assert g.dijkstra() == [math.inf] * g.n
+
     @pytest.mark.parametrize("name", ["flute8", "gen12", "loop", "closed"])
     def test_golden_nets_and_meshes(self, name):
         golden = Path(__file__).resolve().parent / "golden"
@@ -332,17 +350,15 @@ class TestBlockComposedMatrix:
     @staticmethod
     def check_rows_and_columns(g: Graph, weighted: bool, rows, cols):
         full = g.distance_matrix(weighted=weighted)
-        got, near = g.distance_matrix(weighted=weighted, rows=rows, cols=cols, nearest=True)
-        assert got.dtype == near.dtype == full.dtype
-        assert got.shape == (len(rows), len(cols)) and near.shape == (g.n,)
+        got = g.distance_matrix(weighted=weighted, rows=rows, cols=cols)
+        assert got.dtype == full.dtype
+        assert got.shape == (len(rows), len(cols))
         assert got.tobytes() == full[np.ix_(rows, cols)].tobytes()
-        assert near.tobytes() == full[rows].min(axis=0).tobytes()
-        assert g.distance_matrix(weighted=weighted, rows=rows, cols=cols).tobytes() == got.tobytes()
 
     def test_rows_and_columns_are_entries_of_the_full_matrix(self):
         """Any rows and columns, repeats and cut vertices among them, with
-        and without the first vertex, and the distance from every vertex
-        to its nearest row, against the full matrix byte for byte."""
+        and without the first vertex, against the full matrix byte for
+        byte."""
         rng = random.Random(1985)
         for trial in range(300):
             weighted = trial % 2 == 1
@@ -370,11 +386,6 @@ class TestBlockComposedMatrix:
             for rows in ([0], [1], [1, 0, 1]):
                 for cols in ([], [1], [1, 1, 0]):
                     self.check_rows_and_columns(edge, weighted, rows, cols)
-
-    def test_nearest_needs_a_row(self):
-        for g in (path_graph(1), path_graph(4)):
-            with pytest.raises(DomainError, match="at least one row"):
-                g.distance_matrix(rows=[], nearest=True)
 
     @pytest.mark.parametrize("name", ["flute8", "gen12", "loop", "pants_tree3"])
     def test_nets_and_meshes_bit_for_bit(self, name):
@@ -1155,8 +1166,8 @@ class TestShapeSharing:
                 assert (s1 is s2) == (local_shape(s1) == local_shape(s2))
 
     def test_matrices_match_per_source_searches(self):
-        """Hop counts and weighted distances, the full matrix and any rows,
-        columns and nearest-row distances, bit for bit."""
+        """Hop counts and weighted distances, the full matrix and any rows
+        and columns, bit for bit."""
         rng = random.Random(1952)
         for trial, (g, copies) in enumerate(shape_graphs(80)):
             weighted = trial % 4 >= 2
@@ -1165,9 +1176,8 @@ class TestShapeSharing:
                 assert (oracle == NEXT_UP).any()
             assert g.distance_matrix(weighted=weighted).tobytes() == oracle.tobytes()
             rows, cols = random_rows(rng, g.n), random_rows(rng, g.n)
-            got, near = g.distance_matrix(weighted=weighted, rows=rows, cols=cols, nearest=True)
+            got = g.distance_matrix(weighted=weighted, rows=rows, cols=cols)
             assert got.tobytes() == oracle[np.ix_(rows, cols)].tobytes()
-            assert near.tobytes() == oracle[rows].min(axis=0).tobytes()
             got = g.distance_matrix(weighted=weighted, rows=rows)
             assert got.tobytes() == oracle[rows].tobytes()
 

@@ -4,6 +4,7 @@ estimation."""
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -364,26 +365,59 @@ class TestQuotientMesh:
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-DEFAULT_ALPHAS = [1.0 + 0.25 * k for k in range(29)]
 
 
-def qi_oracle(graph_a, graph_b, vmap, alpha_grid, beta_tol=0.5):
-    """(alpha, beta, fullness, table) pair by pair from the full distance
-    matrices: beta at each alpha is the largest of 0, db - alpha*da and
-    da/alpha - db over all mapped pairs i < j of vertex indices."""
+def qi_oracle(rep, graph_a, graph_b, vmap):
+    """Checks a QIReport pair by pair in exact rationals, from the full
+    distance matrices: (alpha, beta) holds for every mapped pair i < j of
+    vertex indices; beta is alpha when alpha > 1 and no smaller float
+    (K', K') holds, else no smaller beta holds at alpha = 1; `hops` holds
+    the least and greatest image distance at each hop count; fullness is
+    the largest elementwise minimum of whole-graph Dijkstra rows, one per
+    image, bit for bit."""
     dom = sorted(vmap)
     img = [vmap[i] for i in dom]
     iu = np.triu_indices(len(dom), k=1)
-    da = graph_a.distance_matrix()[np.ix_(dom, dom)].astype(np.float64)[iu]
-    Db = graph_b.distance_matrix(weighted=True)
-    db = Db[np.ix_(img, img)][iu]
-    table = tuple(
-        (float(alpha), float(max(0.0, (db - alpha * da).max(), (da / alpha - db).max())))
-        for alpha in alpha_grid
-    )
-    best = min(b for _, b in table)
-    alpha, beta = next((a, b) for a, b in table if b <= best + beta_tol)
-    return alpha, beta, float(Db[img].min(axis=0).max()), table
+    da = graph_a.distance_matrix()[np.ix_(dom, dom)][iu].tolist()
+    db = graph_b.distance_matrix(weighted=True)[np.ix_(img, img)][iu].tolist()
+    pairs = {(h, Fraction(d)) for h, d in zip(da, db)}
+
+    def holds(alpha, beta):
+        a, b = Fraction(alpha), Fraction(beta)
+        return all(h / a - b <= d <= a * h + b for h, d in pairs)
+
+    assert rep.alpha >= 1.0 and holds(rep.alpha, rep.beta)
+    if rep.alpha > 1.0:
+        assert rep.beta == rep.alpha
+        down = math.nextafter(rep.alpha, 0.0)
+        assert not holds(down, down)
+    else:
+        assert rep.beta == 0.0 or not holds(1.0, math.nextafter(rep.beta, 0.0))
+    extremes = {}
+    for h, d in zip(da, db):
+        lo, hi = extremes.get(h, (d, d))
+        extremes[h] = (min(lo, d), max(hi, d))
+    assert rep.hops == [[h, lo, hi] for h, (lo, hi) in sorted(extremes.items())]
+    nearest = np.min([graph_b.dijkstra(i) for i in img], axis=0)
+    assert np.float64(rep.fullness).tobytes() == nearest.max().tobytes()
+    assert rep.pairs == len(da)
+
+
+def float_formula(rep) -> float:
+    """The closed form of the QI constant from `hops`, in floats."""
+    return max([1.0] + [max(hi / (h + 1), 2 * h / (math.sqrt(lo * lo + 4 * h) + lo))
+                        for h, lo, hi in rep.hops])
+
+
+def random_map(rng: random.Random):
+    """A random connected graph, a random weighted connected graph and a
+    map from a random subset of the first's vertices into the second."""
+    a = random_connected_graph(rng, rng.randint(2, 25), rng.randint(0, 12))
+    b = random_connected_graph(rng, rng.randint(1, 25), rng.randint(0, 12))
+    for u, v, _ in list(b.edges()):
+        b.add_edge(u, v, rng.uniform(0.05, 4.0))
+    mapped = rng.sample(a.vertices(), rng.randint(2, a.n))
+    return a, b, {v: rng.choice(b.vertices()) for v in mapped}
 
 
 class TestQI:
@@ -396,7 +430,10 @@ class TestQI:
         assert rep.beta == 0.0
         assert rep.fullness == 0.0
 
-    def test_halved_path_picks_alpha_two(self):
+    def test_halved_path_needs_the_root_at_eleven_hops(self):
+        """Hop count h maps to distance h/2, so K^2 + K*h/2 >= h binds at
+        the longest pair, 11 hops: K is the least float at or above
+        (sqrt(74.25) - 5.5)/2, where the float formula lands lower."""
         a = Graph()
         for v in range(1, 12):
             a.add_edge(v - 1, v)
@@ -405,17 +442,45 @@ class TestQI:
             b.add_edge(v - 1, v, 0.5)
         vmap = {v: v for v in a.vertices()}
         rep = estimate_qi_constants(a, b, vmap)
-        assert dict(rep.table)[2.0] == 0.0
-        assert rep.alpha == 2.0
-        assert rep.beta == 0.0
+        assert rep.alpha == rep.beta == 1.5584219849035217
+        k = Fraction(rep.alpha)
+        assert k * k + k * Fraction(11, 2) >= 11
+        k = Fraction(math.nextafter(rep.alpha, 0.0))
+        assert k * k + k * Fraction(11, 2) < 11
+        assert float_formula(rep) < rep.alpha
+        qi_oracle(rep, a, b, vmap)
+
+    def test_beta_at_alpha_one_rounds_up(self):
+        """One edge of length 3*2^-55 against one hop: K = 1, and beta(1) =
+        1 - 3*2^-55, whose nearest float lies below it, so the least float
+        that passes is 1.0."""
+        a, b = Graph(), Graph()
+        a.add_edge(0, 1)
+        b.add_edge(0, 1, 3 * 2.0 ** -55)
+        rep = estimate_qi_constants(a, b, {0: 0, 1: 1})
+        assert 1.0 - 3 * 2.0 ** -55 < 1.0
+        assert (rep.alpha, rep.beta) == (1.0, 1.0)
+        qi_oracle(rep, a, b, {0: 0, 1: 1})
 
     def test_beta_monotone_in_alpha(self):
+        """beta(alpha) read off `hops` has the bits of the maximum over all
+        pairs, at alpha = 1, K and 2K, and does not grow with alpha."""
         spec = families.flute(4)
         net = build_net(spec, PARAMS)
         mesh, vmap = build_quotient_mesh(spec, PARAMS)
         rep = estimate_qi_constants(net.graph, mesh, vmap)
-        betas = [b for _, b in rep.table]
-        assert all(b2 <= b1 + 1e-12 for b1, b2 in zip(betas, betas[1:]))
+        dom = sorted(vmap)
+        iu = np.triu_indices(len(dom), k=1)
+        da = net.graph.distance_matrix()[np.ix_(dom, dom)][iu].astype(np.float64)
+        img = [vmap[i] for i in dom]
+        db = mesh.distance_matrix(weighted=True)[np.ix_(img, img)][iu]
+        h, lo, hi = np.array(rep.hops).T
+        betas = []
+        for alpha in (1.0, rep.alpha, 2 * rep.alpha):
+            beta = max(0.0, (hi - alpha * h).max(), (h / alpha - lo).max())
+            assert beta == max(0.0, (db - alpha * da).max(), (da / alpha - db).max())
+            betas.append(beta)
+        assert betas == sorted(betas, reverse=True)
         assert rep.fullness >= 0.0
 
     @pytest.mark.parametrize("name", ["flute8", "gen12", "loop", "closed"])
@@ -424,22 +489,17 @@ class TestQI:
         spec = load_spec(path)
         net = build_net(spec, PARAMS)
         mesh, vmap = build_quotient_mesh(spec, PARAMS)
-        rep = estimate_qi_constants(net.graph, mesh, vmap)
-        assert (rep.alpha, rep.beta, rep.fullness, rep.table) == qi_oracle(
-            net.graph, mesh, vmap, DEFAULT_ALPHAS)
+        qi_oracle(estimate_qi_constants(net.graph, mesh, vmap), net.graph, mesh, vmap)
 
     def test_random_maps_match_pair_oracle(self):
+        """60 seeded maps, and the map of seed 247, the first seed whose
+        closed form rounds an ulp above the least float that passes, so
+        the estimate must step down."""
         rng = random.Random(1985)
-        for _ in range(60):
-            a = random_connected_graph(rng, rng.randint(2, 25), rng.randint(0, 12))
-            b = random_connected_graph(rng, rng.randint(1, 25), rng.randint(0, 12))
-            for u, v, _ in list(b.edges()):
-                b.add_edge(u, v, rng.uniform(0.05, 4.0))
-            mapped = rng.sample(a.vertices(), rng.randint(2, a.n))
-            vmap = {v: rng.choice(b.vertices()) for v in mapped}
+        for a, b, vmap in [random_map(rng) for _ in range(60)] + [random_map(random.Random(247))]:
             rep = estimate_qi_constants(a, b, vmap)
-            assert (rep.alpha, rep.beta, rep.fullness, rep.table) == qi_oracle(
-                a, b, vmap, DEFAULT_ALPHAS)
+            qi_oracle(rep, a, b, vmap)
+        assert float_formula(rep) == math.nextafter(rep.alpha, math.inf)
 
     def test_peak_memory_below_one_image_row_matrix(self):
         """Only the mapped x mapped hop counts, the image x image distances,
@@ -464,17 +524,17 @@ class TestQI:
         vertex and one more per block)."""
         path = families.bundled_path("flute8.json")
         mesh, _ = build_quotient_mesh(load_spec(path), PARAMS)
-        sources = []
+        searches = []
         dijkstra = Graph.dijkstra
 
-        def counted(self, source):
-            sources.append(source)
-            return dijkstra(self, source)
+        def counted(self, *sources):
+            searches.append(sources)
+            return dijkstra(self, *sources)
 
         monkeypatch.setattr(Graph, "dijkstra", counted)
         assert cli.main(["qi", str(path)]) == cli.EXIT_OK
         capsys.readouterr()
-        assert 0 < len(sources) < mesh.n
+        assert 0 < len(searches) < mesh.n
 
 
 class TestSerialization:
