@@ -1,7 +1,7 @@
 """Command line front end: one pipeline from arguments to stdout.
 
 `main` parses the arguments and checks every parameter before any input is
-read: --eps and --delta become the one `netgraph.NetBuildParams`, then
+read: --eps and --delta become the one `hypmath.NetBuildParams`, then
 --max-pieces, --format dot and --mode are checked, in that order.  It calls
 the command, which reads its input with `surface.read_json` and returns its
 exit code, its JSON object, and its CSV or dot text or None; no command
@@ -26,6 +26,9 @@ at the document first to tell family files (an object with a "family" or
 "param" key) from spec files; the seven other commands read only specs and
 refuse a family file with exit 2 and a message naming `validate` and `sweep`.
 
+Only `surface` and `hypmath` load with this module; each command imports
+the modules it runs, so `validate` and `thickthin` load no numpy.
+
 Exit codes: 0 success, 2 input or spec validation failure, 3 parameter
 failure (tolerance/scale arguments outside their admissible ranges).
 """
@@ -40,8 +43,8 @@ from math import isfinite
 from operator import itemgetter
 from pathlib import Path
 
-from . import families, graphtools, isoperimetry, netgraph, surface
-from .hypmath import ARCSINH_ONE, DomainError, delta1
+from . import surface
+from .hypmath import ARCSINH_ONE, DomainError, NetBuildParams, delta1
 from .surface import SpecError
 
 EPS_DEFAULT = ARCSINH_ONE / 2.0
@@ -63,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="thick-thin scale, default arcsinh(1)/2")
     p.add_argument("--delta", type=float, default=None,
                    help="net scale, default 0.9*delta1(eps)")
-    p.add_argument("--max-pieces", type=int, default=isoperimetry.MAX_PIECES,
+    p.add_argument("--max-pieces", type=int, default=surface.MAX_PIECES,
                    help="domain enumeration cap")
     p.add_argument("--mode", default="auto",
                    help="command-specific mode selector")
@@ -185,6 +188,8 @@ def _is_family(doc) -> bool:
 
 def _read(args):
     """The input document, or the family it holds if it is a family file."""
+    from . import families
+
     doc = surface.read_json(args.input)
     return families.load_family(doc, Path(args.input).stem) if _is_family(doc) else doc
 
@@ -246,6 +251,8 @@ def _cmd_thickthin(args, params):
 
 
 def _cmd_isoperimetry(args, params):
+    from . import isoperimetry
+
     spec = _spec(args)
     iso, reg = isoperimetry.domain_reports(spec, params.delta,
                                            max_pieces=args.max_pieces)
@@ -258,6 +265,8 @@ def _cmd_isoperimetry(args, params):
 
 
 def _cmd_net(args, params):
+    from . import netgraph
+
     spec = _spec(args)
     net = netgraph.build_net(spec, params)
     g = net.graph
@@ -277,6 +286,8 @@ def _cmd_net(args, params):
 
 
 def _cmd_cheeger(args, params):
+    from . import graphtools, netgraph
+
     spec = _spec(args)
     if args.mode == "ambient" and not spec.opens:
         raise DomainError("the spec has no open curves, so ambient mode has no outer edge")
@@ -291,6 +302,8 @@ def _cmd_cheeger(args, params):
 
 
 def _cmd_hyperbolicity(args, params):
+    from . import graphtools, netgraph
+
     spec = _spec(args)
     rep = graphtools.hyperbolicity_delta(netgraph.build_net(spec, params).graph)
     return EXIT_OK, rep.to_dict(), _kv_csv({"delta": rep.delta, "exact": rep.exact,
@@ -298,6 +311,8 @@ def _cmd_hyperbolicity(args, params):
 
 
 def _cmd_boundary(args, params):
+    from . import graphtools, netgraph
+
     spec = _spec(args)
     net = netgraph.build_net(spec, params)
     dmat = net.graph.distance_matrix()
@@ -325,6 +340,8 @@ def _cmd_boundary(args, params):
 
 
 def _cmd_qi(args, params):
+    from . import netgraph
+
     spec = _spec(args)
     net = netgraph.build_net(spec, params)
     mesh, vmap = netgraph.build_quotient_mesh(spec, params)
@@ -333,6 +350,8 @@ def _cmd_qi(args, params):
 
 
 def _cmd_sweep(args, params):
+    from . import isoperimetry
+
     fam = _read(args)
     if not isinstance(fam, surface.Family):
         raise SpecError(f"{args.input} is not a family file")
@@ -360,8 +379,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         eps = EPS_DEFAULT if args.eps is None else args.eps
-        params = netgraph.NetBuildParams(
-            eps, 0.9 * delta1(eps) if args.delta is None else args.delta)
+        params = NetBuildParams(eps, 0.9 * delta1(eps) if args.delta is None else args.delta)
         if args.max_pieces < 1:
             raise DomainError(f"--max-pieces must be >= 1, got {args.max_pieces}")
         if args.fmt == "dot" and args.command != "net":

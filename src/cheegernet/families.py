@@ -23,7 +23,6 @@ gluing and open lengths may be expressions in the parameter
 from __future__ import annotations
 
 import json
-from importlib import resources
 from pathlib import Path
 
 from .hypmath import DomainError
@@ -189,4 +188,5 @@ def load_family(source: str | Path | dict, name: str | None = None) -> Family:
 
 def bundled_path(filename: str) -> Path:
     """Filesystem path of a bundled data file."""
+    from importlib import resources
     return Path(str(resources.files("cheegernet").joinpath("data", filename)))

@@ -34,8 +34,8 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -415,8 +415,7 @@ def _block_graphs(graph: Graph, task: str = "distance matrix") -> list[tuple[lis
 # Four-point hyperbolicity
 
 
-@dataclass(frozen=True)
-class HyperbolicityReport:
+class HyperbolicityReport(NamedTuple):
     delta: float
     witness: tuple
     exact: bool
@@ -534,8 +533,7 @@ def hyperbolicity_delta(graph: Graph) -> HyperbolicityReport:
 # Cheeger constants
 
 
-@dataclass(frozen=True)
-class CheegerReport:
+class CheegerReport(NamedTuple):
     value: float
     witness: tuple
     exact: bool
@@ -560,8 +558,7 @@ def _fiedler_order(adj: np.ndarray) -> list[int]:
     return sorted(range(len(adj)), key=lambda i: (fiedler[i], i))
 
 
-@dataclass(frozen=True)
-class RatioCut:
+class RatioCut(NamedTuple):
     """Result of :func:`min_ratio_cut`: the exact minimum ratio, the
     lexicographically smallest set attaining it, and the number of s-t
     min-cut solves the Dinkelbach iteration made."""
@@ -903,8 +900,7 @@ def _enumerated_cheeger(adj: np.ndarray, order: list) -> CheegerReport:
 # Visual boundary proxy
 
 
-@dataclass(frozen=True)
-class ProxyReport:
+class ProxyReport(NamedTuple):
     base: object
     radius: int
     points: tuple
@@ -1012,8 +1008,7 @@ UP_PASS_S = 8.0  # uniform_perfectness passes at S <= UP_PASS_S
 POLE_MAX_MARGIN = 12  # has_pole holds when no vertex is farther from the geodesics
 
 
-@dataclass(frozen=True)
-class UPReport:
+class UPReport(NamedTuple):
     passed: bool
     s_value: float | None
     gap: tuple[float, float] | None
@@ -1076,8 +1071,7 @@ def uniform_perfectness(dists: np.ndarray, a: float, radius: int) -> UPReport:
                     reason="" if passed else f"S = {s!r} exceeds {UP_PASS_S!r}")
 
 
-@dataclass(frozen=True)
-class PoleReport:
+class PoleReport(NamedTuple):
     has_pole: bool
     needed: int
     base: object

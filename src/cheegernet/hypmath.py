@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "ARCSINH_ONE",
     "DomainError",
     "CuspCollar",
+    "NetBuildParams",
     "check_margulis",
     "check_delta",
     "collar_width",
@@ -83,6 +85,21 @@ def check_delta(eps: float, delta: float) -> float:
     return delta
 
 
+@dataclass(frozen=True)
+class NetBuildParams:
+    """Thinness eps and net scale delta, checked by check_delta when built."""
+
+    eps: float
+    delta: float
+
+    def __post_init__(self):
+        check_delta(self.eps, self.delta)
+
+    @property
+    def density(self) -> float:
+        return 1.0 / self.delta
+
+
 def collar_width(l: float) -> float:
     """Half-width arccosh(coth(l/2)) of the standard collar around a closed
     geodesic of length l.  Strictly decreasing in l."""
@@ -133,8 +150,7 @@ def thin_collar_area(l: float, eps: float) -> float:
     return (2.0 * l / s) * math.sqrt(gap)
 
 
-@dataclass(frozen=True)
-class CuspCollar:
+class CuspCollar(NamedTuple):
     """Horocyclic cusp collar: boundary length and area both equal lam < 2."""
 
     lam: float

@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .hypmath import DomainError
 from .surface import (
+    MAX_PIECES,
     Family,
     GeodesicDomain,
     SurfaceSpec,
@@ -57,15 +58,11 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-# Default size cap of the piece-set enumeration (the CLI's --max-pieces).
-MAX_PIECES = 12
-
 # Piece sets evaluated per numpy pass of the domain scan.
 _CHUNK = 1 << 14
 
 
-@dataclass(frozen=True)
-class IsoperimetricReport:
+class IsoperimetricReport(NamedTuple):
     h_g: float
     best_domain: GeodesicDomain
     lower_bound_certified: bool
@@ -84,8 +81,7 @@ class IsoperimetricReport:
         }
 
 
-@dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(NamedTuple):
     delta: float
     worst_c: float
     witness: GeodesicDomain | None
@@ -235,8 +231,7 @@ def is_decaying(params, values) -> tuple[bool, float | None, float | None]:
     return slope < -0.5 and r2 > 0.9, slope, r2
 
 
-@dataclass(frozen=True)
-class FamilyRow:
+class FamilyRow(NamedTuple):
     param: int
     h_g: float
     best_domain_size: int
@@ -244,8 +239,7 @@ class FamilyRow:
     verdict: str
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(NamedTuple):
     name: str
     verdict: str  # "has_LII_evidence" | "no_LII_evidence"
     rows: tuple[FamilyRow, ...]

@@ -22,15 +22,15 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .graphtools import CheegerReport, Graph, cheeger
 from .hypmath import (
     DomainError,
-    check_delta,
+    NetBuildParams,
     collar_width,
     cusp_collar,
     thin_boundary_length,
@@ -54,21 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NetBuildParams:
-    eps: float
-    delta: float
-
-    def __post_init__(self):
-        check_delta(self.eps, self.delta)
-
-    @property
-    def density(self) -> float:
-        return 1.0 / self.delta
-
-
-@dataclass(frozen=True)
-class RingInfo:
+class RingInfo(NamedTuple):
     kind: str  # "thick" | "thin_side" | "cusp" | "open"
     slot: Slot  # owning slot; label namespace for the samples
     gluing_index: int | None
@@ -77,8 +63,7 @@ class RingInfo:
     pieces: tuple  # pieces this curve is incident to
 
 
-@dataclass(frozen=True)
-class NetGraph:
+class NetGraph(NamedTuple):
     """A net and where its parts sit: hub p is vertex p, each ring's
     samples are the index range of its RingInfo, and special_w (cusp slot
     -> index) and special_v (gluing index -> index) hold the specials."""
@@ -286,8 +271,7 @@ def build_quotient_mesh(spec: SurfaceSpec, params: NetBuildParams):
 _PAIR_CHUNK = 1 << 16  # mapped pairs whose per-hop extremes are gathered at a time
 
 
-@dataclass(frozen=True)
-class QIReport:
+class QIReport(NamedTuple):
     alpha: float
     beta: float
     fullness: float
@@ -295,7 +279,7 @@ class QIReport:
     hops: list  # [[hop count, least image distance, greatest image distance], ...]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def estimate_qi_constants(graph_a: Graph, graph_b: Graph, vmap) -> QIReport:

@@ -34,12 +34,13 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .hypmath import check_margulis, cusp_collar, thin_boundary_length, thin_collar_area, thin_half_width
 
 __all__ = [
     "SpecError",
+    "MAX_PIECES",
     "Slot",
     "Gluing",
     "OpenBoundary",
@@ -67,13 +68,15 @@ __all__ = [
 
 Slot = tuple[int, int]
 
+# Default size cap of the piece-set enumeration (the CLI's --max-pieces).
+MAX_PIECES = 12
+
 
 class SpecError(ValueError):
     """Raised for malformed or invalid surface specifications."""
 
 
-@dataclass(frozen=True, order=True)
-class Gluing:
+class Gluing(NamedTuple):
     """Two slots sharing a closed geodesic of the given length."""
 
     a: Slot
@@ -81,8 +84,7 @@ class Gluing:
     length: float
 
 
-@dataclass(frozen=True, order=True)
-class OpenBoundary:
+class OpenBoundary(NamedTuple):
     """A window-edge slot: the surface continues past this geodesic."""
 
     at: Slot
@@ -205,15 +207,13 @@ def require_valid(spec: SurfaceSpec) -> SurfaceSpec:
     return spec
 
 
-@dataclass(frozen=True)
-class BoundaryCurve:
+class BoundaryCurve(NamedTuple):
     kind: str  # "gluing" or "open"
     index: int
     length: float
 
 
-@dataclass(frozen=True)
-class PiecesIndex:
+class PiecesIndex(NamedTuple):
     """Tables of the pieces multigraph of one spec."""
 
     neighbours: tuple[tuple[int, ...], ...]  # distinct pieces across a gluing, ascending
@@ -285,8 +285,7 @@ def separating_gluings(spec: SurfaceSpec) -> frozenset[int]:
     )
 
 
-@dataclass(frozen=True)
-class ThinCollar:
+class ThinCollar(NamedTuple):
     gluing_index: int
     core_length: float
     half_width: float
@@ -295,14 +294,12 @@ class ThinCollar:
     is_separating: bool
 
 
-@dataclass(frozen=True)
-class CuspCollarAt:
+class CuspCollarAt(NamedTuple):
     cusp: Slot
     lam: float  # boundary horocycle length; also the collar area
 
 
-@dataclass(frozen=True)
-class ThickThin:
+class ThickThin(NamedTuple):
     eps: float
     thin_collars: tuple[ThinCollar, ...]
     cusp_collars: tuple[CuspCollarAt, ...]
@@ -333,8 +330,7 @@ def thick_thin(spec: SurfaceSpec, eps: float) -> ThickThin:
     return ThickThin(eps=eps, thin_collars=thin, cusp_collars=cusp_rows)
 
 
-@dataclass(frozen=True)
-class GeodesicDomain:
+class GeodesicDomain(NamedTuple):
     piece_set: tuple[int, ...]
     boundary: tuple[BoundaryCurve, ...]
     boundary_count: int  # m, closed boundary geodesics
