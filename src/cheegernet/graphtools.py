@@ -6,17 +6,19 @@ as one contiguous index range.  Insertion order is the canonical vertex
 order and every report breaks ties toward it, so identical inputs give
 byte-identical outputs.  All-pairs distances are composed over the
 block-cut tree: BFS or Dijkstra runs only inside each biconnected block
-(found by an iterative Hopcroft-Tarjan search), and numpy adds the blocks'
-matrices across cut vertices.  A net glues copies of a few gadgets, so
-most of its blocks share a shape (the same local adjacency, neighbour
-order and weights); blocks of one shape share one subgraph, and one call
-searches each shape from each position once and scans it once, while
-counts such as `quadruples` still add each block's share.  Ratio cuts
-min cut(A)/|A| against a sink are exact, by Dinkelbach iteration over s-t
-min cuts from an iterative Dinic max flow in Python integers; ambient
-Cheeger constants use them, and so does the size-capped constant's upper
-bound on graphs too large to enumerate, over the two halves of the
-Fiedler order.
+(found by an iterative Hopcroft-Tarjan search), one pass places the
+blocks in breadth-first order of the tree, and numpy then fills one
+matrix over the rows and columns kept, adding each block's distances
+across its cut vertex by three slice writes.  A net glues copies of a
+few gadgets, so most of its blocks share a shape (the same local
+adjacency, neighbour order and weights); blocks of one shape share one
+subgraph, and one call searches each shape from each position once and
+scans it once, while counts such as `quadruples` still add each block's
+share.  Ratio cuts min cut(A)/|A| against a sink are exact, by
+Dinkelbach iteration over s-t min cuts from an iterative Dinic max flow
+in Python integers; ambient Cheeger constants use them, and so does the
+size-capped constant's upper bound on graphs too large to enumerate,
+over the two halves of the Fiedler order.
 The four-point hyperbolicity constant is exact at every size: the largest
 over the same blocks, each scanned once by far-apart pairs on its own
 m x m matrix, which also yields the witness, so no n x n matrix is built.
@@ -61,7 +63,7 @@ __all__ = [
 ]
 
 
-_GATHER = 1 << 16  # entries gathered at a time at the end of Graph.distance_matrix
+_GATHER = 1 << 14  # entries gathered at a time at the end of Graph.distance_matrix
 
 
 def _check_weight(weight: float) -> None:
@@ -217,23 +219,26 @@ class Graph:
         The matrix is composed over the block-cut tree.  A shortest path
         between two vertices of one block stays in that block, so all
         searches are BFS (or Dijkstra) on the subgraph of one block, whose
-        vertices are the positions in the block.  Blocks of one shape share
-        their subgraph, so the call keeps each search's row by (subgraph,
-        source position) while a block of that shape is still to come, and
-        runs each search once; the memo dies with the call.  Blocks are added
-        in breadth-first order of the tree from the block of the first
-        vertex, each once: the first placed vertex a to reach a block is its
+        vertices are the positions in the block.  A placement pass walks the
+        blocks once, in breadth-first order of the tree from the block of
+        the first vertex: the first placed vertex a to reach a block is its
         attachment, and all its other vertices are new, since the tree
-        reaches each of them through this block alone.  The block gets
-        D[old, new] = D[old, a] + d(a -> new) and
-        D[new, old] = d(new -> a) + D[a, old].  Only the rows asked for,
-        the cut vertices' and the first vertex's are composed, so a block
-        costs a search from a and one from each new vertex whose row is
-        kept.  The last two keep whole rows (W), as later blocks read them;
-        the other rows asked for (R) keep only the columns asked for and
-        the cut vertices' they compose through.  Columns are stored in
-        placement order, so a block writes contiguous slices, and a gather
-        at the end puts the rows asked for in the order of cols.  An entry
+        reaches each of them through this block alone.  It gives the kept
+        vertices (the rows asked for, the cut vertices and the first
+        vertex) their rows of one matrix M, and the stored vertices (the
+        columns asked for, the cut vertices and the first vertex) their
+        columns, both in placement order.  A write pass then fills M block
+        by block, each with three slice writes:
+        D[old, new] = D[old, a] + d(a -> new) for its stored vertices over
+        the rows placed before it, d(new -> new') for its own rows over its
+        own columns, and D[new, old] = d(new -> a) + D[a, old] for its own
+        rows over the columns placed before it.  So a block costs a search
+        from a and one from each new kept vertex.  Blocks of one shape share
+        their subgraph, so while a block of that shape is still to come the
+        call keeps each search's row by (subgraph, source position), and
+        the three slices by (subgraph, a's position, new kept and stored
+        positions); the memos die with the call.  A gather, a chunk of rows
+        at a time, puts M's entries in the order of rows and cols.  An entry
         has the same bits whichever other rows and columns are asked for.
         Hop counts are exact.  A weighted distance across a cut vertex is a
         sum of two block distances, where a whole-graph Dijkstra adds the
@@ -251,85 +256,71 @@ class Graph:
         for b, (block, _) in enumerate(blocks):
             for i in block:
                 blocks_of[i].append(b)
-        whole = [len(b) > 1 for b in blocks_of]  # cut vertices
-        whole[0] = True
-        asked, stored = [False] * n, whole[:]  # stored: the columns of R
+        kept = [len(b) > 1 for b in blocks_of]  # cut vertices, vertex 0, rows asked for
+        kept[0] = True
+        stored = kept[:]  # and the columns asked for
         for i in rows:
-            asked[i] = True
+            kept[i] = True
         for j in cols:
             stored[j] = True
-        if all(stored):  # a row asked for keeps every column anyway
-            whole = [w or q for w, q in zip(whole, asked)]
-        own = [q and not w for w, q in zip(whole, asked)]  # the rows of R
-        W = np.zeros((sum(whole), n), dtype=dtype)
-        R = np.zeros((sum(own), sum(stored)), dtype=dtype)
-        placed = np.zeros(R.shape[1], dtype=np.intp)  # placed column of a column of R
-        row = [0] * n  # row of W or of R of a kept vertex
-        pos = [0] * n  # placed column of a placed vertex
-        col = [0] * n  # column of R of a stored placed vertex
+        row, col = [0] * n, [0] * n  # row of M of a kept vertex, column of a stored one
+        # Per block: (shape, a's position, rk, ck), the first row and column it
+        # fills, and a's row and column.
+        plan = []
         visited = [False] * len(blocks)
-        found: dict[tuple[Graph, int], np.ndarray] = {}  # (shape, source) -> its search
-        left = Counter(sub for _, sub in blocks)  # blocks of each shape not yet added
-
-        def search(sub: Graph, k: int) -> np.ndarray:
-            row = found.get((sub, k))
-            if row is None:
-                row = np.array((sub.dijkstra if weighted else sub.bfs_distances)(k), dtype=dtype)
-                if left[sub]:  # kept only for a later block of this shape
-                    found[sub, k] = row
-            return row
-
-        wrows, rrows, count, width = 1, 0, 1, 1
-        queue = [0]
+        queue, top, width = [0], 1, 1
         for a in queue:
             for b in blocks_of[a]:
                 if visited[b]:
                     continue
                 visited[b] = True
                 block, sub = blocks[b]
-                left[sub] -= 1
                 at = block.index(a)
-                new = [k for k in range(len(block)) if k != at]
-                kept = [k for k in new if stored[block[k]]] if len(R) else []
-                end, stop = count + len(new), width + len(kept)
-                for j, k in enumerate(new):
-                    pos[block[k]] = count + j
-                from_a = search(sub, at)
-                W[:wrows, count:end] = W[:wrows, pos[a], None] + from_a[new]
-                if kept:
-                    R[:rrows, width:stop] = R[:rrows, col[a], None] + from_a[kept]
-                    placed[width:stop] = [pos[block[k]] for k in kept]
-                    for j, k in enumerate(kept):
-                        col[block[k]] = width + j
-                wide = [k for k in new if whole[block[k]]]
-                fresh = wide + [k for k in new if own[block[k]]] if len(R) else wide
-                if fresh:
-                    local = np.array([search(sub, k) for k in fresh])
-                    top, cut = wrows + len(wide), len(wide)
-                    W[wrows:top, count:end] = local[:cut, new]
-                    W[wrows:top, :count] = local[:cut, at, None] + W[row[a], :count]
-                    for k in wide:
-                        row[block[k]], wrows = wrows, wrows + 1
-                    if len(fresh) > cut:
-                        top = rrows + len(fresh) - cut
-                        R[rrows:top, width:stop] = local[cut:, kept]
-                        R[rrows:top, :width] = local[cut:, at, None] + W[row[a], placed[:width]]
-                        for k in fresh[cut:]:
-                            row[block[k]], rrows = rrows, rrows + 1
-                queue += [block[k] for k in new]
-                count, width = end, stop
-        out = W.take([row[i] for i in rows if whole[i]], axis=0)
-        del W  # so a full matrix peaks at two n x n copies, not three
-        out = out.take([pos[j] for j in cols], axis=1)
-        if len(R):  # the whole rows among the rows asked for, then the own rows
-            both, out = out, np.empty((len(rows), len(cols)), dtype=dtype)
-            out[[p for p, i in enumerate(rows) if whole[i]]] = both
-            at = [p for p, i in enumerate(rows) if own[i]]
-            order = np.array([col[j] for j in cols], dtype=np.intp)
-            step = max(1, _GATHER // max(1, len(order)))
-            for s in range(0, len(at), step):
-                chunk = at[s:s + step]
-                out[chunk] = R.take([row[rows[p]] for p in chunk], axis=0).take(order, axis=1)
+                rk, ck = [], []  # positions of the new kept and new stored vertices
+                for k in [*range(at), *range(at + 1, len(block))]:
+                    i = block[k]
+                    queue.append(i)
+                    if kept[i]:
+                        row[i] = top + len(rk)
+                        rk.append(k)
+                    if stored[i]:
+                        col[i] = width + len(ck)
+                        ck.append(k)
+                plan.append(((sub, at, tuple(rk), tuple(ck)), top, width, row[a], col[a]))
+                top, width = top + len(rk), width + len(ck)
+        found: dict[tuple[Graph, int], np.ndarray] = {}  # (shape, source) -> its search
+        cut: dict[tuple, tuple] = {}  # (shape, a's position, rk, ck) -> the three slices
+        left = Counter(sub for _, sub in blocks)  # blocks of each shape not yet written
+
+        def search(sub: Graph, k: int) -> np.ndarray:
+            got = found.get((sub, k))
+            if got is None:
+                got = np.array((sub.dijkstra if weighted else sub.bfs_distances)(k), dtype=dtype)
+                if left[sub]:  # kept only for a later block of this shape
+                    found[sub, k] = got
+            return got
+
+        M = np.zeros((top, width), dtype=dtype)
+        for key, r, c, ra, ca in plan:
+            sub, at, rk, ck = key
+            left[sub] -= 1
+            parts = cut.get(key)
+            if parts is None:
+                local = np.array([search(sub, k) for k in rk], dtype=dtype).reshape(len(rk), sub.n)
+                parts = search(sub, at)[list(ck)], local[:, ck], local[:, at, None]
+                if left[sub]:
+                    cut[key] = parts
+            s, t = r + len(rk), c + len(ck)
+            M[:r, c:t] = M[:r, ca, None] + parts[0]
+            M[r:s, c:t] = parts[1]
+            M[r:s, :c] = parts[2] + M[ra, :c]
+        del parts, local  # a one-block graph's are nearly n x n
+        out = np.empty((len(rows), len(cols)), dtype=dtype)
+        take = np.array([row[i] for i in rows], dtype=np.intp)
+        order = np.array([col[j] for j in cols], dtype=np.intp)
+        step = max(1, _GATHER // max(width, len(order), 1))
+        for s in range(0, len(take), step):
+            out[s:s + step] = M.take(take[s:s + step], axis=0).take(order, axis=1)
         return out
 
 
@@ -1089,22 +1080,21 @@ class PoleReport(NamedTuple):
 def geodesic_union_set(graph: Graph, base: int, peripheral, dmat: np.ndarray) -> set[int]:
     """Indices of the vertices lying on some shortest path from vertex base
     to some peripheral vertex (indices too): x qualifies iff
-    d(base,x) + d(x,u) = d(base,u).  Distances are read from dmat, the
-    graph's hop-count distance matrix."""
-    on = np.zeros(graph.n, dtype=bool)
-    for u in peripheral:
-        on |= dmat[base] + dmat[u] == dmat[base, u]
-    return set(np.flatnonzero(on).tolist())
+    d(base,x) + d(x,u) = d(base,u), tested for every u at once.  Distances
+    are read from dmat, the graph's hop-count distance matrix."""
+    d, rows = dmat[base], list(peripheral)
+    return set(np.flatnonzero((d + dmat[rows] == d[rows, None]).any(axis=0)).tolist())
 
 
 def has_pole(graph: Graph, base: int, peripheral, dmat: np.ndarray) -> PoleReport:
     """Whether every vertex is within POLE_MAX_MARGIN of the union of
     geodesics from vertex base to the peripheral vertices (all given by
     index).  `needed` is the exact least such margin: the largest over the
-    rows of the hop-count distance matrix dmat of the row's least entry
-    over the union's columns.  The report names the base by its label."""
+    columns of the hop-count distance matrix dmat of the column's least
+    entry over the union's rows, since hop counts are symmetric.  The
+    report names the base by its label."""
     if not peripheral:
         raise DomainError("pole test needs a nonempty peripheral set")
-    cols = sorted(geodesic_union_set(graph, base, peripheral, dmat))
-    needed = int(dmat[:, cols].min(axis=1).max())
+    union = list(geodesic_union_set(graph, base, peripheral, dmat))
+    needed = int(dmat[union].min(axis=0).max())
     return PoleReport(needed <= POLE_MAX_MARGIN, needed, graph._labels[base], len(peripheral))

@@ -114,8 +114,8 @@ class TestGraph:
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_full_matrix_peaks_at_two_copies(self, weighted):
-        """The whole-row matrix W is dropped after the row gather, so the
-        column gather does not hold a third n x n copy."""
+        """The one composed matrix and the output are the only n x n copies:
+        the output is gathered from it a chunk of rows at a time."""
         g = net_graph(families.pants_tree(5))
         tracemalloc.start()
         try:
@@ -1193,7 +1193,8 @@ class TestShapeSharing:
     @pytest.mark.parametrize("chain", [True, False])
     def test_one_search_per_shape_and_source(self, monkeypatch, chain):
         """30 copies of the 8-vertex gadget: one search from each of its
-        positions, whatever the number of copies."""
+        positions, whatever the number of copies, for the full matrix and
+        for a request of some rows and columns."""
         g = repeated_blocks(random.Random(30), [block_variants(GADGET)[0]] * 30, chain)
         want = [per_source_matrix(g), per_source_matrix(g, True), sliced_hyperbolicity(g)]
         calls = {"bfs_distances": 0, "dijkstra": 0}
@@ -1214,6 +1215,14 @@ class TestShapeSharing:
         for weighted, name in ((False, "bfs_distances"), (True, "dijkstra")):
             calls[name] = 0
             assert np.array_equal(g.distance_matrix(weighted=weighted), want[weighted])
+            assert 0 < calls[name] <= 8
+        rng = random.Random(8)
+        rows = sorted(rng.sample(range(g.n), g.n // 3))
+        cols = [rng.randrange(g.n) for _ in range(g.n // 2)]
+        for weighted, name in ((False, "bfs_distances"), (True, "dijkstra")):
+            calls[name] = 0
+            got = g.distance_matrix(weighted=weighted, rows=rows, cols=cols)
+            assert got.tobytes() == want[weighted][np.ix_(rows, cols)].tobytes()
             assert 0 < calls[name] <= 8
 
 

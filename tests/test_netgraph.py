@@ -503,10 +503,10 @@ class TestQI:
 
     def test_peak_memory_below_one_image_row_matrix(self):
         """Only the mapped x mapped hop counts, the image x image distances,
-        the whole rows of the mesh's cut vertices and a chunk of pairs are
-        held, so the peak stays below one float64 matrix of the images'
-        rows over every mesh vertex, which the estimate once held three
-        copies of."""
+        the composed matrix over the images and the mesh's cut vertices and
+        a chunk of pairs are held, so the peak stays below one float64
+        matrix of the images' rows over every mesh vertex, which the
+        estimate once held three copies of."""
         spec = families.pants_tree(6)
         net = build_net(spec, PARAMS)
         mesh, vmap = build_quotient_mesh(spec, PARAMS)
