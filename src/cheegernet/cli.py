@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
@@ -374,9 +375,13 @@ _COMMANDS = {
 # Accepted --mode values; every other command accepts only "auto".
 _MODES = {"cheeger": ("auto", "finite_half", "ambient")}
 
+# The parser keeps no state between parse_args calls, so one per process
+# serves every call of main; it is built at the first.
+_parser = cache(build_parser)
+
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         eps = EPS_DEFAULT if args.eps is None else args.eps
         params = NetBuildParams(eps, 0.9 * delta1(eps) if args.delta is None else args.delta)

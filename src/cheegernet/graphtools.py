@@ -9,7 +9,12 @@ block-cut tree: BFS or Dijkstra runs only inside each biconnected block
 (found by an iterative Hopcroft-Tarjan search), one pass places the
 blocks in breadth-first order of the tree, and numpy then fills one
 matrix over the rows and columns kept, adding each block's distances
-across its cut vertex by three slice writes.  A net glues copies of a
+across its cut vertex by three slice writes.  Hop counts are at most
+n - 1, so that matrix is int16 while n - 1 <= 32767 and int32 above, for
+half the bytes moved and held; weighted ones are float64.  A consumer
+that adds two hop counts (the geodesic union of the pole test) widens
+them first; the four-point scan keeps int32 block matrices, since its
+defect adds and subtracts distances.  A net glues copies of a
 few gadgets, so most of its blocks share a shape (the same local
 adjacency, neighbour order and weights); blocks of one shape share one
 subgraph, and one call searches each shape from each position once and
@@ -64,6 +69,7 @@ __all__ = [
 
 
 _GATHER = 1 << 14  # entries gathered at a time at the end of Graph.distance_matrix
+_INT16_HOPS = 1 << 15  # most vertices whose hop counts, at most n - 1, all fit in int16
 
 
 def _check_weight(weight: float) -> None:
@@ -240,13 +246,17 @@ class Graph:
         positions); the memos die with the call.  A gather, a chunk of rows
         at a time, puts M's entries in the order of rows and cols.  An entry
         has the same bits whichever other rows and columns are asked for.
-        Hop counts are exact.  A weighted distance across a cut vertex is a
-        sum of two block distances, where a whole-graph Dijkstra adds the
-        edge weights one by one along the path, so the two can differ by
-        rounding.
+        Hop counts are exact, and they come as int16 whenever every one fits
+        (n - 1 <= 32767), int32 above that: the composed matrix, its block
+        parts and the gathered result then hold half the bytes of int32.  A
+        caller that adds two hop counts must widen them first.  A weighted
+        distance across a cut vertex is a sum of two block distances, where
+        a whole-graph Dijkstra adds the edge weights one by one along the
+        path, so the two can differ by rounding; weighted matrices are
+        float64.
         """
         n = self.n
-        dtype = np.float64 if weighted else np.int32
+        dtype = np.float64 if weighted else np.int16 if n <= _INT16_HOPS else np.int32
         rows = range(n) if rows is None else rows
         cols = range(n) if cols is None else cols
         if n <= 1:
@@ -379,20 +389,45 @@ def _block_graphs(graph: Graph, task: str = "distance matrix") -> list[tuple[lis
     graph's order.  Blocks of one shape, the same rows of (position,
     weight) pairs, share one subgraph, built at the shape's first block, so
     callers can search and scan a shape once.  An edge whose ends share a
-    block lies in it, since two blocks share at most one vertex.  Raises
-    "<task> of a disconnected graph" if the graph is: the block-cut tree
-    of c components with B blocks of total size S has S = n + B - c."""
+    block lies in it, since two blocks share at most one vertex.  So every
+    edge of a vertex in one block lies in that block, and each cut
+    vertex's row is read once, each entry handed to the block of its edge:
+    the neighbour's only block, or the one block two cut vertices share,
+    found by testing the blocks of the one in fewer against the other's.
+    Raises "<task> of a disconnected graph" if the graph is: the block-cut
+    tree of c components with B blocks of total size S has S = n + B - c."""
     adj = graph._adj
-    where = [-1] * len(adj)  # position in the current block
+    blocks = biconnected_components(graph)
+    # Flat stamps and dicts for the cut vertices only: a list per vertex
+    # set off collections of the whole graph that cost more than the scan.
+    owner = [-1] * len(adj)  # the last block of each vertex
+    split: dict[int, dict[int, dict]] = {}  # cut vertex -> block -> its neighbours there
+    for b, block in enumerate(blocks):
+        for i in block:
+            if owner[i] >= 0:
+                split.setdefault(i, {owner[i]: {}})[b] = {}
+            owner[i] = b
+    cuts: list[list[int]] = [[] for _ in blocks]  # the cut vertices of each block
+    for i, parts in split.items():
+        for b in parts:
+            cuts[b].append(i)
+        for j, w in adj[i].items():
+            theirs = split.get(j)
+            if theirs is None:
+                parts[owner[j]][j] = w
+            else:  # the one block two cut vertices share
+                short, long = (theirs, parts) if len(theirs) < len(parts) else (parts, theirs)
+                parts[next(b for b in short if b in long)][j] = w
+    rows = adj[:]  # each vertex's neighbours in the current block
+    where = [0] * len(adj)  # position in the current block
     shapes: dict[tuple, Graph] = {}
     out = []
-    for block in biconnected_components(graph):
+    for b, block in enumerate(blocks):
         for k, i in enumerate(block):
             where[i] = k
-        shape = tuple([tuple([(where[j], w) for j, w in adj[i].items() if where[j] >= 0])
-                       for i in block])
-        for i in block:
-            where[i] = -1
+        for i in cuts[b]:
+            rows[i] = split[i][b]
+        shape = tuple([tuple([(where[j], w) for j, w in rows[i].items()]) for i in block])
         sub = shapes.get(shape)
         if sub is None:
             sub = shapes[shape] = Graph([dict(row) for row in shape])
@@ -1081,8 +1116,10 @@ def geodesic_union_set(graph: Graph, base: int, peripheral, dmat: np.ndarray) ->
     """Indices of the vertices lying on some shortest path from vertex base
     to some peripheral vertex (indices too): x qualifies iff
     d(base,x) + d(x,u) = d(base,u), tested for every u at once.  Distances
-    are read from dmat, the graph's hop-count distance matrix."""
-    d, rows = dmat[base], list(peripheral)
+    are read from dmat, the graph's hop-count distance matrix, and summed
+    in at least int32, so the int16 counts cannot wrap."""
+    rows = list(peripheral)
+    d = dmat[base].astype(np.promote_types(dmat.dtype, np.int32))
     return set(np.flatnonzero((d + dmat[rows] == d[rows, None]).any(axis=0)).tolist())
 
 

@@ -345,6 +345,21 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
 
+    def test_one_parser_per_process(self, capsys):
+        """main builds its parser once and reuses it: a rejected call, then
+        a good one, then the rejected one again print the same usage and
+        error text as a freshly built parser."""
+        errors = []
+        for parse in (main, main, cli.build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(["cheeger", FLUTE8, "--seed", "3"])
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr().err)
+            assert run_main(capsys, "validate", FLUTE8)[0] == 0
+        assert errors[0].startswith("usage: cheegernet ")
+        assert errors[0] == errors[1] == errors[2]
+        assert cli._parser() is cli._parser()
+
 
 class TestDeterminism:
     def test_net_json_stable(self, capsys):

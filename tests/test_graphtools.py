@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import time
 import tracemalloc
 from collections import deque
 from fractions import Fraction
@@ -201,10 +202,18 @@ class TestSearchOracle:
 
 def per_source_matrix(g: Graph, weighted: bool = False) -> np.ndarray:
     """Oracle: one whole-graph BFS or Dijkstra per source vertex, each
-    result read by index."""
+    result read by index, in the type distance_matrix returns: float64, or
+    int16 hop counts, which hold every graph's here."""
     search = g.dijkstra if weighted else g.bfs_distances
     return np.array([search(i) for i in range(g.n)],
-                    dtype=np.float64 if weighted else np.int32).reshape(g.n, g.n)
+                    dtype=np.float64 if weighted else np.int16).reshape(g.n, g.n)
+
+
+def star_graph(n: int) -> Graph:
+    """Hub 0 joined to each of the leaves 1..n-1."""
+    g = Graph([{} for _ in range(n)])
+    g.link(0, range(1, n))
+    return g
 
 
 def glued_blocks(rng: random.Random, count: int, weighted: bool = False):
@@ -282,6 +291,27 @@ class TestBlockComposedMatrix:
         assert edge.distance_matrix(weighted=True).tolist() == [[0.0, 2.5], [2.5, 0.0]]
         for g in (path_graph(3), cycle_graph(3)):
             assert np.array_equal(g.distance_matrix(), per_source_matrix(g))
+
+    def test_hop_counts_take_the_narrowest_type_that_holds_them(self):
+        """int16 while every hop count, at most n - 1, fits, int32 from
+        n - 1 = 32768 on, and float64 weighted; the stars are asked for
+        one row and one column, two leaves, so the matrix is 1 x 1."""
+        for n, dtype in ((32768, np.int16), (32769, np.int32)):
+            g = star_graph(n)
+            D = g.distance_matrix(rows=[1], cols=[n - 1])
+            assert (D.dtype, D.tolist()) == (dtype, [[2]])
+            D = g.distance_matrix(weighted=True, rows=[1], cols=[n - 1])
+            assert (D.dtype, D.tolist()) == (np.float64, [[2.0]])
+        D = net_graph(families.pants_tree(5)).distance_matrix()
+        assert (D.dtype, D.nbytes) == (np.int16, 604 * 604 * 2)
+
+    def test_star_blocks_are_split_in_linear_time(self):
+        """A hub in 32769 blocks has its row read once, not once per block:
+        read per block, this request took about half a minute."""
+        g = star_graph(32770)
+        start = time.perf_counter()
+        assert g.distance_matrix(rows=[1], cols=[2]).tolist() == [[2]]
+        assert time.perf_counter() - start < 5.0
 
     def test_blocks_partition_the_edges(self):
         rng = random.Random(1015)
@@ -1564,6 +1594,23 @@ class TestPole:
     def test_empty_peripheral_rejected(self):
         with pytest.raises(DomainError):
             has_pole(path_graph(3), 0, [], path_graph(3).distance_matrix())
+
+    def test_union_set_sums_int16_hop_counts_without_wrapping(self):
+        """An int16 line metric whose sums d(base, x) + d(x, u) pass 32767,
+        against the same union computed in int64 and read off the line.
+        The union reads only the matrix, so no graph is passed.  A sum
+        wrapped in int16 would be negative and so match no distance either:
+        this pins the union on sums past the int16 range, it cannot tell a
+        widened sum from a wrapped one."""
+        rng = random.Random(16)
+        at = np.array(sorted(rng.sample(range(32768), 40)))
+        wide = np.abs(at[:, None] - at)
+        base, peripheral = 20, [5, 39]
+        assert (wide[base] + wide[peripheral]).max() > 32767
+        d = wide[base]
+        want = set(np.flatnonzero((d + wide[peripheral] == d[peripheral, None]).any(axis=0)).tolist())
+        assert want == set(range(5, 40))
+        assert geodesic_union_set(None, base, peripheral, wide.astype(np.int16)) == want
 
 
 def bfs_has_pole(g: Graph, base, peripheral, max_margin=12) -> PoleReport:
