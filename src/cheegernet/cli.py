@@ -11,13 +11,12 @@ whatever --format says.  `net` builds only the form asked for: json, the
 csv edge list or dot; --format dot exits 3 for every other command.
 
 JSON goes through `to_json`, which returns exactly the bytes of
-`json.dumps(obj, sort_keys=True, indent=2)`: json's `NaN`, `Infinity` and
-`-Infinity`, its ASCII escapes (`\\u00e9` for é), floats as
-`float.__repr__` writes them, and TypeError wherever that call raises it.
-With `indent` the standard library leaves its C encoder for a pure-Python
-one; `to_json` writes a list of same-shape rows (the net's edge triples and
-vertex records, the `qi` hop rows) by one `%` format over all rows, and
-everything else by a plain recursion.
+`json.dumps(obj, sort_keys=True, indent=2)` and raises where that call
+raises.  With `indent` the standard library leaves its C encoder for a
+pure-Python one, slow on long lists, so `to_json` writes a top-level list of
+same-shape rows (the net's edge triples and vertex records, the `qi` hop
+rows) by one `%` format over all rows; the standard library writes
+everything else, with no recursion of the package's own.
 
 `isoperimetry` and `sweep` take h_g and the regularity constant of each spec
 from one enumeration pass (`isoperimetry.domain_reports`); a sweep runs it
@@ -39,6 +38,7 @@ import argparse
 import sys
 from functools import cache
 from itertools import chain
+from json import dumps
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
 from operator import itemgetter
@@ -76,26 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_INF = float("inf")
 # Row columns of these exact types are written by one conversion each; for
 # an exact float, %r is float.__repr__.
 _CONVERSION = {int: "%d", float: "%r", str: "%s"}
-
-
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    return "-Infinity" if x == -_INF else float.__repr__(x)
-
-
-def _key_text(k) -> str:
-    if isinstance(k, str):
-        return _quote(k)
-    if k is None or isinstance(k, (int, float)):
-        return '"' + to_json(k) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
 def _rows(rows, pad: str):
@@ -138,43 +121,22 @@ def _rows(rows, pad: str):
     return template % tuple(chain.from_iterable(zip(*values)))
 
 
-def to_json(obj, pad: str = "") -> str:
-    """`json.dumps(obj, sort_keys=True, indent=2)`, byte for byte, with each
-    line after the first indented by a further `pad`.
-
-    It raises TypeError wherever that call does.  Floats are written as
-    `float.__repr__` writes them and `NaN`, `Infinity`, `-Infinity` as json
-    does, ints by `int.__repr__`, strings with json's ASCII escapes, tuples
-    as lists and dicts in `sorted(d.items())` order with json's key
-    conversion.  A list of two or more rows of one shape goes through
-    `_rows`, one format over all rows, in place of one call per value."""
-    if isinstance(obj, str):
-        return _quote(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return _float_text(obj)
-    inner = pad + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        text = _rows(obj, pad) if len(obj) > 1 else None
-        if text is not None:
-            return text
-        items = [to_json(v, inner) for v in obj]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [_key_text(k) + ": " + to_json(v, inner) for k, v in sorted(obj.items())]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+def to_json(obj) -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2)`, byte for byte, with its
+    errors.  In a dict with str keys each value that `_rows` writes, a list
+    of two or more rows of one shape, goes through that one format; every
+    other value goes to json, indented by two spaces more after each line
+    break, since JSON text holds no raw newline."""
+    if not isinstance(obj, dict) or not obj or not all(isinstance(k, str) for k in obj):
+        return dumps(obj, sort_keys=True, indent=2)
+    items = []
+    for k in sorted(obj):
+        v = obj[k]
+        text = _rows(v, "  ") if isinstance(v, (list, tuple)) and len(v) > 1 else None
+        if text is None:
+            text = dumps(v, sort_keys=True, indent=2).replace("\n", "\n  ")
+        items.append(_quote(k) + ": " + text)
+    return "{\n  " + ",\n  ".join(items) + "\n}"
 
 
 def _kv_csv(obj: dict) -> str:

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
@@ -226,15 +227,15 @@ class Graph:
         between two vertices of one block stays in that block, so all
         searches are BFS (or Dijkstra) on the subgraph of one block, whose
         vertices are the positions in the block.  A placement pass walks the
-        blocks once, in breadth-first order of the tree from the block of
-        the first vertex: the first placed vertex a to reach a block is its
-        attachment, and all its other vertices are new, since the tree
-        reaches each of them through this block alone.  It gives the kept
-        vertices (the rows asked for, the cut vertices and the first
-        vertex) their rows of one matrix M, and the stored vertices (the
-        columns asked for, the cut vertices and the first vertex) their
-        columns, both in placement order.  A write pass then fills M block
-        by block, each with three slice writes:
+        blocks once, in the breadth-first order of the tree from the first
+        vertex that _block_graphs gives with each block's attachment a: all
+        the block's other vertices are new, since the tree reaches each of
+        them through this block alone.  It gives the kept vertices (the
+        rows asked for, the cut vertices and the first vertex) their rows
+        of one matrix M, and the stored vertices (the columns asked for,
+        the cut vertices and the first vertex) their columns, both in
+        placement order.  A write pass then fills M block by block, each
+        with three slice writes:
         D[old, new] = D[old, a] + d(a -> new) for its stored vertices over
         the rows placed before it, d(new -> new') for its own rows over its
         own columns, and D[new, old] = d(new -> a) + D[a, old] for its own
@@ -262,12 +263,9 @@ class Graph:
         if n <= 1:
             return np.zeros((len(rows), len(cols)), dtype=dtype)
         blocks = _block_graphs(self)
-        blocks_of: list[list[int]] = [[] for _ in range(n)]
-        for b, (block, _) in enumerate(blocks):
-            for i in block:
-                blocks_of[i].append(b)
-        kept = [len(b) > 1 for b in blocks_of]  # cut vertices, vertex 0, rows asked for
-        kept[0] = True
+        kept = [False] * n  # the attachments: cut vertices, vertex 0; rows asked for
+        for block, _, at in blocks:
+            kept[block[at]] = True
         stored = kept[:]  # and the columns asked for
         for i in rows:
             kept[i] = True
@@ -277,30 +275,24 @@ class Graph:
         # Per block: (shape, a's position, rk, ck), the first row and column it
         # fills, and a's row and column.
         plan = []
-        visited = [False] * len(blocks)
-        queue, top, width = [0], 1, 1
-        for a in queue:
-            for b in blocks_of[a]:
-                if visited[b]:
+        top, width = 1, 1
+        for block, sub, at in blocks:
+            rk, ck = [], []  # positions of the new kept and new stored vertices
+            for k, i in enumerate(block):
+                if k == at:
                     continue
-                visited[b] = True
-                block, sub = blocks[b]
-                at = block.index(a)
-                rk, ck = [], []  # positions of the new kept and new stored vertices
-                for k in [*range(at), *range(at + 1, len(block))]:
-                    i = block[k]
-                    queue.append(i)
-                    if kept[i]:
-                        row[i] = top + len(rk)
-                        rk.append(k)
-                    if stored[i]:
-                        col[i] = width + len(ck)
-                        ck.append(k)
-                plan.append(((sub, at, tuple(rk), tuple(ck)), top, width, row[a], col[a]))
-                top, width = top + len(rk), width + len(ck)
+                if kept[i]:
+                    row[i] = top + len(rk)
+                    rk.append(k)
+                if stored[i]:
+                    col[i] = width + len(ck)
+                    ck.append(k)
+            a = block[at]
+            plan.append(((sub, at, tuple(rk), tuple(ck)), top, width, row[a], col[a]))
+            top, width = top + len(rk), width + len(ck)
         found: dict[tuple[Graph, int], np.ndarray] = {}  # (shape, source) -> its search
         cut: dict[tuple, tuple] = {}  # (shape, a's position, rk, ck) -> the three slices
-        left = Counter(sub for _, sub in blocks)  # blocks of each shape not yet written
+        left = Counter(sub for _, sub, _ in blocks)  # blocks of each shape not yet written
 
         def search(sub: Graph, k: int) -> np.ndarray:
             got = found.get((sub, k))
@@ -383,19 +375,24 @@ def biconnected_components(graph: Graph) -> list[list[int]]:
     return blocks
 
 
-def _block_graphs(graph: Graph, task: str = "distance matrix") -> list[tuple[list[int], Graph]]:
+def _block_graphs(graph: Graph, task: str = "distance matrix") -> list[tuple[list[int], Graph, int]]:
     """Each block of a connected graph with at least two vertices, with
     its subgraph on the positions 0..m-1 in the block, neighbours in the
-    graph's order.  Blocks of one shape, the same rows of (position,
-    weight) pairs, share one subgraph, built at the shape's first block, so
-    callers can search and scan a shape once.  An edge whose ends share a
-    block lies in it, since two blocks share at most one vertex.  So every
-    edge of a vertex in one block lies in that block, and each cut
-    vertex's row is read once, each entry handed to the block of its edge:
-    the neighbour's only block, or the one block two cut vertices share,
-    found by testing the blocks of the one in fewer against the other's.
-    Raises "<task> of a disconnected graph" if the graph is: the block-cut
-    tree of c components with B blocks of total size S has S = n + B - c."""
+    graph's order, and the position in it of its attachment.  The blocks
+    come in breadth-first order of the block-cut tree from vertex 0: the
+    unplaced blocks of each placed vertex by index, the vertices placed in
+    each block's order.  A block's attachment is the vertex it is reached
+    from, vertex 0 or a cut vertex.  Blocks of one shape, the same rows of
+    (position, weight) pairs, share one subgraph, built at the shape's
+    first block, so callers can search and scan a shape once.  An edge
+    whose ends share a block lies in it, since two blocks share at most one
+    vertex.  So every edge of a vertex in one block lies in that block, and
+    each cut vertex's row is read once, each entry handed to the block of
+    its edge: the neighbour's only block, or the one block two cut
+    vertices share, found by testing the blocks of the one in fewer against
+    the other's.  Raises "<task> of a disconnected graph" if the graph is:
+    the block-cut tree of c components with B blocks of total size S has
+    S = n + B - c."""
     adj = graph._adj
     blocks = biconnected_components(graph)
     # Flat stamps and dicts for the cut vertices only: a list per vertex
@@ -421,7 +418,7 @@ def _block_graphs(graph: Graph, task: str = "distance matrix") -> list[tuple[lis
     rows = adj[:]  # each vertex's neighbours in the current block
     where = [0] * len(adj)  # position in the current block
     shapes: dict[tuple, Graph] = {}
-    out = []
+    subs = []
     for b, block in enumerate(blocks):
         for k, i in enumerate(block):
             where[i] = k
@@ -431,9 +428,20 @@ def _block_graphs(graph: Graph, task: str = "distance matrix") -> list[tuple[lis
         sub = shapes.get(shape)
         if sub is None:
             sub = shapes[shape] = Graph([dict(row) for row in shape])
-        out.append((block, sub))
-    if sum(len(block) for block, _ in out) - len(out) != len(adj) - 1:
+        subs.append(sub)
+    if sum(map(len, blocks)) - len(blocks) != len(adj) - 1:
         raise DomainError(f"{task} of a disconnected graph")
+    # Blocks are sorted lists, so a block's new cut vertices are queued in
+    # its own order and its attachment is found by bisection.
+    placed = [False] * len(blocks)
+    out = []
+    queue = [0]
+    for a in queue:
+        for b in split[a] if a in split else (owner[a],):
+            if not placed[b]:
+                placed[b] = True
+                out.append((blocks[b], subs[b], bisect_left(blocks[b], a)))
+                queue += sorted(i for i in cuts[b] if i != a)
     return out
 
 
@@ -533,7 +541,7 @@ def hyperbolicity_delta(graph: Graph) -> HyperbolicityReport:
         return HyperbolicityReport(0.0, tuple(order), True, 0.0, 0)
     best2, witness, quadruples = 0, (0, 1, 2, 3), 0
     scans: dict[Graph, tuple] = {}  # shape -> its scan
-    for block, sub in _block_graphs(graph, "hyperbolicity"):
+    for block, sub, _ in _block_graphs(graph, "hyperbolicity"):
         m = len(block)
         if m < 4:
             continue
@@ -1043,14 +1051,7 @@ class UPReport(NamedTuple):
     floor: float
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "s_value": self.s_value,
-            "gap": None if self.gap is None else list(self.gap),
-            "reason": self.reason,
-            "n_points": self.n_points,
-            "floor": self.floor,
-        }
+        return self._asdict()
 
 
 def uniform_perfectness(dists: np.ndarray, a: float, radius: int) -> UPReport:

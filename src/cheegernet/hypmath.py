@@ -108,16 +108,23 @@ def collar_width(l: float) -> float:
     return _acosh_stable(1.0 / th)
 
 
+def _check_thin(l: float, eps: float) -> tuple[float, float]:
+    """l and eps, checked for an eps-thin collar of core length l:
+    eps a Margulis scale, l positive and l <= 2*eps."""
+    eps = check_margulis(eps)
+    l = _require_positive("l", l)
+    if l > 2.0 * eps:
+        raise DomainError(f"need l <= 2*eps for a thin collar, got l={l!r}, eps={eps!r}")
+    return l, eps
+
+
 def thin_half_width(l: float, eps: float) -> float:
     """Half-width arccosh(sinh(eps)/sinh(l/2)) of the eps-thin collar.
 
     Defined for 0 < l <= 2*eps; equals 0 at l = 2*eps and is smaller than
     collar_width(l) on the open range.
     """
-    eps = check_margulis(eps)
-    l = _require_positive("l", l)
-    if l > 2.0 * eps:
-        raise DomainError(f"need l <= 2*eps for a thin collar, got l={l!r}, eps={eps!r}")
+    l, eps = _check_thin(l, eps)
     ratio = math.sinh(eps) / math.sinh(0.5 * l)
     if ratio < 1.0:
         # l == 2*eps up to rounding; the exact value is 1.
@@ -129,20 +136,14 @@ def thin_boundary_length(l: float, eps: float) -> float:
     """Length l*sinh(eps)/sinh(l/2) of either boundary curve of the eps-thin
     collar.  Bounded above by 2*sinh(eps) < 2 and increasing toward that bound
     as l -> 0+."""
-    eps = check_margulis(eps)
-    l = _require_positive("l", l)
-    if l > 2.0 * eps:
-        raise DomainError(f"need l <= 2*eps for a thin collar, got l={l!r}, eps={eps!r}")
+    l, eps = _check_thin(l, eps)
     return l * math.sinh(eps) / math.sinh(0.5 * l)
 
 
 def thin_collar_area(l: float, eps: float) -> float:
     """Area (2l/sinh(l/2)) * sqrt(sinh(eps)^2 - sinh(l/2)^2) of the eps-thin
     collar; identical to 2*l*sinh(thin_half_width(l, eps))."""
-    eps = check_margulis(eps)
-    l = _require_positive("l", l)
-    if l > 2.0 * eps:
-        raise DomainError(f"need l <= 2*eps for a thin collar, got l={l!r}, eps={eps!r}")
+    l, eps = _check_thin(l, eps)
     s = math.sinh(0.5 * l)
     gap = math.sinh(eps) ** 2 - s * s
     if gap < 0.0:

@@ -654,6 +654,31 @@ class TestJsonWriter:
         with pytest.raises(TypeError):
             to_json(obj)
 
+    @pytest.mark.parametrize("command", ["net", "qi"])
+    @pytest.mark.parametrize("spec", [FLUTE8, str(Path(__file__).parent / "golden" / "gen12.json")])
+    def test_printed_row_lists_take_the_fast_path(self, capsys, monkeypatch, command, spec):
+        """Every top-level list of two or more rows that `net` and `qi`
+        print is one `_rows` writes: the edges, vertices and hop rows."""
+        printed = []
+        monkeypatch.setattr(cli, "to_json", lambda obj: printed.append(obj) or to_json(obj))
+        code, out, _ = run_main(capsys, command, spec)
+        assert code == 0 and out == json_dumps(printed[0]) + "\n"
+        lists = [v for v in printed[0].values() if isinstance(v, (list, tuple)) and len(v) > 1
+                 and all(isinstance(row, (list, tuple, dict)) for row in v)]
+        assert lists
+        for rows in lists:
+            assert cli._rows(rows, "  ") is not None
+
+    def test_circular_references_raise_value_error(self):
+        looped_dict, looped_list = {"a": 1}, [1]
+        looped_dict["b"] = looped_dict
+        looped_list.append(looped_list)
+        for obj in (looped_dict, looped_list, {"rows": [looped_list, looped_list]}):
+            with pytest.raises(ValueError):
+                json_dumps(obj)
+            with pytest.raises(ValueError):
+                to_json(obj)
+
     def test_net_json_is_the_json_of_its_object(self, capsys):
         code, out, _ = run_main(capsys, "net", FLUTE8)
         assert code == 0

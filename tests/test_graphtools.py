@@ -339,7 +339,7 @@ class TestBlockComposedMatrix:
 
         original = graphtools._block_graphs
         monkeypatch.setattr(graphtools, "_block_graphs",
-                            lambda g: [(Block(block), sub) for block, sub in original(g)])
+                            lambda g: [(Block(block), sub, at) for block, sub, at in original(g)])
         for spokes in (50, 400):
             wheel = Graph()
             for k in range(1, spokes + 1):
@@ -1191,8 +1191,8 @@ class TestShapeSharing:
         for g, copies in shape_graphs(40):
             blocks = graphtools._block_graphs(g)
             assert len(blocks) == len(copies)
-            assert len({id(sub) for _, sub in blocks}) == len({tuple(c) for c in copies})
-            for (_, s1), (_, s2) in itertools.combinations(blocks, 2):
+            assert len({id(sub) for _, sub, _ in blocks}) == len({tuple(c) for c in copies})
+            for (_, s1, _), (_, s2, _) in itertools.combinations(blocks, 2):
                 assert (s1 is s2) == (local_shape(s1) == local_shape(s2))
 
     def test_matrices_match_per_source_searches(self):
