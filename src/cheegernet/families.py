@@ -26,8 +26,8 @@ import json
 from pathlib import Path
 
 from .hypmath import DomainError
-from .surface import (Family, SpecError, SurfaceSpec, _is_int, eval_length_expr, make_spec,
-                      read_json, spec_from_dict)
+from .surface import (MAX_SPEC_PIECES, Family, SpecError, SurfaceSpec, _is_int, eval_length_expr,
+                      make_spec, read_json, spec_from_dict)
 
 __all__ = [
     "flute",
@@ -118,9 +118,7 @@ PIECES = {
     "genus_ladder": lambda n: 2 * n,
 }
 
-# Most pieces a family's instances may hold in all: `validate` takes 1.6 s
-# on a 2-vCPU x86 host for flute over [2, 447], 100,127 pieces.
-MAX_FAMILY_PIECES = 10**5
+MAX_FAMILY_PIECES = MAX_SPEC_PIECES
 
 
 def _check_family_work(name: str, pname: str, lo: int, hi: int, pieces) -> None:

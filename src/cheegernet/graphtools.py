@@ -457,13 +457,7 @@ class HyperbolicityReport(NamedTuple):
     quadruples: int
 
     def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "witness": [str(v) for v in self.witness],
-            "exact": self.exact,
-            "base_dependence": self.base_dependence,
-            "quadruples": self.quadruples,
-        }
+        return {**self._asdict(), "witness": [str(v) for v in self.witness]}
 
 
 def _near(nbrs: list[list[int]], D: np.ndarray) -> np.ndarray:
@@ -575,13 +569,7 @@ class CheegerReport(NamedTuple):
     examined: int
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "witness": [str(v) for v in self.witness],
-            "exact": self.exact,
-            "mode": self.mode,
-            "examined": self.examined,
-        }
+        return {**self._asdict(), "witness": [str(v) for v in self.witness]}
 
 
 def _fiedler_order(adj: np.ndarray) -> list[int]:
@@ -1105,12 +1093,7 @@ class PoleReport(NamedTuple):
     peripheral_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "has_pole": self.has_pole,
-            "needed": self.needed,
-            "base": str(self.base),
-            "peripheral_count": self.peripheral_count,
-        }
+        return {**self._asdict(), "base": str(self.base)}
 
 
 def geodesic_union_set(graph: Graph, base: int, peripheral, dmat: np.ndarray) -> set[int]:

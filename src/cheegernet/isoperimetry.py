@@ -141,21 +141,6 @@ def _fold_chunk(subsets, n: int, curves: list, delta: float, best: list) -> int:
     return rows
 
 
-def _scan(spec: SurfaceSpec, delta: float, max_pieces: int):
-    """One pass over the connected piece sets of size <= max_pieces, _CHUNK
-    sets per numpy pass: (least h_g ratio, its piece set, worst regularity
-    ratio, its piece set, sets examined).  Ties break to the
-    lexicographically smallest set."""
-    curves = [(a, b, c.length) for a, b, c in pieces_index(spec).curves]
-    best = [(math.inf, None), (math.inf, None)]  # (h_g ratio, set), (regularity ratio, set)
-    examined = 0
-    subsets = connected_piece_subsets(spec, max_pieces)
-    while rows := _fold_chunk(subsets, spec.pieces, curves, delta, best):
-        examined += rows
-    (best_ratio, best_set), (worst, witness) = best
-    return best_ratio, best_set, worst, witness, examined
-
-
 def domain_reports(
     spec: SurfaceSpec, delta: float, max_pieces: int = MAX_PIECES
 ) -> tuple[IsoperimetricReport, RegularityReport]:
@@ -165,18 +150,24 @@ def domain_reports(
     h_g is the least L(boundary)/area; it is certified exact when the cap
     covers every size.  The regularity constant is the worst ratio
     L(long boundary)/#(short boundary components) at scale delta, +inf when
-    no set has short components.  Ties break to the lexicographically
-    smallest piece set.
+    no set has short components.  The sets are read _CHUNK per numpy pass.
+    Ties break to the lexicographically smallest piece set.
     """
     require_valid(spec)
     if max_pieces < 1:
         raise DomainError(f"max_pieces must be >= 1, got {max_pieces}")
     if not (math.isfinite(delta) and delta > 0.0):
         raise DomainError(f"delta must be positive, got {delta!r}")
-    h_g, best, worst, witness, examined = _scan(spec, delta, max_pieces)
+    curves = [(a, b, c.length) for a, b, c in pieces_index(spec).curves]
+    best = [(math.inf, None), (math.inf, None)]  # (h_g ratio, set), (regularity ratio, set)
+    examined = 0
+    subsets = connected_piece_subsets(spec, max_pieces)
+    while rows := _fold_chunk(subsets, spec.pieces, curves, delta, best):
+        examined += rows
+    (h_g, best_set), (worst, witness) = best
     iso = IsoperimetricReport(
         h_g=h_g,
-        best_domain=domain_from_pieces(spec, best),
+        best_domain=domain_from_pieces(spec, best_set),
         lower_bound_certified=max_pieces >= spec.pieces,
         method="exact",
         examined=examined,
@@ -255,13 +246,7 @@ class FamilyReport(NamedTuple):
             "r_squared": self.r_squared,
             "h_lower_bound": self.h_lower_bound,
             "rows": [
-                {
-                    "param": r.param,
-                    "h_g": r.h_g,
-                    "best_domain_size": r.best_domain_size,
-                    "worst_c": "inf" if math.isinf(r.worst_c) else r.worst_c,
-                    "verdict": r.verdict,
-                }
+                {**r._asdict(), "worst_c": "inf" if math.isinf(r.worst_c) else r.worst_c}
                 for r in self.rows
             ],
         }
@@ -308,6 +293,5 @@ def family_csv(report: FamilyReport) -> str:
     """CSV rendering of a family sweep (header plus one row per instance)."""
     lines = [CSV_HEADER]
     for r in report.rows:
-        worst = "inf" if math.isinf(r.worst_c) else repr(r.worst_c)
-        lines.append(f"{r.param},{r.h_g!r},{r.best_domain_size},{worst},{r.verdict}")
+        lines.append(f"{r.param},{r.h_g!r},{r.best_domain_size},{r.worst_c},{r.verdict}")
     return "\n".join(lines) + "\n"

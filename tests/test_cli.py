@@ -360,6 +360,28 @@ class TestExitCodes:
         assert errors[0] == errors[1] == errors[2]
         assert cli._parser() is cli._parser()
 
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    def test_deep_length_expression_is_an_input_error(self, capsys, tmp_path, command):
+        """A 1,500-term sum overflows the evaluator's recursion; it is
+        reported as invalid input naming the expression, not a traceback."""
+        expr = "+".join(["1"] * 1500)
+        path = tmp_path / "deep.family.json"
+        path.write_text(json.dumps({**ONE_PIECE, "param": N_1_2, "gluings": [
+            {"a": [0, 0], "b": [0, 1], "length": expr}]}))
+        code, out, err = run_main(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err == f"cheegernet: invalid input: length expression {expr!r} is nested too deeply\n"
+
+    def test_piece_count_cap(self, capsys, tmp_path):
+        """A spec over surface.MAX_SPEC_PIECES pieces is refused with that
+        one problem, before its slots are checked one by one."""
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"pieces": 100001, "gluings": [], "cusps": []}))
+        code, out, _ = run_main(capsys, "validate", str(path))
+        assert code == 2
+        assert json.loads(out) == {"valid": False,
+                                   "problems": ["piece count must be <= 100000, got 100001"]}
+
 
 class TestDeterminism:
     def test_net_json_stable(self, capsys):

@@ -289,6 +289,13 @@ class TestLengthExpressions:
             with pytest.raises(SpecError):
                 eval_length_expr(bad, "n", 2)
 
+    def test_deep_expressions(self):
+        """Too deep to evaluate (a 1,500-term sum) or to parse (5,000 unary
+        minuses): SpecError, not RecursionError."""
+        for deep in ("+".join(["1"] * 1500), "-" * 5000 + "1"):
+            with pytest.raises(SpecError, match="nested too deeply"):
+                eval_length_expr(deep, "n", 2)
+
     def test_expression_family(self):
         doc = {
             "param": {"name": "n", "range": [2, 4]},
